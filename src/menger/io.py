@@ -104,15 +104,17 @@ def load_space(path: str, validate: bool = True) -> FiniteSpace:
     simplices = doc.get("simplices")
     dim_labels = doc.get("dim_labels")
     try:
-        space = FiniteSpace.create(
-            metric,
-            simplices=[frozenset(int(v) for v in s) for s in simplices]
-            if simplices is not None
-            else None,
-            dim_labels=[(frozenset(int(v) for v in s), int(d)) for s, d in dim_labels]
-            if dim_labels is not None
-            else None,
-        )
+        if simplices is not None:
+            simplices = [frozenset(int(v) for v in s) for s in simplices]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: simplices must be a list of lists of point indices") from exc
+    try:
+        if dim_labels is not None:
+            dim_labels = [(frozenset(int(v) for v in s), int(d)) for s, d in dim_labels]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: dim_labels must be a list of [points, dim] entries") from exc
+    try:
+        space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if validate:
@@ -462,9 +464,14 @@ def verify_certificate(
 
     stage_margins: list[Fraction | float] = []
     for s_idx, st in enumerate(cert.get("stages", [])):
-        pts = [int(p) for p in st["points"]]
-        maps = [[int(v) for v in m] for m in st["maps"]]
         where = f"stage {s_idx}"
+        try:
+            pts = [int(p) for p in st["points"]]
+            maps = [[int(v) for v in m] for m in st["maps"]]
+            table = st["table"]
+        except (KeyError, TypeError, ValueError) as exc:
+            issues.append(f"{where} is missing required data: {exc}")
+            continue
         if st.get("f_perms") is not None:
             for k, perm in enumerate(st["f_perms"]):
                 derived = [perm[p] for p in pts]
@@ -473,7 +480,6 @@ def verify_certificate(
         for m in maps:
             if len(m) != len(pts):
                 issues.append(f"{where}: map length does not match point count")
-        table = st["table"]
         if len(table) != len(pts):
             issues.append(f"{where}: table has {len(table)} rows for {len(pts)} points")
             continue

@@ -11,7 +11,7 @@ cover construction needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError
@@ -62,10 +62,19 @@ class Partition:
 
     @staticmethod
     def from_key(ground: Sequence[Label], key: Callable[[Label], Hashable]) -> "Partition":
+        """Group ``ground`` by ``key``.
+
+        Scanning the ground in order fills every group in ground order and
+        opens the groups in order of their least label, which is already the
+        canonical form ``of`` would produce.
+        """
+        ground_t = tuple(ground)
+        if len(set(ground_t)) != len(ground_t):
+            raise InputError("partition ground has repeated labels")
         groups: dict[Hashable, list[Label]] = {}
-        for s in ground:
+        for s in ground_t:
             groups.setdefault(key(s), []).append(s)
-        return Partition.of(ground, groups.values())
+        return Partition(ground_t, tuple(tuple(g) for g in groups.values()))
 
     def block_index(self, label: Label) -> int:
         for i, blk in enumerate(self.blocks):
@@ -116,14 +125,11 @@ class DoubledFamily:
     """
 
     base: MapFamily
+    labels: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
-    @property
-    def labels(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i in range(self.base.size):
-            out.append((i, 1))
-            out.append((i, 2))
-        return tuple(out)
+    def __post_init__(self) -> None:
+        labels = tuple((i, j) for i in range(self.base.size) for j in (1, 2))
+        object.__setattr__(self, "labels", labels)
 
     def value(self, label: tuple[int, int], pair: Pair) -> int:
         i, j = label
@@ -210,48 +216,44 @@ class CoherentBlock:
         return CoherentBlock(p_hat, pairs_t, images)
 
 
-def coherent_decomposition(df: DoubledFamily, p_hat: Partition) -> tuple[CoherentBlock, ...]:
+def coherent_decomposition(
+    df: DoubledFamily, p_hat: Partition, pairs: Iterable[Pair]
+) -> tuple[CoherentBlock, ...]:
     """Split the compatibility class of ``p_hat`` into coherent blocks.
 
-    Pairs are scanned in sorted order and greedily appended to the first
-    existing block that stays coherent; a pair no block can absorb starts a
-    new one.  A single pair is always coherent (its label values already
-    separate blocks), so the fallback never fails.
-    """
-    n = df.base.source.n_points
-    lookup = {s: k for k, blk in enumerate(p_hat.blocks) for s in blk}
-    members = [
-        (x1, x2)
-        for x1 in range(n)
-        for x2 in range(n)
-        if x1 != x2 and doubled_induced_partition(df, (x1, x2)) == p_hat
-    ]
+    ``pairs`` are the members of the class, in the order they are packed.
+    Each pair goes to the first existing block that stays coherent with it;
+    a pair no block can absorb starts a new one.  A single pair is always
+    coherent (its label values already separate blocks), so the fallback
+    never fails.  This first-fit order fixes which pairs share a block, and
+    so the block contents a certificate records: any other order produces a
+    different, equally valid decomposition and a different certificate.
 
+    A fit is tested on bitsets (bit b stands for block b): ``held[v]`` marks
+    the blocks whose images contain target point v, and ``owned[k, v]`` those
+    that reach v through label block k.  A pair conflicts with every block
+    that holds one of its values through a different label block.
+    """
+    labels = [(k, s) for k, blk in enumerate(p_hat.blocks) for s in blk]
+    held: dict[int, int] = {}
+    owned: dict[tuple[int, int], int] = {}
     blocks: list[list[Pair]] = []
-    images: list[list[set[int]]] = []
-    for pair in members:
-        contrib: list[set[int]] = [set() for _ in p_hat.blocks]
-        for s in p_hat.ground:
-            contrib[lookup[s]].add(df.value(s, pair))
-        placed = False
-        for b in range(len(blocks)):
-            merged = [images[b][k] | contrib[k] for k in range(len(contrib))]
-            ok = True
-            for a in range(len(merged)):
-                for c in range(a + 1, len(merged)):
-                    if merged[a] & merged[c]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                blocks[b].append(pair)
-                images[b] = [set(v) for v in merged]
-                placed = True
-                break
-        if not placed:
+    for pair in pairs:
+        contrib = {(k, df.value(s, pair)) for k, s in labels}
+        conflict = 0
+        for k, v in contrib:
+            conflict |= held.get(v, 0) & ~owned.get((k, v), 0)
+        free = ~conflict & ((1 << len(blocks)) - 1)
+        if free:
+            b = (free & -free).bit_length() - 1
+            blocks[b].append(pair)
+        else:
+            b = len(blocks)
             blocks.append([pair])
-            images.append(contrib)
+        bit = 1 << b
+        for k, v in contrib:
+            held[v] = held.get(v, 0) | bit
+            owned[k, v] = owned.get((k, v), 0) | bit
 
     return tuple(CoherentBlock.build(df, p_hat, blk) for blk in blocks)
 

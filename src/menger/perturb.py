@@ -11,7 +11,7 @@ used only when summarizing for humans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,6 +31,9 @@ class Observable:
     space: FiniteSpace
     r: int
     values: tuple[tuple[Fraction, ...], ...]
+    _numerators: tuple[int, tuple[tuple[int, ...], ...]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     @staticmethod
     def create(space: FiniteSpace, values: Sequence[Sequence]) -> "Observable":
@@ -53,6 +56,21 @@ class Observable:
                 row.append(f)
             rows.append(tuple(row))
         return Observable(space, r, tuple(rows))
+
+    def numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The values as integer numerators over one common denominator.
+
+        Returns ``(den, rows)`` with ``rows[y][ell] / den == values[y][ell]``;
+        computed on first use and kept, since the values never change.
+        """
+        if self._numerators is None:
+            den = math.lcm(*(v.denominator for row in self.values for v in row))
+            rows = tuple(
+                tuple(v.numerator * (den // v.denominator) for v in row)
+                for row in self.values
+            )
+            object.__setattr__(self, "_numerators", (den, rows))
+        return self._numerators
 
     def replace_values(self, values: Sequence[Sequence[Fraction]]) -> "Observable":
         return Observable.create(self.space, values)

@@ -16,7 +16,7 @@ enough data to replay every check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -167,22 +167,24 @@ def check_hypotheses_action(
 def margin(f: Observable, fam: MapFamily, pairs: Iterable[Pair]) -> Fraction | float:
     """Least sup-distance between orbit tuples over the given pairs.
 
-    Exact: zero is returned exactly when some pair's tuples coincide.  An
-    empty pair collection yields infinity.
+    Exact: the observable's values are compared as integer numerators over
+    one common denominator, so no rounding enters and zero is returned
+    exactly when some pair's tuples coincide.  An empty pair collection
+    yields infinity.
     """
-    best: Fraction | float = math.inf
+    den, rows = f.numerators()
+    maps = fam.maps
+    best: int | None = None
     for x1, x2 in pairs:
-        worst = Fraction(0)
-        for g in fam.maps:
-            row1 = f.values[g[x1]]
-            row2 = f.values[g[x2]]
-            for a, b in zip(row1, row2):
+        worst = 0
+        for g in maps:
+            for a, b in zip(rows[g[x1]], rows[g[x2]]):
                 d = abs(a - b)
                 if d > worst:
                     worst = d
-        if worst < best:
+        if best is None or worst < best:
             best = worst
-    return best
+    return math.inf if best is None else Fraction(best, den)
 
 
 def orbit_row(f: Observable, fam: MapFamily, x: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -473,26 +475,29 @@ def _run_family_blocks(
 ) -> None:
     """Process every coherent block of one family under the shared schedule.
 
-    Budgets shrink geometrically from eps/2 and are additionally capped by a
-    quarter of the running ledger margin; a perturbation within half the
-    margin keeps previously separated pairs separated, and staying strictly
-    inside that radius keeps the inequality strict.  Monotone progress is
-    asserted after every block.
+    The ordered pairs are classified by their doubled partition in one pass;
+    each class is then packed into coherent blocks, classes with more label
+    blocks first.  Budgets shrink geometrically from eps/2 and are
+    additionally capped by a quarter of the running ledger margin; a
+    perturbation within half the margin keeps previously separated pairs
+    separated, and staying strictly inside that radius keeps the inequality
+    strict.  Monotone progress is asserted after every block.
     """
     df = DoubledFamily(fam)
     n = fam.source.n_points
     group_pairs: list[Pair] = []
     state.groups.append((fam, group_pairs))
 
-    realized: set[Partition] = set()
+    classes: dict[Partition, list[Pair]] = {}
     for x1 in range(n):
         for x2 in range(n):
             if x1 != x2:
-                realized.add(doubled_induced_partition(df, (x1, x2)))
-    ordered = sorted(realized, key=lambda p: (-len(p.blocks), p.blocks))
+                p_hat = doubled_induced_partition(df, (x1, x2))
+                classes.setdefault(p_hat, []).append((x1, x2))
+    ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
 
     for p_hat in ordered:
-        for blk in coherent_decomposition(df, p_hat):
+        for blk in coherent_decomposition(df, p_hat, classes[p_hat]):
             pre = margin(state.f, fam, blk.pairs)
             if pre > 0:
                 state.logs.append(
@@ -518,31 +523,7 @@ def _run_family_blocks(
                 raise InternalCheckError(
                     "monotone progress violated: a previously separated pair collided"
                 )
-            state.logs.append(
-                BlockLog(
-                    partition=blog.partition,
-                    pairs=blog.pairs,
-                    branch=blog.branch,
-                    swapped=blog.swapped,
-                    budget=blog.budget,
-                    eta=blog.eta,
-                    delta=blog.delta,
-                    m1=blog.m1,
-                    m2=blog.m2,
-                    transport=blog.transport,
-                    zeta=blog.zeta,
-                    covers_col1=blog.covers_col1,
-                    covers_col2=blog.covers_col2,
-                    merged=blog.merged,
-                    assignment=blog.assignment,
-                    witness_kinds=blog.witness_kinds,
-                    margin_before=pre,
-                    margin_after=after,
-                    displacement=blog.displacement,
-                    lipschitz_before=blog.lipschitz_before,
-                    lipschitz_after=blog.lipschitz_after,
-                )
-            )
+            state.logs.append(replace(blog, margin_before=pre, margin_after=after))
 
 
 def _final_table(f: Observable, fam: MapFamily) -> tuple:

@@ -65,7 +65,10 @@ class FiniteSpace:
         dim_labels: Iterable[tuple[Iterable[int], int]] | None = None,
         dim_fn: Callable[[frozenset[int]], int] | None = None,
     ) -> "FiniteSpace":
-        arr = np.array(metric, dtype=float)
+        try:
+            arr = np.array(metric, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"metric must be a matrix of numbers: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError(f"metric must be a square matrix, got shape {arr.shape}")
         n = arr.shape[0]
@@ -161,17 +164,15 @@ class ValidationReport:
         return not self.issues
 
 
-def validate_space(space: FiniteSpace, monotone_samples: int = 200) -> ValidationReport:
-    """Check the metric axioms exhaustively and the dimension oracle by sampling.
-
-    Metric checks cover symmetry, zero diagonal, positivity off the diagonal
-    and the triangle inequality over all triples.  Oracle monotonicity is
-    checked on systematic small chains plus seeded random nested pairs; each
-    issue names the offending entries.
-    """
-    issues: list[str] = []
-    n = space.n_points
-    m = space.metric
+def _metric_issues(m: np.ndarray) -> list[str]:
+    """Axiom violations of a distance matrix, each naming its entries."""
+    issues = [
+        f"metric[{i}][{j}]: not a finite number" for i, j in zip(*np.nonzero(~np.isfinite(m)))
+    ]
+    if issues:
+        # The axioms compare entries, which means nothing for NaN or inf.
+        return issues
+    n = m.shape[0]
     for i in range(n):
         if m[i, i] != 0.0:
             issues.append(f"metric[{i}][{i}]: diagonal entry {m[i, i]} is not zero")
@@ -182,13 +183,28 @@ def validate_space(space: FiniteSpace, monotone_samples: int = 200) -> Validatio
             if m[i, j] <= 0.0:
                 issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if m[i, k] > m[i, j] + m[j, k]:
-                    issues.append(
-                        f"metric[{i}][{k}]: triangle violation via {j} "
-                        f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
-                    )
+        # violated[j, k] is m[i, k] > m[i, j] + m[j, k]: one row at a time
+        # keeps the temporaries n x n.
+        violated = m[i][None, :] > m[i][:, None] + m
+        for j, k in zip(*np.nonzero(violated)):
+            issues.append(
+                f"metric[{i}][{k}]: triangle violation via {j} "
+                f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
+            )
+    return issues
+
+
+def validate_space(space: FiniteSpace, monotone_samples: int = 200) -> ValidationReport:
+    """Check the metric axioms exhaustively and the dimension oracle by sampling.
+
+    Metric checks cover symmetry, zero diagonal, positivity off the diagonal
+    and the triangle inequality over all triples; a matrix with NaN or
+    infinite entries reports only those.  Oracle monotonicity is
+    checked on systematic small chains plus seeded random nested pairs; each
+    issue names the offending entries.
+    """
+    issues = _metric_issues(space.metric)
+    n = space.n_points
 
     if space.dim(frozenset()) != -1:
         issues.append("dim_oracle: dim(empty) must be -1")

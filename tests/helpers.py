@@ -12,6 +12,8 @@ import math
 import random
 from fractions import Fraction
 
+from menger.partitions import DoubledFamily, Partition, doubled_induced_partition
+from menger.perturb import Observable
 from menger.space import FiniteSpace, MapFamily
 
 
@@ -82,3 +84,70 @@ def naive_doubled_blocks(fam: MapFamily, pair: tuple[int, int]) -> set[frozenset
         groups.setdefault(fam.maps[i][x1], set()).add((i, 1))
         groups.setdefault(fam.maps[i][x2], set()).add((i, 2))
     return {frozenset(g) for g in groups.values()}
+
+
+def class_pairs(df: DoubledFamily, p_hat: Partition) -> list[tuple[int, int]]:
+    """Ordered pairs inducing ``p_hat``, in (x1, x2) order."""
+    n = df.base.source.n_points
+    return [
+        (x1, x2)
+        for x1 in range(n)
+        for x2 in range(n)
+        if x1 != x2 and doubled_induced_partition(df, (x1, x2)) == p_hat
+    ]
+
+
+def naive_coherent_blocks(df: DoubledFamily, p_hat: Partition) -> list[list[tuple[int, int]]]:
+    """First-fit packing of the class of ``p_hat`` by merging image sets.
+
+    Each pair joins the first block whose merged per-label-block images stay
+    pairwise disjoint, or opens a new block.
+    """
+    lookup = {s: k for k, blk in enumerate(p_hat.blocks) for s in blk}
+    blocks: list[list[tuple[int, int]]] = []
+    images: list[list[set[int]]] = []
+    for pair in class_pairs(df, p_hat):
+        contrib: list[set[int]] = [set() for _ in p_hat.blocks]
+        for s in p_hat.ground:
+            contrib[lookup[s]].add(df.value(s, pair))
+        for b in range(len(blocks)):
+            merged = [images[b][k] | contrib[k] for k in range(len(contrib))]
+            if all(
+                not merged[a] & merged[c]
+                for a in range(len(merged))
+                for c in range(a + 1, len(merged))
+            ):
+                blocks[b].append(pair)
+                images[b] = merged
+                break
+        else:
+            blocks.append([pair])
+            images.append(contrib)
+    return blocks
+
+
+def naive_margin(f: Observable, fam: MapFamily, pairs) -> Fraction | float:
+    """Least sup-distance of orbit tuples, compared as Fractions."""
+    best: Fraction | float = math.inf
+    for x1, x2 in pairs:
+        worst = max(
+            abs(a - b)
+            for g in fam.maps
+            for a, b in zip(f.values[g[x1]], f.values[g[x2]])
+        )
+        best = min(best, worst)
+    return best
+
+
+def naive_triangle_issues(space: FiniteSpace) -> list[str]:
+    """Triangle violations over all triples (i, j, k), in loop order."""
+    m = space.metric
+    n = space.n_points
+    return [
+        f"metric[{i}][{k}]: triangle violation via {j} "
+        f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if m[i, k] > m[i, j] + m[j, k]
+    ]

@@ -73,6 +73,31 @@ def test_space_loader_reports_problems(tmp_path):
         load_space(str(asym))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"metric": [[0.0, "far"], ["far", 0.0]]}, "metric must be a matrix of numbers"),
+        ({"metric": [[0.0, float("nan")], [float("nan"), 0.0]]},
+         "metric[0][1]: not a finite number"),
+        ({"metric": [[0.0, float("inf")], [1.0, 0.0]]}, "metric[0][1]: not a finite number"),
+        ({"metric": [[0.0, 1.0], [1.0, 0.0]], "simplices": 5}, "simplices must be a list"),
+        ({"metric": [[0.0, 1.0], [1.0, 0.0]], "dim_labels": 3}, "dim_labels must be a list"),
+    ],
+    ids=["non-numeric", "nan", "inf", "simplices-int", "dim-labels-int"],
+)
+def test_cli_malformed_space_exits_one_with_one_line(tmp_path, capsys, doc, message):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(doc))
+    fam_path = str(tmp_path / "family.json")
+    save_family(MapFamily.create(path_space(2), path_space(2), [[0, 1]]), fam_path)
+    code = main(["check", "--space", str(space_path), "--family", fam_path, "--r", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {space_path}: ")
+    assert message in err
+
+
 def test_family_round_trip_and_embedded_source(tmp_path):
     space = circle_space(9)
     fam = MapFamily.create(
@@ -200,6 +225,22 @@ def test_certificate_tampering_is_detected(tmp_path):
     issues = verify_certificate(forged)
     assert issues
     assert any("table row" in msg or "displacement" in msg for msg in issues)
+
+
+def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
+    _, _, cert = _small_family_cert()
+    path = str(tmp_path / "cert.json")
+    payload = write_certificate(path, cert)
+    forged = {k: v for k, v in payload.items() if k != "cert_sha256"}
+    forged["stages"] = [dict(forged["stages"][0])]
+    del forged["stages"][0]["points"]
+    forged["cert_sha256"] = hashlib.sha256(canonical_json(forged).encode("ascii")).hexdigest()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(forged))
+    code = main(["verify", "--cert", path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: stage 0 is missing required data: 'points'\n"
 
 
 def test_certificate_rejects_wrong_format(tmp_path):

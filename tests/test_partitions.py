@@ -2,6 +2,8 @@ import random
 
 import pytest
 from helpers import (
+    class_pairs,
+    naive_coherent_blocks,
     naive_compatible,
     naive_doubled_blocks,
     naive_induced_blocks,
@@ -39,6 +41,15 @@ def test_partition_of_validates_and_canonicalizes():
         Partition.of("abc", [["a", "b"], ["b", "c"]])  # overlap
     with pytest.raises(InputError):
         Partition.of("abc", [["a", "b", "c"], []])   # empty block
+
+
+def test_partition_from_key_is_canonical():
+    key = {"a": 1, "b": 0, "c": 1, "d": 2}.__getitem__
+    p = Partition.from_key("abcd", key)
+    assert p == Partition.of("abcd", [["d"], ["c", "a"], ["b"]])
+    assert p.blocks == (("a", "c"), ("b",), ("d",))
+    with pytest.raises(InputError, match="repeated"):
+        Partition.from_key("aba", key)
 
 
 def test_refines_basics():
@@ -143,7 +154,7 @@ def test_coherent_decomposition_splits_colliding_mirror_pairs():
     x = 0
     p_hat = doubled_induced_partition(df, (x, x + 4))
     assert classify(p_hat) == INTERSECTIVE
-    blocks = coherent_decomposition(df, p_hat)
+    blocks = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))
     # the mirror pair (x+4, x) induces the same partition but cannot share a
     # coherent block with (x, x+4): their image sets would overlap
     assert len(blocks) == 2
@@ -167,7 +178,8 @@ def test_coherent_blocks_verify_membership_and_disjoint_images():
             if a != b
         }
         for p_hat in partitions:
-            blocks = coherent_decomposition(df, p_hat)
+            blocks = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))
+            assert [list(blk.pairs) for blk in blocks] == naive_coherent_blocks(df, p_hat)
             covered = [p for blk in blocks for p in blk.pairs]
             assert len(covered) == len(set(covered))
             for blk in blocks:
@@ -179,11 +191,23 @@ def test_coherent_blocks_verify_membership_and_disjoint_images():
                         assert not images[i] & images[j]
 
 
+def test_coherent_blocks_match_first_fit_on_circle_rotations():
+    space = circle_space(12)
+    fam = MapFamily.create(space, space, [rotation_perm(12, s) for s in (0, 4, 8)])
+    df = DoubledFamily(fam)
+    partitions = {
+        doubled_induced_partition(df, (a, b)) for a in range(12) for b in range(12) if a != b
+    }
+    for p_hat in partitions:
+        blocks = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))
+        assert [list(blk.pairs) for blk in blocks] == naive_coherent_blocks(df, p_hat)
+
+
 def test_intersective_transport_on_antipodal_block():
     n = 8
     _, fam, df = _antipodal_doubled(n)
     p_hat = doubled_induced_partition(df, (0, 4))
-    block = coherent_decomposition(df, p_hat)[0]
+    block = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))[0]
     res = intersective_transport(df, block)
     for x1, x2 in block.pairs:
         assert res.transport[x1] == x2
@@ -205,7 +229,7 @@ def test_intersective_transport_rejects_non_intersective():
     fam = MapFamily.create(space, space, [rotation_perm(5, 1)])
     df = DoubledFamily(fam)
     p_hat = doubled_induced_partition(df, (0, 1))
-    block = coherent_decomposition(df, p_hat)[0]
+    block = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))[0]
     with pytest.raises(InputError):
         intersective_transport(df, block)
 
@@ -213,7 +237,7 @@ def test_intersective_transport_rejects_non_intersective():
 def test_reduced_maps_agree_on_classes():
     _, fam, df = _antipodal_doubled(8)
     p_hat = doubled_induced_partition(df, (0, 4))
-    block = coherent_decomposition(df, p_hat)[0]
+    block = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))[0]
     red1 = reduced_maps(df, block, 1)
     red2 = reduced_maps(df, block, 2)
     assert red1.points == tuple(sorted({a for a, _ in block.pairs}))

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from helpers import class_pairs, naive_margin
 
 from menger.errors import GroupCapError, HypothesisError, InputError
 from menger.fixtures import antipodal_perm, circle_space, rotation_perm
@@ -92,13 +93,42 @@ def test_margin_exact_values():
     assert margin(g, fam, [(0, 1)]) == 0
 
 
+def test_margin_matches_fraction_loop():
+    space = circle_space(7)
+    fam = MapFamily.create(space, space, [rotation_perm(7, s) for s in (0, 2, 5)])
+    # mixed denominators, so the common denominator is a real lcm
+    values = [
+        [Fraction(1, 3), Fraction(2, 7)],
+        [Fraction(5, 12), Fraction(1, 2)],
+        [Fraction(1, 3), Fraction(9, 14)],
+        [Fraction(0), Fraction(11, 30)],
+        [Fraction(4, 9), Fraction(1)],
+        [Fraction(7, 8), Fraction(3, 10)],
+        [Fraction(5, 12), Fraction(2, 7)],
+    ]
+    f = Observable.create(space, values)
+    pairs = [(a, b) for a in range(7) for b in range(7) if a != b]
+    for chunk in (pairs, pairs[:5], pairs[10:11], pairs[::3]):
+        got = margin(f, fam, chunk)
+        assert isinstance(got, Fraction)
+        assert got == naive_margin(f, fam, chunk)
+    # points 0 and 2 agree in the first coordinate; the second sets the gap
+    ident = MapFamily.create(space, space, [identity_perm(7)])
+    assert margin(f, ident, [(0, 2)]) == naive_margin(f, ident, [(0, 2)]) == Fraction(5, 14)
+    # point 6 copies point 1: an exact zero, not a tiny positive number
+    twin = Observable.create(space, values[:6] + [values[1]])
+    got = margin(twin, ident, [(1, 6), (0, 1)])
+    assert isinstance(got, Fraction) and got == 0
+    assert margin(f, fam, []) == naive_margin(f, fam, []) == math.inf
+
+
 def test_separate_on_block_non_intersective_rotations():
     space = circle_space(9)
     fam = MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)])
     df = DoubledFamily(fam)
     f = Observable.create(space, [[Fraction(1, 2)]] * 9)
     p_hat = doubled_induced_partition(df, (0, 1))
-    block = coherent_decomposition(df, p_hat)[0]
+    block = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))[0]
     f_new, log = separate_on_block(df, block, f, Fraction(1, 10))
     assert log.branch == "non_intersective"
     assert log.margin_after > 0
@@ -126,7 +156,7 @@ def test_separate_on_block_intersective_antipodal():
     )
     p_hat = doubled_induced_partition(df, (0, 4))
     assert margin(f, fam, [(0, 4)]) == 0
-    block = coherent_decomposition(df, p_hat)[0]
+    block = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))[0]
     f_new, log = separate_on_block(df, block, f, Fraction(1, 8))
     assert log.branch == INTERSECTIVE
     assert log.m1 == 2 and log.m2 == 2
@@ -148,7 +178,7 @@ def test_separate_on_block_rejects_nonpositive_budget():
     df = DoubledFamily(fam)
     f = Observable.create(space, [[Fraction(1, 2)]] * 6)
     p_hat = doubled_induced_partition(df, (0, 1))
-    block = coherent_decomposition(df, p_hat)[0]
+    block = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))[0]
     with pytest.raises(InputError):
         separate_on_block(df, block, f, 0)
 

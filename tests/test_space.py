@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import naive_sep, random_euclidean_space
+from helpers import naive_sep, naive_triangle_issues, random_euclidean_space
 
 from menger.errors import GroupCapError, InputError
 from menger.fixtures import circle_space, rotation_perm
@@ -48,6 +48,20 @@ def test_validate_reports_axiom_violations_with_paths():
 
     good = circle_space(6)
     assert validate_space(good).ok
+
+
+def test_validate_triangle_issues_match_triple_loop():
+    rng = random.Random(5)
+    n = 7
+    metric = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            metric[a][b] = metric[b][a] = rng.choice([0.5, 1.0, 1.5, 3.0, 0.1 + 0.2])
+    space = FiniteSpace.create(metric)
+    expected = naive_triangle_issues(space)
+    assert len(expected) > 10
+    report = validate_space(space)
+    assert [issue for issue in report.issues if "triangle" in issue] == expected
 
 
 def test_dim_of_empty_set_is_minus_one(circle9):
