@@ -19,7 +19,7 @@ from typing import Any
 
 from . import __version__
 from .covers import BACKEND_BRICKS, BACKEND_CELLS
-from .errors import EXIT_HYPOTHESIS, EXIT_OK, InputError, MengerError, VerificationError
+from .errors import EXIT_HYPOTHESIS, EXIT_OK, EXIT_VERIFICATION, InputError, MengerError
 from .io import (
     fr_str,
     hash_file,
@@ -171,7 +171,9 @@ def cmd_verify(args: argparse.Namespace, threads: int | None) -> int:
         cert, space=space, action=action, family=family, input_hashes=input_hashes
     )
     if issues:
-        raise VerificationError(issues[0])
+        for issue in issues:
+            print(f"error: {issue}", file=sys.stderr)
+        return EXIT_VERIFICATION
     print(f"certificate OK: margin {_margin_text(cert['margin'])}, "
           f"displacement {cert['displacement']}")
     return EXIT_OK

@@ -410,6 +410,34 @@ def _parse_values(doc: Any, n: int, r: int, where: str) -> list[list[Fraction]]:
     return rows
 
 
+def _stage_shape_issues(
+    pts: list[int], maps: list[list[int]], table: Any, f_perms: Any, n: int
+) -> list[str]:
+    """Reasons a stage's indices cannot be followed into the observable.
+
+    Map values index the n observable rows; element permutations act on the
+    whole space of n points and are read at the stage's points.
+    """
+    issues = []
+    for k, m in enumerate(maps):
+        if len(m) != len(pts):
+            issues.append(f"map {k} has {len(m)} values for {len(pts)} points")
+        if not all(0 <= v < n for v in m):
+            issues.append(f"map {k} has a value outside 0..{n - 1}")
+    if not isinstance(table, list):
+        issues.append("table is not a list of rows")
+    elif len(table) != len(pts):
+        issues.append(f"table has {len(table)} rows for {len(pts)} points")
+    if f_perms is not None:
+        if not isinstance(f_perms, list) or len(f_perms) != len(maps):
+            issues.append("f_perms does not hold one element per map")
+        elif not all(isinstance(perm, list) and len(perm) == n for perm in f_perms):
+            issues.append(f"f_perms holds an element that is not a list of {n} points")
+        if not all(0 <= p < n for p in pts):
+            issues.append(f"a point lies outside 0..{n - 1}")
+    return issues
+
+
 def verify_certificate(
     cert: dict[str, Any],
     space: FiniteSpace | None = None,
@@ -440,8 +468,10 @@ def verify_certificate(
         n = len(cert["observable_values"])
         f0_rows = _parse_values(cert["f0_values"], n, r, "f0_values")
         new_rows = _parse_values(cert["observable_values"], n, r, "observable_values")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return [f"certificate is missing required data: {exc}"]
+    except InputError as exc:
+        return [str(exc)]
 
     for name, rows in (("f0", f0_rows), ("observable", new_rows)):
         for y, row in enumerate(rows):
@@ -462,32 +492,43 @@ def verify_certificate(
     if displacement > eps:
         issues.append(f"displacement {fr_str(displacement)} exceeds eps {fr_str(eps)}")
 
+    # the total margin is recomputed only when every stage could be read
+    complete = True
+    stages = cert.get("stages", [])
+    if not isinstance(stages, list):
+        issues.append("stages: expected a list of stage records")
+        stages = []
+        complete = False
     stage_margins: list[Fraction | float] = []
-    for s_idx, st in enumerate(cert.get("stages", [])):
+    for s_idx, st in enumerate(stages):
         where = f"stage {s_idx}"
         try:
             pts = [int(p) for p in st["points"]]
             maps = [[int(v) for v in m] for m in st["maps"]]
             table = st["table"]
-        except (KeyError, TypeError, ValueError) as exc:
+            f_perms = st.get("f_perms")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             issues.append(f"{where} is missing required data: {exc}")
+            complete = False
             continue
-        if st.get("f_perms") is not None:
-            for k, perm in enumerate(st["f_perms"]):
+        shape = _stage_shape_issues(pts, maps, table, f_perms, n)
+        if shape:
+            issues.extend(f"{where}: {msg}" for msg in shape)
+            complete = False
+            continue
+        if f_perms is not None:
+            for k, perm in enumerate(f_perms):
                 derived = [perm[p] for p in pts]
                 if derived != maps[k]:
                     issues.append(f"{where}: map {k} disagrees with its element")
-        for m in maps:
-            if len(m) != len(pts):
-                issues.append(f"{where}: map length does not match point count")
-        if len(table) != len(pts):
-            issues.append(f"{where}: table has {len(table)} rows for {len(pts)} points")
-            continue
         worst: Fraction | float = math.inf
         for u, row in enumerate(table):
+            if not isinstance(row, list) or len(row) != len(maps):
+                issues.append(f"{where}: table row {u} does not hold one entry per map")
+                continue
             for k, per_map in enumerate(row):
                 expect = [fr_str(v) for v in new_rows[maps[k][u]]]
-                if list(per_map) != expect:
+                if per_map != expect:
                     issues.append(
                         f"{where}: table row {u}, map {k} does not match the observable"
                     )
@@ -507,13 +548,16 @@ def verify_certificate(
                 f"stored {st.get('margin')}"
             )
     total = min(stage_margins) if stage_margins else math.inf
-    if _margin_str(total) != cert.get("margin"):
+    if complete and _margin_str(total) != cert.get("margin"):
         issues.append(
             f"margin mismatch: recomputed {_margin_str(total)}, stored {cert.get('margin')}"
         )
 
     if input_hashes:
         recorded = cert.get("inputs", {})
+        if not isinstance(recorded, dict):
+            issues.append("inputs: expected an object of input hashes")
+            recorded = {}
         for key, value in input_hashes.items():
             if key in recorded and recorded[key] != value:
                 issues.append(f"input hash mismatch for {key!r}")
@@ -522,8 +566,8 @@ def verify_certificate(
         stored = cert.get("hypothesis", {})
         try:
             if cert.get("kind") == "action" and action is not None:
-                labels = [c["label"] for c in stored.get("checks", [])]
-                n_max = len(labels) if labels else None
+                checks = stored.get("checks") if isinstance(stored, dict) else None
+                n_max = len(checks) if isinstance(checks, list) and checks else None
                 report = check_hypotheses_action(action, r, n_max=n_max)
             elif family is not None:
                 report = check_hypotheses_family(family, r)

@@ -42,7 +42,7 @@ from .partitions import (
     classify,
     coherent_decomposition,
     column_partition,
-    compatible_subset,
+    compatible_subset,  # noqa: F401  bench/spans.py patches this name here
     doubled_induced_partition,
     induced_partition,
     intersective_transport,
@@ -57,7 +57,7 @@ from .space import (
     MapFamily,
     Perm,
     orbit,
-    periodic_set,
+    periodic_set,  # noqa: F401  bench/spans.py patches this name here
     restricted_space,
 )
 from .witness import BipartiteInstance, check_separation
@@ -96,7 +96,11 @@ class HypothesisReport:
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All set partitions of ``items``, lexicographic in growth order."""
+    """All set partitions of ``items``, lexicographic in growth order.
+
+    For sorted ``items`` every block comes out sorted and the blocks ordered
+    by their least element: the canonical form ``Partition`` holds.
+    """
     items = list(items)
     if not items:
         yield ()
@@ -118,20 +122,24 @@ def check_hypotheses_family(
     All partitions of the index set are enumerated when the family is small
     enough; beyond the limit only partitions realized by some point are
     checked (unrealized classes are empty, so they hold vacuously anyway).
+    The points are grouped by their induced partition in one pass, so each
+    class X_P is a lookup; unrealized candidates get the empty class, whose
+    dimension is still asked of the space.
     """
     if r < 1:
         raise InputError("r must be at least 1")
     n = fam.size
-    candidates: set[Partition] = {
-        induced_partition(fam, x) for x in range(fam.source.n_points)
-    }
+    classes: dict[Partition, list[int]] = {}
+    for x in range(fam.source.n_points):
+        classes.setdefault(induced_partition(fam, x), []).append(x)
+    candidates = set(classes)
     if n <= enumerate_all_limit:
-        for blocks in _set_partitions(range(n)):
-            candidates.add(Partition.of(range(n), blocks))
+        # canonical blocks already, so Partition.of's re-validation is skipped
+        ground = tuple(range(n))
+        candidates.update(Partition(ground, blocks) for blocks in _set_partitions(ground))
     checks = []
-    everything = range(fam.source.n_points)
     for p in sorted(candidates, key=lambda q: (len(q.blocks), q.blocks)):
-        xp = compatible_subset(fam, everything, p)
+        xp = frozenset(classes.get(p, ()))
         d = fam.source.dim(xp)
         bound_num = r * p.block_count()
         checks.append(
@@ -142,21 +150,39 @@ def check_hypotheses_family(
     return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
 
 
+def _orbit_sizes(action: GroupAction) -> list[int]:
+    """Orbit size of every point, one reachability search per orbit.
+
+    Orbits of a permutation group partition the space, so every point of a
+    found orbit shares its size.
+    """
+    sizes = [0] * action.space.n_points
+    for x in range(action.space.n_points):
+        if not sizes[x]:
+            orb = orbit(action, x)
+            for y in orb:
+                sizes[y] = len(orb)
+    return sizes
+
+
 def check_hypotheses_action(
     action: GroupAction, r: int, n_max: int | None = None
 ) -> HypothesisReport:
     """Check dim of the n-periodic set against (r/2) n for n up to n_max.
 
     The default n_max is the largest orbit size; beyond it the periodic sets
-    stop growing while the bound keeps increasing.
+    stop growing while the bound keeps increasing.  Orbit sizes are found
+    once, and the n-periodic set is read off them as the points whose orbit
+    has at most n elements.
     """
     if r < 1:
         raise InputError("r must be at least 1")
+    sizes = _orbit_sizes(action)
     if n_max is None:
-        n_max = max(len(orbit(action, x)) for x in range(action.space.n_points))
+        n_max = max(sizes)
     checks = []
     for n in range(1, n_max + 1):
-        pn = periodic_set(action, n)
+        pn = frozenset(x for x, size in enumerate(sizes) if size <= n)
         d = action.space.dim(pn)
         checks.append(
             HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n)

@@ -12,9 +12,16 @@ import math
 import random
 from fractions import Fraction
 
-from menger.partitions import DoubledFamily, Partition, doubled_induced_partition
+from menger.partitions import (
+    DoubledFamily,
+    Partition,
+    compatible_subset,
+    doubled_induced_partition,
+    induced_partition,
+)
 from menger.perturb import Observable
-from menger.space import FiniteSpace, MapFamily
+from menger.pipeline import HypothesisCheck, HypothesisReport, _set_partitions
+from menger.space import FiniteSpace, GroupAction, MapFamily, orbit, periodic_set
 
 
 def euclidean_space(points: list[tuple[float, float]]) -> FiniteSpace:
@@ -151,3 +158,38 @@ def naive_triangle_issues(space: FiniteSpace) -> list[str]:
         for k in range(n)
         if m[i, k] > m[i, j] + m[j, k]
     ]
+
+
+def reference_family_report(fam: MapFamily, r: int, enumerate_all_limit: int = 8) -> HypothesisReport:
+    """The family gate with one ``compatible_subset`` scan per candidate."""
+    n = fam.size
+    everything = range(fam.source.n_points)
+    candidates = {induced_partition(fam, x) for x in everything}
+    if n <= enumerate_all_limit:
+        for blocks in _set_partitions(range(n)):
+            candidates.add(Partition.of(range(n), blocks))
+    checks = []
+    for p in sorted(candidates, key=lambda q: (len(q.blocks), q.blocks)):
+        xp = compatible_subset(fam, everything, p)
+        d = fam.source.dim(xp)
+        bound_num = r * p.block_count()
+        checks.append(
+            HypothesisCheck(
+                "partition", str(p.serialize()), len(xp), d, bound_num, 2 * d < bound_num
+            )
+        )
+    return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
+
+
+def reference_action_report(action: GroupAction, r: int, n_max: int | None = None) -> HypothesisReport:
+    """The action gate with one ``periodic_set`` scan per period."""
+    if n_max is None:
+        n_max = max(len(orbit(action, x)) for x in range(action.space.n_points))
+    checks = []
+    for n in range(1, n_max + 1):
+        pn = periodic_set(action, n)
+        d = action.space.dim(pn)
+        checks.append(
+            HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n)
+        )
+    return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))

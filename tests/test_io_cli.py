@@ -227,20 +227,131 @@ def test_certificate_tampering_is_detected(tmp_path):
     assert any("table row" in msg or "displacement" in msg for msg in issues)
 
 
-def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
-    _, _, cert = _small_family_cert()
-    path = str(tmp_path / "cert.json")
-    payload = write_certificate(path, cert)
-    forged = {k: v for k, v in payload.items() if k != "cert_sha256"}
-    forged["stages"] = [dict(forged["stages"][0])]
-    del forged["stages"][0]["points"]
+def _write_rehashed(path, payload, edit):
+    """Apply ``edit`` to a copy of the certificate and store it re-hashed."""
+    forged = json.loads(canonical_json({k: v for k, v in payload.items() if k != "cert_sha256"}))
+    edit(forged)
     forged["cert_sha256"] = hashlib.sha256(canonical_json(forged).encode("ascii")).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(forged))
+
+
+def _small_action_cert():
+    space = circle_space(9)
+    action = GroupAction.from_generators(space, [rotation_perm(9, 3)])
+    f0 = Observable.create(space, [[Fraction(1, 2)]] * 9)
+    return embed_equivariant(action, r=1, eps=Fraction(1, 10), f0=f0)
+
+
+def _set(*path_and_value):
+    """An edit that replaces the entry at a key path; a callable maps the old entry."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value(doc[key]) if callable(value) else value
+
+    return edit
+
+
+def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
+    _, _, cert = _small_family_cert()
+    path = str(tmp_path / "cert.json")
+
+    def edit(doc):
+        del doc["stages"][0]["points"]
+
+    _write_rehashed(path, write_certificate(path, cert), edit)
     code = main(["verify", "--cert", path])
     err = capsys.readouterr().err
     assert code == 4
     assert err == "error: stage 0 is missing required data: 'points'\n"
+
+
+# A re-hashed certificate passes the content hash, so each forged shape reaches
+# the re-checks and must come out as exactly one issue, never a traceback.
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("family", _set("stages", 0, "maps", 1, 0, 9), "stage 0: map 1 has a value outside 0..8"),
+        ("family", _set("stages", 0, "maps", 2, 4, -1), "stage 0: map 2 has a value outside 0..8"),
+        ("family", _set("stages", 0, "table", 5), "stage 0: table is not a list of rows"),
+        ("family", _set("stages", 5), "stages: expected a list of stage records"),
+        (
+            "family",
+            _set("stages", 0, "table", 3, lambda row: row[:2]),
+            "stage 0: table row 3 does not hold one entry per map",
+        ),
+        (
+            "action",
+            _set("stages", 0, "f_perms", 1, lambda perm: perm[:2]),
+            "stage 0: f_perms holds an element that is not a list of 9 points",
+        ),
+        (
+            "action",
+            _set("stages", 0, "f_perms", lambda perms: perms[:1]),
+            "stage 0: f_perms does not hold one element per map",
+        ),
+        (
+            "action",
+            _set("stages", 0, "points", 0, 9),
+            "stage 0: a point lies outside 0..8",
+        ),
+        ("family", _set("r", "three"), "certificate is missing required data: "),
+        (
+            "family",
+            _set("observable_values", 0, 0, "abc"),
+            "observable_values[0]: cannot parse 'abc' as a rational",
+        ),
+    ],
+    ids=[
+        "map-past-end", "map-negative", "table-not-list", "stages-not-list",
+        "table-row-short", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
+        "value-not-rational",
+    ],
+)
+def test_cli_verify_rehashed_malformed_certificate_exits_four(tmp_path, capsys, kind, edit, message):
+    cert = _small_family_cert()[2] if kind == "family" else _small_action_cert()
+    path = str(tmp_path / "cert.json")
+    _write_rehashed(path, write_certificate(path, cert), edit)
+    code = main(["verify", "--cert", path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_verify_rehashed_inputs_and_hypothesis_of_the_wrong_type(tmp_path):
+    space = circle_space(9)
+    action = GroupAction.from_generators(space, [rotation_perm(9, 3)])
+    path = str(tmp_path / "cert.json")
+    payload = write_certificate(path, _small_action_cert(), input_hashes={"action": "0" * 64})
+    _write_rehashed(path, payload, _set("inputs", 5))
+    issues = verify_certificate(load_certificate(path), input_hashes={"action": "0" * 64})
+    assert issues == ["inputs: expected an object of input hashes"]
+    _write_rehashed(path, payload, _set("hypothesis", 5))
+    issues = verify_certificate(load_certificate(path), space=space, action=action)
+    assert issues == ["hypothesis report does not match the provided inputs"]
+
+
+def test_cli_verify_reports_every_issue(tmp_path, capsys):
+    _, _, cert = _small_family_cert()
+    path = str(tmp_path / "cert.json")
+    payload = write_certificate(path, cert)
+
+    def edit(doc):
+        doc["margin"] = "1/1000"
+        doc["displacement"] = "1/1000"
+
+    _write_rehashed(path, payload, edit)
+    code = main(["verify", "--cert", path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == [
+        f"error: displacement mismatch: recomputed {payload['displacement']}, stored 1/1000",
+        f"error: margin mismatch: recomputed {payload['margin']}, stored 1/1000",
+    ]
 
 
 def test_certificate_rejects_wrong_format(tmp_path):

@@ -2,19 +2,24 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import class_pairs, naive_margin
+from helpers import class_pairs, naive_margin, reference_action_report, reference_family_report
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menger.errors import GroupCapError, HypothesisError, InputError
 from menger.fixtures import antipodal_perm, circle_space, rotation_perm
+from menger.io import hypothesis_doc
 from menger.partitions import (
     INTERSECTIVE,
     DoubledFamily,
+    Partition,
     coherent_decomposition,
     doubled_induced_partition,
 )
 from menger.perturb import Observable, sample_observable, sup_distance
 from menger.pipeline import (
     BRANCH_SKIPPED,
+    _set_partitions,
     check_hypotheses_action,
     check_hypotheses_family,
     default_stage_n,
@@ -24,7 +29,7 @@ from menger.pipeline import (
     orbit_row,
     separate_on_block,
 )
-from menger.space import GroupAction, MapFamily, identity_perm
+from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm, orbit
 
 
 def _assert_orbit_injective(cert, fam):
@@ -80,6 +85,88 @@ def test_action_hypotheses_rotation_passes_at_r_one(rot3_action):
     assert report.passed
     assert [c.label for c in report.checks] == ["N=1", "N=2", "N=3"]
     assert [c.subset_size for c in report.checks] == [0, 0, 9]
+
+
+@st.composite
+def simplicial_spaces(draw, n: int) -> FiniteSpace:
+    """A path metric on n points with a few random faces and dimension labels."""
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
+    labels = draw(
+        st.lists(st.tuples(st.sets(st.integers(0, n - 1)), st.integers(0, 3)), max_size=2)
+    )
+    metric = [[abs(a - b) for b in range(n)] for a in range(n)]
+    return FiniteSpace.create(metric, simplices=faces, dim_labels=labels)
+
+
+@st.composite
+def families(draw, n_maps: st.SearchStrategy[int]) -> MapFamily:
+    n = draw(st.integers(1, 6))
+    space = draw(simplicial_spaces(n))
+    maps = [draw(st.permutations(range(n))) for _ in range(draw(n_maps))]
+    return MapFamily.create(space, space, maps)
+
+
+# 1-8 maps enumerate every partition of the index set; 9-10 check only the
+# realized ones
+@pytest.mark.parametrize("lo, hi", [(1, 8), (9, 10)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4))
+def test_family_gate_matches_per_candidate_scan(lo, hi, data, r):
+    fam = data.draw(families(st.integers(lo, hi)))
+    got = hypothesis_doc(check_hypotheses_family(fam, r))
+    assert got == hypothesis_doc(reference_family_report(fam, r))
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 8), (9, 10)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4))
+def test_family_gate_on_subspace_asks_the_dim_oracle_alike(lo, hi, data, r):
+    n = data.draw(st.integers(2, 8))
+    ambient = data.draw(simplicial_spaces(n))
+    pts = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    sub, ambient_pts = ambient.subspace(pts)
+    calls: list[frozenset[int]] = []
+
+    def recording_dim(local: frozenset[int]) -> int:
+        calls.append(local)
+        return sub.dim(local)
+
+    source = FiniteSpace(sub.n_points, sub.metric, None, None, recording_dim)
+    maps = [
+        data.draw(st.permutations(range(n)))[: len(ambient_pts)]
+        for _ in range(data.draw(st.integers(lo, hi)))
+    ]
+    fam = MapFamily.create(source, ambient, maps)
+    got = hypothesis_doc(check_hypotheses_family(fam, r))
+    got_calls, calls[:] = list(calls), []
+    assert got == hypothesis_doc(reference_family_report(fam, r))
+    # every candidate, realized or not, asks the oracle once, in check order
+    assert got_calls == calls
+    assert len(got_calls) == len(got["checks"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4), extra=st.integers(1, 3))
+def test_action_gate_matches_per_period_scan(data, r, extra):
+    n = data.draw(st.integers(1, 8))
+    space = data.draw(simplicial_spaces(n))
+    gens = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    action = GroupAction.from_generators(space, gens, cap=64, require_closure=False)
+    got = hypothesis_doc(check_hypotheses_action(action, r))
+    assert got == hypothesis_doc(reference_action_report(action, r))
+    # an explicit bound past the largest orbit keeps adding full-space checks
+    n_max = max(len(orbit(action, x)) for x in range(n)) + extra
+    got = hypothesis_doc(check_hypotheses_action(action, r, n_max))
+    assert got == hypothesis_doc(reference_action_report(action, r, n_max))
+    assert got["checks"][-1]["subset_size"] == n
+
+
+@pytest.mark.parametrize("n, bell", enumerate([1, 1, 2, 5, 15, 52, 203, 877]))
+def test_set_partitions_are_canonical_and_complete(n, bell):
+    ground = tuple(range(n))
+    parts = [Partition(ground, blocks) for blocks in _set_partitions(ground)]
+    assert len(parts) == len(set(parts)) == bell
+    assert all(p == Partition.of(ground, p.blocks) for p in parts)
 
 
 def test_margin_exact_values():
