@@ -557,10 +557,12 @@ def verify_certificate(
         recorded = cert.get("inputs", {})
         if not isinstance(recorded, dict):
             issues.append("inputs: expected an object of input hashes")
-            recorded = {}
-        for key, value in input_hashes.items():
-            if key in recorded and recorded[key] != value:
-                issues.append(f"input hash mismatch for {key!r}")
+        else:
+            for key, value in input_hashes.items():
+                if key not in recorded:
+                    issues.append(f"inputs: certificate records no hash for {key!r}")
+                elif recorded[key] != value:
+                    issues.append(f"input hash mismatch for {key!r}")
 
     if space is not None and (action is not None or family is not None):
         stored = cert.get("hypothesis", {})

@@ -233,11 +233,17 @@ def coherent_decomposition(
     the blocks whose images contain target point v, and ``owned[k, v]`` those
     that reach v through label block k.  A pair conflicts with every block
     that holds one of its values through a different label block.
+
+    The blocks are built from the packing without ``CoherentBlock.build``'s
+    re-check: every pair in ``pairs`` must induce ``p_hat`` (the caller's
+    class grouping establishes this), and the fit test has already kept the
+    image sets of distinct label blocks disjoint.
     """
     labels = [(k, s) for k, blk in enumerate(p_hat.blocks) for s in blk]
     held: dict[int, int] = {}
     owned: dict[tuple[int, int], int] = {}
     blocks: list[list[Pair]] = []
+    images: list[list[set[int]]] = []
     for pair in pairs:
         contrib = {(k, df.value(s, pair)) for k, s in labels}
         conflict = 0
@@ -250,12 +256,21 @@ def coherent_decomposition(
         else:
             b = len(blocks)
             blocks.append([pair])
+            images.append([set() for _ in p_hat.blocks])
         bit = 1 << b
+        image = images[b]
         for k, v in contrib:
             held[v] = held.get(v, 0) | bit
             owned[k, v] = owned.get((k, v), 0) | bit
+            image[k].add(v)
 
-    return tuple(CoherentBlock.build(df, p_hat, blk) for blk in blocks)
+    out = []
+    for blk, image in zip(blocks, images):
+        out.append(CoherentBlock(p_hat, tuple(sorted(set(blk))), tuple(map(frozenset, image))))
+        # free the growing sets as their frozen copies are made, so the two
+        # never both exist for every block
+        image.clear()
+    return tuple(out)
 
 
 def mirror_block(df: DoubledFamily, block: CoherentBlock) -> CoherentBlock:

@@ -195,15 +195,23 @@ def _metric_issues(m: np.ndarray) -> list[str]:
 
 
 def validate_space(space: FiniteSpace, monotone_samples: int = 200) -> ValidationReport:
-    """Check the metric axioms exhaustively and the dimension oracle by sampling.
+    """Check the metric axioms exhaustively and a supplied dimension oracle by sampling.
 
     Metric checks cover symmetry, zero diagonal, positivity off the diagonal
     and the triangle inequality over all triples; a matrix with NaN or
-    infinite entries reports only those.  Oracle monotonicity is
-    checked on systematic small chains plus seeded random nested pairs; each
-    issue names the offending entries.
+    infinite entries reports only those.
+
+    Only a caller-supplied ``dim_fn`` (which includes the translated oracle
+    that ``FiniteSpace.subspace`` creates) is probed: ``dim(empty)`` must be
+    -1, and monotonicity is checked on systematic small chains plus seeded
+    random nested pairs; each issue names the offending entries.  Declared
+    simplices and labels need no probe, because the dimension they define,
+    -1 on the empty set and ``max(0, max |face & S| - 1, max label with
+    L <= S)`` otherwise, grows with S by construction.
     """
     issues = _metric_issues(space.metric)
+    if space.dim_fn is None:
+        return ValidationReport(tuple(issues))
     n = space.n_points
 
     if space.dim(frozenset()) != -1:

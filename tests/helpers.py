@@ -21,7 +21,14 @@ from menger.partitions import (
 )
 from menger.perturb import Observable
 from menger.pipeline import HypothesisCheck, HypothesisReport, _set_partitions
-from menger.space import FiniteSpace, GroupAction, MapFamily, orbit, periodic_set
+from menger.space import (
+    FiniteSpace,
+    GroupAction,
+    MapFamily,
+    _metric_issues,
+    orbit,
+    periodic_set,
+)
 
 
 def euclidean_space(points: list[tuple[float, float]]) -> FiniteSpace:
@@ -158,6 +165,36 @@ def naive_triangle_issues(space: FiniteSpace) -> list[str]:
         for k in range(n)
         if m[i, k] > m[i, j] + m[j, k]
     ]
+
+
+def reference_validate_space(space: FiniteSpace, monotone_samples: int = 200) -> list[str]:
+    """The metric axioms plus the dimension probe, run on every space.
+
+    Declared dimension is probed as well: ``dim(empty)`` and monotonicity on
+    the systematic chains and the seeded random nested pairs.
+    """
+    issues = _metric_issues(space.metric)
+    n = space.n_points
+    if space.dim(frozenset()) != -1:
+        issues.append("dim_oracle: dim(empty) must be -1")
+    chains: list[tuple[frozenset[int], frozenset[int]]] = []
+    full = frozenset(range(n))
+    for i in range(n):
+        chains.append((frozenset([i]), full))
+        if i + 1 < n:
+            chains.append((frozenset([i]), frozenset([i, i + 1])))
+    rng = random.Random(0x5EED ^ n)
+    for _ in range(monotone_samples):
+        big = frozenset(p for p in range(n) if rng.random() < 0.5)
+        small = frozenset(p for p in big if rng.random() < 0.5)
+        chains.append((small, big))
+    for small, big in chains:
+        if space.dim(small) > space.dim(big):
+            issues.append(
+                f"dim_oracle: not monotone on {sorted(small)} <= {sorted(big)} "
+                f"({space.dim(small)} > {space.dim(big)})"
+            )
+    return issues
 
 
 def reference_family_report(fam: MapFamily, r: int, enumerate_all_limit: int = 8) -> HypothesisReport:

@@ -335,6 +335,23 @@ def test_verify_rehashed_inputs_and_hypothesis_of_the_wrong_type(tmp_path):
     assert issues == ["hypothesis report does not match the provided inputs"]
 
 
+@pytest.mark.parametrize("kind", ["family", "action"])
+def test_cli_verify_rehashed_certificate_without_inputs(tmp_path, capsys, kind):
+    path = str(tmp_path / "cert.json")
+    other = str(tmp_path / f"{kind}.json")
+    if kind == "family":
+        _, _, cert = _small_family_cert()
+        save_family(MapFamily.create(circle_space(9), circle_space(9), [identity_perm(9)]), other)
+    else:
+        cert = _small_action_cert()
+        save_action([rotation_perm(9, 1)], other)
+    _write_rehashed(path, write_certificate(path, cert), lambda doc: doc.pop("inputs"))
+    code = main(["verify", "--cert", path, f"--{kind}", other])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"error: inputs: certificate records no hash for '{kind}'\n"
+
+
 def test_cli_verify_reports_every_issue(tmp_path, capsys):
     _, _, cert = _small_family_cert()
     path = str(tmp_path / "cert.json")

@@ -10,12 +10,15 @@ from helpers import (
     random_endo_family,
     random_euclidean_space,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menger.errors import InputError
 from menger.fixtures import antipodal_perm, circle_space, rotation_perm
 from menger.partitions import (
     INTERSECTIVE,
     NON_INTERSECTIVE,
+    CoherentBlock,
     DoubledFamily,
     Partition,
     classify,
@@ -201,6 +204,29 @@ def test_coherent_blocks_match_first_fit_on_circle_rotations():
     for p_hat in partitions:
         blocks = coherent_decomposition(df, p_hat, class_pairs(df, p_hat))
         assert [list(blk.pairs) for blk in blocks] == naive_coherent_blocks(df, p_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coherent_blocks_equal_checked_build(data):
+    n = data.draw(st.integers(3, 8))
+    space = circle_space(n)
+    maps = [data.draw(st.permutations(range(n))) for _ in range(data.draw(st.integers(1, 4)))]
+    df = DoubledFamily(MapFamily.create(space, space, maps))
+    classes: dict[Partition, list[tuple[int, int]]] = {}
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                classes.setdefault(doubled_induced_partition(df, (a, b)), []).append((a, b))
+    for p_hat, members in classes.items():
+        # any order, repeats included, packs into blocks that pass the checks
+        order = data.draw(st.permutations(members))
+        order += data.draw(st.lists(st.sampled_from(members), max_size=3))
+        for blk in coherent_decomposition(df, p_hat, order):
+            built = CoherentBlock.build(df, p_hat, blk.pairs)
+            assert blk.partition == built.partition
+            assert blk.pairs == built.pairs
+            assert blk.image_sets == built.image_sets
 
 
 def test_intersective_transport_on_antipodal_block():

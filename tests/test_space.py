@@ -3,7 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import naive_sep, naive_triangle_issues, random_euclidean_space
+from helpers import (
+    naive_sep,
+    naive_triangle_issues,
+    random_euclidean_space,
+    reference_validate_space,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menger.errors import GroupCapError, InputError
 from menger.fixtures import circle_space, rotation_perm
@@ -62,6 +69,66 @@ def test_validate_triangle_issues_match_triple_loop():
     assert len(expected) > 10
     report = validate_space(space)
     assert [issue for issue in report.issues if "triangle" in issue] == expected
+
+
+def test_validate_reports_non_monotone_dim_fn():
+    metric = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    singletons_high = FiniteSpace.create(
+        metric, dim_fn=lambda s: -1 if not s else (2 if len(s) == 1 else 0)
+    )
+    report = validate_space(singletons_high)
+    assert report.issues[0] == "dim_oracle: not monotone on [0] <= [0, 1, 2] (2 > 0)"
+    assert all(issue.startswith("dim_oracle: not monotone on ") for issue in report.issues)
+
+
+def test_validate_reports_dim_fn_of_empty_set():
+    metric = [[0.0, 1.0], [1.0, 0.0]]
+    report = validate_space(FiniteSpace.create(metric, dim_fn=len))
+    assert report.issues == ("dim_oracle: dim(empty) must be -1",)
+
+
+def test_validate_subspace_of_declared_circle_is_clean():
+    sub, _ = circle_space(12).subspace([0, 1, 2, 5, 7, 11])
+    assert sub.dim_fn is not None            # the translated oracle is probed
+    assert validate_space(sub).ok
+
+
+def test_validate_declared_space_asks_no_dim(monkeypatch):
+    def refuse(self, subset):
+        raise AssertionError("declared dimension needs no probe")
+
+    monkeypatch.setattr(FiniteSpace, "dim", refuse)
+    assert validate_space(circle_space(9)).ok
+
+
+# Entries include values that break each axiom: 0 off the diagonal, negative,
+# asymmetric draws, triangle violations, NaN and inf.
+_ENTRIES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, -1.0, 0.1 + 0.2, math.nan, math.inf])
+
+
+@st.composite
+def declared_spaces(draw) -> FiniteSpace:
+    n = draw(st.integers(1, 7))
+    path = [[float(abs(a - b)) for b in range(n)] for a in range(n)]
+    if draw(st.booleans()):
+        metric = path
+    else:
+        metric = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            metric = [[metric[min(a, b)][max(a, b)] if a != b else 0.0 for b in range(n)]
+                      for a in range(n)]
+    faces = draw(st.none() | st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
+    labels = draw(
+        st.none()
+        | st.lists(st.tuples(st.sets(st.integers(0, n - 1)), st.integers(0, 3)), max_size=3)
+    )
+    return FiniteSpace.create(metric, simplices=faces, dim_labels=labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=declared_spaces())
+def test_validate_declared_space_matches_probing_reference(space):
+    assert list(validate_space(space).issues) == reference_validate_space(space)
 
 
 def test_dim_of_empty_set_is_minus_one(circle9):
