@@ -12,6 +12,7 @@ recorded in certificates for provenance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -262,9 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call.
+
+    Reuse is safe: each parse starts from a fresh namespace filled from the
+    declared defaults, none of which is mutable.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         threads = _read_threads()
         return args.func(args, threads)

@@ -304,9 +304,7 @@ def _block_doc(log: BlockLog) -> dict[str, Any]:
         "swapped": log.swapped,
         "budget": None if log.budget is None else fr_str(log.budget),
         "eta": None if log.eta is None else fr_str(log.eta),
-        "delta": None
-        if log.delta is None
-        else ("inf" if log.delta == math.inf else log.delta),
+        "delta": None if log.delta is None else _margin_str(log.delta),
         "m1": log.m1,
         "m2": log.m2,
         "transport": None if log.transport is None else [list(p) for p in log.transport],
@@ -329,8 +327,6 @@ def _block_doc(log: BlockLog) -> dict[str, Any]:
         if log.margin_after is None
         else _margin_str(log.margin_after),
         "displacement": None if log.displacement is None else fr_str(log.displacement),
-        "lipschitz_before": log.lipschitz_before,
-        "lipschitz_after": log.lipschitz_after,
     }
 
 

@@ -217,21 +217,6 @@ def orbit_row(f: Observable, fam: MapFamily, x: int) -> tuple[tuple[Fraction, ..
     return tuple(f.values[g[x]] for g in fam.maps)
 
 
-def _lipschitz(f: Observable) -> float:
-    best = 0.0
-    n = f.space.n_points
-    for y1 in range(n):
-        for y2 in range(y1 + 1, n):
-            d = f.space.distance(y1, y2)
-            if d <= 0:
-                continue
-            gap = max(abs(a - b) for a, b in zip(f.values[y1], f.values[y2]))
-            ratio = float(gap) / d
-            if ratio > best:
-                best = ratio
-    return best
-
-
 @dataclass(frozen=True, eq=False)
 class BlockLog:
     """Audit record of one block: what ran, with what data, and how it went."""
@@ -242,7 +227,7 @@ class BlockLog:
     swapped: bool = False
     budget: Fraction | None = None
     eta: Fraction | None = None
-    delta: float | None = None
+    delta: Fraction | float | None = None
     m1: int | None = None
     m2: int | None = None
     transport: tuple[tuple[int, int], ...] | None = None
@@ -255,8 +240,6 @@ class BlockLog:
     margin_before: Fraction | float | None = None
     margin_after: Fraction | float | None = None
     displacement: Fraction | None = None
-    lipschitz_before: float | None = None
-    lipschitz_after: float | None = None
 
 
 def _families_to_log(fams: Sequence[Sequence[frozenset[int]]]) -> tuple:
@@ -379,7 +362,6 @@ def separate_on_block(
                     )
     merged_t = tuple(tuple(fam_l) for fam_l in merged)
 
-    lip_before = _lipschitz(f)
     assignment = assign_values(merged_t, f, eps_f)
     f_new = perturb(f, assignment, merged_t)
 
@@ -431,7 +413,7 @@ def separate_on_block(
         swapped=swapped,
         budget=eps_f,
         eta=eta,
-        delta=(float(delta) if delta != math.inf else math.inf),
+        delta=delta,
         m1=m1,
         m2=m2,
         transport=transport_log,
@@ -443,8 +425,6 @@ def separate_on_block(
         witness_kinds=tuple(kinds),
         margin_after=blk_margin,
         displacement=moved,
-        lipschitz_before=lip_before,
-        lipschitz_after=_lipschitz(f_new),
     )
     return f_new, log
 
@@ -493,37 +473,72 @@ class _BaireState:
         return min(vals) if vals else math.inf
 
 
+def _orbit_labels(f: Observable, fam: MapFamily) -> list[int]:
+    """One label per source point; two points collide iff their labels agree.
+
+    Equal labels mean equal orbit tuples (f(g(x)))_g, compared as integer
+    numerators over the observable's common denominator.
+    """
+    _, rows = f.numerators()
+    maps = fam.maps
+    seen: dict[tuple, int] = {}
+    return [
+        seen.setdefault(tuple(rows[g[x]] for g in maps), len(seen))
+        for x in range(fam.source.n_points)
+    ]
+
+
 def _run_family_blocks(
     state: _BaireState,
     fam: MapFamily,
     backend: str,
     coords: Coords | None,
 ) -> None:
-    """Process every coherent block of one family under the shared schedule.
+    """Separate every pair of one family that still collides, block by block.
 
-    The ordered pairs are classified by their doubled partition in one pass;
-    each class is then packed into coherent blocks, classes with more label
-    blocks first.  Budgets shrink geometrically from eps/2 and are
-    additionally capped by a quarter of the running ledger margin; a
-    perturbation within half the margin keeps previously separated pairs
-    separated, and staying strictly inside that radius keeps the inequality
-    strict.  Monotone progress is asserted after every block.
+    One pass over the ordered pairs compares orbit tuples under the current
+    observable: a pair already separated goes straight into the ledger and
+    is never classified; only colliding pairs are grouped by their doubled
+    partition.  Classes are taken with more label blocks first, and each
+    class is filtered again against the current observable, since earlier
+    perturbations separate most of its pairs: those join the ledger, and
+    only the rest are packed into coherent blocks.  Budgets shrink
+    geometrically from eps/2 and are additionally capped by a quarter of
+    the running ledger margin; a perturbation within half the margin keeps
+    every ledger pair separated, the pairs separated at the start included,
+    and staying strictly inside that radius keeps the inequality strict.
+    Monotone progress is asserted after every block.
     """
     df = DoubledFamily(fam)
     n = fam.source.n_points
     group_pairs: list[Pair] = []
     state.groups.append((fam, group_pairs))
 
+    labels = _orbit_labels(state.f, fam)
     classes: dict[Partition, list[Pair]] = {}
     for x1 in range(n):
+        l1 = labels[x1]
         for x2 in range(n):
-            if x1 != x2:
+            if x1 == x2:
+                continue
+            if labels[x2] != l1:
+                group_pairs.append((x1, x2))
+            else:
                 p_hat = doubled_induced_partition(df, (x1, x2))
                 classes.setdefault(p_hat, []).append((x1, x2))
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
 
     for p_hat in ordered:
-        for blk in coherent_decomposition(df, p_hat, classes[p_hat]):
+        labels = _orbit_labels(state.f, fam)
+        live: list[Pair] = []
+        for pair in classes[p_hat]:
+            if labels[pair[0]] != labels[pair[1]]:
+                group_pairs.append(pair)
+            else:
+                live.append(pair)
+        if not live:
+            continue
+        for blk in coherent_decomposition(df, p_hat, live):
             pre = margin(state.f, fam, blk.pairs)
             if pre > 0:
                 state.logs.append(

@@ -530,6 +530,42 @@ def test_cli_argparse_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_repeated_calls_do_not_leak_defaults(tmp_path, capsys, monkeypatch):
+    import menger.cli
+
+    assert menger.cli._parser() is menger.cli._parser()
+    monkeypatch.chdir(tmp_path)
+    space_path, action_path = _write_inputs(tmp_path)
+    embed = ["embed", "--space", space_path, "--action", action_path, "--r", "1", "--eps", "0.05"]
+    check = ["check", "--space", space_path, "--action", action_path, "--r", "1"]
+    for _ in range(2):
+        assert main(embed + ["--seed", "7", "--out", "seeded.json"]) == 0
+        assert main(embed) == 0
+        assert main(check + ["--nmax", "1"]) == 0
+        assert main(check) == 0
+        out = capsys.readouterr().out
+        # --nmax 1 checks one period, the default checks up to the orbit size 3
+        assert "hypotheses: PASS (1 checks, r=1)" in out
+        assert "hypotheses: PASS (3 checks, r=1)" in out
+        assert load_certificate("seeded.json")["seed"] == 7
+        assert load_certificate("certificate.json")["seed"] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--space", space_path, "--action", action_path])
+        assert exc.value.code == 1
+        capsys.readouterr()
+
+
+def test_pyproject_version_matches_package():
+    import pathlib
+
+    tomllib = pytest.importorskip("tomllib")
+    import menger
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == menger.__version__
+
+
 def test_cli_missing_file_is_input_error(tmp_path, capsys):
     code = main(["check", "--space", str(tmp_path / "ghost.json"),
                  "--family", str(tmp_path / "fam.json"), "--r", "1"])

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 from helpers import class_pairs, naive_margin, reference_action_report, reference_family_report
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from menger.errors import GroupCapError, HypothesisError, InputError
 from menger.fixtures import antipodal_perm, circle_space, rotation_perm
-from menger.io import hypothesis_doc
+from menger.io import hypothesis_doc, verify_certificate, write_certificate
 from menger.partitions import (
     INTERSECTIVE,
     DoubledFamily,
@@ -270,18 +270,84 @@ def test_separate_on_block_rejects_nonpositive_budget():
         separate_on_block(df, block, f, 0)
 
 
-def test_embed_family_generic_start_skips_every_block(circle9):
+def _count_classifications(monkeypatch):
+    """Record the pairs that ``_run_family_blocks`` classifies."""
+    calls = []
+
+    def counted(df, pair):
+        calls.append(pair)
+        return doubled_induced_partition(df, pair)
+
+    monkeypatch.setattr("menger.pipeline.doubled_induced_partition", counted)
+    return calls
+
+
+def test_embed_family_generic_start_skips_every_block(circle9, monkeypatch):
     fam = MapFamily.create(
         circle9, circle9, [rotation_perm(9, s) for s in (0, 3, 6)]
     )
+    calls = _count_classifications(monkeypatch)
     cert = embed_family(fam, r=1, eps=Fraction(1, 20), seed=11)
     assert cert.kind == "family"
     assert cert.seed == 11
     assert cert.displacement == 0
     assert cert.margin > 0
-    assert all(b.branch == BRANCH_SKIPPED for b in cert.blocks)
+    # the start is already injective: no pair is classified, no block logged
+    assert calls == []
+    assert cert.blocks == ()
     assert cert.observable.values == cert.f0.values
     _assert_orbit_injective(cert, fam)
+
+
+def test_embed_family_mixed_start_works_only_on_colliding_pairs(circle9, monkeypatch):
+    fam = MapFamily.create(
+        circle9, circle9, [rotation_perm(9, s) for s in (0, 3, 6)]
+    )
+    # orbit tuples (f(x), f(x+3), f(x+6)): the points of each third share one
+    # tuple, and tuples of different thirds differ by 1/50, so exactly the
+    # pairs inside a third collide
+    thirds = [Fraction(0), Fraction(1, 100), Fraction(1, 50)]
+    f0 = Observable.create(circle9, [[thirds[x // 3]] for x in range(9)])
+    ordered = [(a, b) for a in range(9) for b in range(9) if a != b]
+    colliding = {(a, b) for a, b in ordered if a // 3 == b // 3}
+    separated = [p for p in ordered if p not in colliding]
+    assert margin(f0, fam, sorted(colliding)) == 0
+    assert margin(f0, fam, separated) == Fraction(1, 50)
+    calls = _count_classifications(monkeypatch)
+    eps = Fraction(1, 10)
+    cert = embed_family(fam, r=1, eps=eps, f0=f0)
+    assert sorted(calls) == sorted(colliding)
+    assert cert.blocks
+    for log in cert.blocks:
+        assert set(log.pairs) <= colliding
+    perturbed = [b for b in cert.blocks if b.branch != BRANCH_SKIPPED]
+    assert perturbed
+    assert all(b.margin_before == 0 for b in perturbed)
+    # the separated pairs are in the ledger from the start, so they cap the
+    # first budget below eps/2
+    assert perturbed[0].budget <= margin(f0, fam, separated) / 4 < eps / 2
+    assert 0 < cert.displacement <= eps
+    _assert_orbit_injective(cert, fam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), r=st.integers(1, 3), eps=st.sampled_from([Fraction(1, 20), Fraction(1, 3)]))
+def test_embed_round_trip_from_coarse_starts(data, r, eps, tmp_path_factory):
+    n = data.draw(st.integers(4, 9))
+    space = circle_space(n)
+    maps = [data.draw(st.permutations(range(n))) for _ in range(data.draw(st.integers(1, 3)))]
+    fam = MapFamily.create(space, space, maps)
+    assume(check_hypotheses_family(fam, r).passed)
+    coarse = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+    f0 = Observable.create(
+        space, [[data.draw(coarse) for _ in range(r)] for _ in range(n)]
+    )
+    cert = embed_family(fam, r=r, eps=eps, f0=f0)
+    path = str(tmp_path_factory.mktemp("cert") / "cert.json")
+    assert verify_certificate(write_certificate(path, cert)) == []
+    ordered = [(a, b) for a in range(n) for b in range(n) if a != b]
+    assert margin(cert.observable, fam, ordered) > 0
+    assert cert.displacement <= eps
 
 
 def test_embed_family_constant_start_runs_blocks(circle9):
