@@ -20,7 +20,14 @@ from typing import Any
 
 from . import __version__
 from .covers import BACKEND_BRICKS, BACKEND_CELLS
-from .errors import EXIT_HYPOTHESIS, EXIT_OK, EXIT_VERIFICATION, InputError, MengerError
+from .errors import (
+    EXIT_HYPOTHESIS,
+    EXIT_OK,
+    EXIT_VERIFICATION,
+    InputError,
+    MengerError,
+    VerificationError,
+)
 from .io import (
     fr_str,
     hash_file,
@@ -150,6 +157,18 @@ def cmd_embed(args: argparse.Namespace, threads: int | None) -> int:
     return EXIT_OK if cert.margin > 0 else 3
 
 
+def _recorded_group_cap(cert: dict[str, Any]) -> int:
+    """The group cap the certificate was made with; a malformed record fails verification."""
+    config = cert.get("config", {})
+    if not isinstance(config, dict):
+        raise VerificationError("config: expected an object of settings")
+    raw = config.get("group_cap")
+    try:
+        return int(raw or DEFAULT_GROUP_CAP)
+    except (TypeError, ValueError, OverflowError):
+        raise VerificationError(f"config: group_cap must be an integer, got {raw!r}") from None
+
+
 def cmd_verify(args: argparse.Namespace, threads: int | None) -> int:
     cert = load_certificate(args.cert)
     space = load_space(args.space) if args.space else None
@@ -161,8 +180,7 @@ def cmd_verify(args: argparse.Namespace, threads: int | None) -> int:
     if args.action:
         input_hashes["action"] = hash_file(args.action)
         if space is not None:
-            group_cap = int(cert.get("config", {}).get("group_cap") or DEFAULT_GROUP_CAP)
-            action, _ = load_action(args.action, space, group_cap)
+            action, _ = load_action(args.action, space, _recorded_group_cap(cert))
     if args.family:
         input_hashes["family"] = hash_file(args.family)
         if space is not None:

@@ -28,6 +28,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from operator import sub
 from typing import Any, Sequence
 
 from .covers import Coords
@@ -41,7 +42,6 @@ from .pipeline import (
     StageRecord,
     check_hypotheses_action,
     check_hypotheses_family,
-    margin,
 )
 from .space import FiniteSpace, GroupAction, MapFamily, Perm, validate_space
 
@@ -88,7 +88,7 @@ def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -390,7 +390,11 @@ def write_certificate(
 
 def load_certificate(path: str) -> dict[str, Any]:
     doc = _read_json(path)
-    if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
+    # A document that carries a content hash is left to the verifier, so an
+    # altered format tag fails verification instead of reading as another file.
+    if not isinstance(doc, dict) or (
+        doc.get("format") != CERT_FORMAT and "cert_sha256" not in doc
+    ):
         raise InputError(f"{path}: not a certificate file")
     return doc
 
@@ -404,6 +408,35 @@ def _parse_values(doc: Any, n: int, r: int, where: str) -> list[list[Fraction]]:
             raise VerificationError(f"{where}: row {y} has {len(row)} values, expected {r}")
         rows.append([parse_fraction(v, f"{where}[{y}]") for v in row])
     return rows
+
+
+def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
+    """Least L-infinity distance between two of the points; None for fewer than two.
+
+    The verifier's own copy of the margin sweep, so that a certificate is
+    never checked by the code that made it.  Sorted, each point is compared
+    with its predecessors, nearest first, until their first coordinates
+    differ by at least the best distance so far: every earlier point is at
+    least that far away in that coordinate alone.  Empty tuples (a stage
+    without maps) all coincide.
+    """
+    pts = sorted(points)
+    if len(pts) < 2:
+        return None
+    best = max(map(abs, map(sub, pts[0], pts[1])), default=0)
+    if best == 0:
+        return 0
+    for j in range(2, len(pts)):
+        q = pts[j]
+        head = q[0]
+        for i in range(j - 1, -1, -1):
+            p = pts[i]
+            if head - p[0] >= best:
+                break
+            d = max(map(abs, map(sub, p, q)))
+            if d < best:
+                best = d
+    return best
 
 
 def _stage_shape_issues(
@@ -457,6 +490,8 @@ def verify_certificate(
     if stored_hash != actual:
         issues.append("cert_sha256 mismatch: certificate content was altered")
         return issues
+    if cert.get("format") != CERT_FORMAT:
+        return [f"format: expected {CERT_FORMAT!r}, got {cert.get('format')!r}"]
 
     try:
         r = int(cert["r"])
@@ -468,6 +503,12 @@ def verify_certificate(
         return [f"certificate is missing required data: {exc}"]
     except InputError as exc:
         return [str(exc)]
+
+    # One common denominator turns the margins into integer comparisons; the
+    # canonical strings serve every table check.
+    den = math.lcm(*(v.denominator for row in new_rows for v in row))
+    num_rows = [tuple(v.numerator * (den // v.denominator) for v in row) for row in new_rows]
+    str_rows = [[fr_str(v) for v in row] for row in new_rows]
 
     for name, rows in (("f0", f0_rows), ("observable", new_rows)):
         for y, row in enumerate(rows):
@@ -517,30 +558,23 @@ def verify_certificate(
                 derived = [perm[p] for p in pts]
                 if derived != maps[k]:
                     issues.append(f"{where}: map {k} disagrees with its element")
-        worst: Fraction | float = math.inf
         for u, row in enumerate(table):
             if not isinstance(row, list) or len(row) != len(maps):
                 issues.append(f"{where}: table row {u} does not hold one entry per map")
                 continue
             for k, per_map in enumerate(row):
-                expect = [fr_str(v) for v in new_rows[maps[k][u]]]
-                if per_map != expect:
+                if per_map != str_rows[maps[k][u]]:
                     issues.append(
                         f"{where}: table row {u}, map {k} does not match the observable"
                     )
-        for u1 in range(len(pts)):
-            for u2 in range(u1 + 1, len(pts)):
-                gap = Fraction(0)
-                for k in range(len(maps)):
-                    for a, b in zip(new_rows[maps[k][u1]], new_rows[maps[k][u2]]):
-                        if abs(a - b) > gap:
-                            gap = abs(a - b)
-                if gap < worst:
-                    worst = gap
-        stage_margins.append(worst)
-        if _margin_str(worst) != st.get("margin"):
+        best = _closest_gap(
+            [tuple(v for m in maps for v in num_rows[m[u]]) for u in range(len(pts))]
+        )
+        stage_margin = math.inf if best is None else Fraction(best, den)
+        stage_margins.append(stage_margin)
+        if _margin_str(stage_margin) != st.get("margin"):
             issues.append(
-                f"{where}: margin mismatch: recomputed {_margin_str(worst)}, "
+                f"{where}: margin mismatch: recomputed {_margin_str(stage_margin)}, "
                 f"stored {st.get('margin')}"
             )
     total = min(stage_margins) if stage_margins else math.inf

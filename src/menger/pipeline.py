@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .covers import (
@@ -210,6 +211,43 @@ def margin(f: Observable, fam: MapFamily, pairs: Iterable[Pair]) -> Fraction | f
                     worst = d
         if best is None or worst < best:
             best = worst
+    return math.inf if best is None else Fraction(best, den)
+
+
+def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
+    """Least L-infinity distance between two of the points; None for fewer than two.
+
+    Sort, then sweep (Hinrichs, Nievergelt and Schorn 1988): each point is
+    compared with its predecessors, nearest first, until their first
+    coordinates differ by at least the best distance so far; every earlier
+    point is at least that far away in that coordinate alone.
+    """
+    pts = sorted(points)
+    if len(pts) < 2:
+        return None
+    best = max(map(abs, map(sub, pts[0], pts[1])))
+    for j in range(2, len(pts)):
+        q = pts[j]
+        head = q[0]
+        for i in range(j - 1, -1, -1):
+            p = pts[i]
+            if head - p[0] >= best:
+                break
+            d = max(map(abs, map(sub, p, q)))
+            if d < best:
+                best = d
+    return best
+
+
+def orbit_margin(f: Observable, fam: MapFamily) -> Fraction | float:
+    """Least sup-distance between the orbit tuples of distinct source points.
+
+    Equal to ``margin`` over all unordered pairs, found as one closest pair
+    of the flattened orbit tuples on integer numerators; infinity when the
+    source has fewer than two points.
+    """
+    den, _ = f.numerators()
+    best = _closest_gap(_orbit_tuples(f, fam))
     return math.inf if best is None else Fraction(best, den)
 
 
@@ -473,19 +511,22 @@ class _BaireState:
         return min(vals) if vals else math.inf
 
 
-def _orbit_labels(f: Observable, fam: MapFamily) -> list[int]:
-    """One label per source point; two points collide iff their labels agree.
+def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
+    """Each source point's orbit tuple (f(g(x)))_g, flattened over the maps.
 
-    Equal labels mean equal orbit tuples (f(g(x)))_g, compared as integer
-    numerators over the observable's common denominator.
+    Entries are integer numerators over the observable's common denominator.
     """
     _, rows = f.numerators()
     maps = fam.maps
-    seen: dict[tuple, int] = {}
     return [
-        seen.setdefault(tuple(rows[g[x]] for g in maps), len(seen))
-        for x in range(fam.source.n_points)
+        tuple(v for g in maps for v in rows[g[x]]) for x in range(fam.source.n_points)
     ]
+
+
+def _orbit_labels(f: Observable, fam: MapFamily) -> list[int]:
+    """One label per source point; two points collide iff their labels agree."""
+    seen: dict[tuple, int] = {}
+    return [seen.setdefault(t, len(seen)) for t in _orbit_tuples(f, fam)]
 
 
 def _run_family_blocks(
@@ -610,9 +651,8 @@ def embed_family(
     _run_family_blocks(state, fam, backend, coords)
 
     n = fam.source.n_points
-    unordered = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    final_margin = margin(state.f, fam, unordered)
-    if unordered and not final_margin > 0:
+    final_margin = orbit_margin(state.f, fam)
+    if not final_margin > 0:
         raise InternalCheckError("final margin is zero; some pair was never separated")
     displacement = sup_distance(state.f, f0)
     if displacement > eps_f:
@@ -743,10 +783,8 @@ def embed_equivariant(
                 StageRecord((), (), (), f_perms, eps_sep, math.inf, ())
             )
             continue
-        k = fam.source.n_points
-        unordered = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        stage_margin = margin(state.f, fam, unordered)
-        if unordered and not stage_margin > 0:
+        stage_margin = orbit_margin(state.f, fam)
+        if not stage_margin > 0:
             raise InternalCheckError("stage margin is zero after all blocks")
         margins.append(stage_margin)
         records.append(

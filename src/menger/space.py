@@ -173,15 +173,16 @@ def _metric_issues(m: np.ndarray) -> list[str]:
         # The axioms compare entries, which means nothing for NaN or inf.
         return issues
     n = m.shape[0]
-    for i in range(n):
-        if m[i, i] != 0.0:
-            issues.append(f"metric[{i}][{i}]: diagonal entry {m[i, i]} is not zero")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] != m[j, i]:
-                issues.append(f"metric[{i}][{j}]: asymmetric ({m[i, j]} vs {m[j, i]})")
-            if m[i, j] <= 0.0:
-                issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
+    for i in np.flatnonzero(np.diagonal(m) != 0.0):
+        issues.append(f"metric[{i}][{i}]: diagonal entry {m[i, i]} is not zero")
+    asymmetric = m != m.T
+    nonpositive = m <= 0.0
+    # np.nonzero walks the upper triangle row by row, the order of the report.
+    for i, j in zip(*np.nonzero(np.triu(asymmetric | nonpositive, 1))):
+        if asymmetric[i, j]:
+            issues.append(f"metric[{i}][{j}]: asymmetric ({m[i, j]} vs {m[j, i]})")
+        if nonpositive[i, j]:
+            issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
     for i in range(n):
         # violated[j, k] is m[i, k] > m[i, j] + m[j, k]: one row at a time
         # keeps the temporaries n x n.

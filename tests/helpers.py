@@ -25,7 +25,6 @@ from menger.space import (
     FiniteSpace,
     GroupAction,
     MapFamily,
-    _metric_issues,
     orbit,
     periodic_set,
 )
@@ -153,6 +152,37 @@ def naive_margin(f: Observable, fam: MapFamily, pairs) -> Fraction | float:
     return best
 
 
+def naive_closest_gap(points) -> int | None:
+    """Least L-infinity distance over every pair of the tuples; None for fewer than two."""
+    gaps = [
+        max((abs(a - b) for a, b in zip(p, q)), default=0)
+        for p, q in itertools.combinations(points, 2)
+    ]
+    return min(gaps, default=None)
+
+
+def naive_stage_margin(values, maps, n_points: int) -> Fraction | float:
+    """A certificate stage's margin: every unordered pair of stage points,
+    every map and coordinate, compared as Fractions.
+
+    ``values`` are the observable's rows and ``maps[k][u]`` the row that map
+    k sends stage point u to; a stage without maps puts all its points at
+    distance 0.
+    """
+    best: Fraction | float = math.inf
+    for u1, u2 in itertools.combinations(range(n_points), 2):
+        gap = max(
+            (
+                abs(a - b)
+                for m in maps
+                for a, b in zip(values[m[u1]], values[m[u2]])
+            ),
+            default=Fraction(0),
+        )
+        best = min(best, gap)
+    return best
+
+
 def naive_triangle_issues(space: FiniteSpace) -> list[str]:
     """Triangle violations over all triples (i, j, k), in loop order."""
     m = space.metric
@@ -167,13 +197,37 @@ def naive_triangle_issues(space: FiniteSpace) -> list[str]:
     ]
 
 
+def reference_metric_issues(space: FiniteSpace) -> list[str]:
+    """Metric axiom violations entry by entry: non-finite entries alone, else
+    the diagonal, then the upper triangle row by row (asymmetry before
+    positivity for each entry), then every triangle violation."""
+    m = space.metric
+    n = space.n_points
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    non_finite = [(i, j) for i, j in cells if not math.isfinite(m[i, j])]
+    if non_finite:
+        return [f"metric[{i}][{j}]: not a finite number" for i, j in non_finite]
+    issues = [
+        f"metric[{i}][{i}]: diagonal entry {m[i, i]} is not zero"
+        for i in range(n)
+        if m[i, i] != 0.0
+    ]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i, j] != m[j, i]:
+                issues.append(f"metric[{i}][{j}]: asymmetric ({m[i, j]} vs {m[j, i]})")
+            if m[i, j] <= 0.0:
+                issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
+    return issues + naive_triangle_issues(space)
+
+
 def reference_validate_space(space: FiniteSpace, monotone_samples: int = 200) -> list[str]:
     """The metric axioms plus the dimension probe, run on every space.
 
     Declared dimension is probed as well: ``dim(empty)`` and monotonicity on
     the systematic chains and the seeded random nested pairs.
     """
-    issues = _metric_issues(space.metric)
+    issues = reference_metric_issues(space)
     n = space.n_points
     if space.dim(frozenset()) != -1:
         issues.append("dim_oracle: dim(empty) must be -1")

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from helpers import naive_stage_margin
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from menger.cli import main
 from menger.errors import InputError
-from menger.fixtures import circle_space, path_space, rotation_perm
+from menger.fixtures import antipodal_perm, circle_space, path_space, rotation_perm
 from menger.io import (
+    CERT_FORMAT,
     canonical_json,
     fr_str,
     hash_file,
@@ -304,11 +310,12 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
             _set("observable_values", 0, 0, "abc"),
             "observable_values[0]: cannot parse 'abc' as a rational",
         ),
+        ("family", _set("format", "other"), "format: expected 'menger-certificate', got 'other'"),
     ],
     ids=[
         "map-past-end", "map-negative", "table-not-list", "stages-not-list",
         "table-row-short", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
-        "value-not-rational",
+        "value-not-rational", "format-changed",
     ],
 )
 def test_cli_verify_rehashed_malformed_certificate_exits_four(tmp_path, capsys, kind, edit, message):
@@ -369,6 +376,119 @@ def test_cli_verify_reports_every_issue(tmp_path, capsys):
         f"error: displacement mismatch: recomputed {payload['displacement']}, stored 1/1000",
         f"error: margin mismatch: recomputed {payload['margin']}, stored 1/1000",
     ]
+
+
+def _text(x):
+    return "inf" if x == math.inf else str(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), r=st.integers(1, 3))
+def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
+    """Stored margins from a Fraction pair loop pass the verifier's sweep.
+
+    Values repeat often and carry mixed denominators; stages have 0, 1 or
+    more points and 0 to 3 maps, which need not be injective.
+    """
+    n = data.draw(st.integers(1, 8))
+    tied = st.sampled_from(["0", "1/3", "1/2", "2/3", "5/7", "1"])
+    strs = [[data.draw(tied) for _ in range(r)] for _ in range(n)]
+    values = [[Fraction(v) for v in row] for row in strs]
+    stages, margins = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        pts = data.draw(st.lists(st.integers(0, n - 1), max_size=10))
+        maps = [
+            data.draw(st.lists(st.integers(0, n - 1), min_size=len(pts), max_size=len(pts)))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        margins.append(naive_stage_margin(values, maps, len(pts)))
+        stages.append(
+            {
+                "points": pts,
+                "maps": maps,
+                "table": [[strs[m[u]] for m in maps] for u in range(len(pts))],
+                "margin": _text(margins[-1]),
+            }
+        )
+    doc = {
+        "format": CERT_FORMAT,
+        "r": r,
+        "eps": "1",
+        "f0_values": strs,
+        "observable_values": strs,
+        "displacement": "0",
+        "stages": stages,
+        "margin": _text(min(margins)),
+    }
+    doc["cert_sha256"] = hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
+    assert verify_certificate(doc) == []
+
+
+@pytest.fixture(scope="module")
+def antipodal_cli_run(tmp_path_factory):
+    """Space, action and certificate paths of an 8-point antipodal embed at r = 2."""
+    folder = tmp_path_factory.mktemp("antipodal")
+    space_path = str(folder / "space.json")
+    action_path = str(folder / "action.json")
+    cert_path = str(folder / "cert.json")
+    save_space(circle_space(8), space_path)
+    save_action([antipodal_perm(8)], action_path)
+    assert main(["embed", "--space", space_path, "--action", action_path,
+                 "--r", "2", "--eps", "1/20", "--seed", "3", "--out", cert_path]) == 0
+    return space_path, action_path, cert_path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("config", 5), "config: expected an object of settings"),
+        (_set("config", "group_cap", "abc"), "config: group_cap must be an integer, got 'abc'"),
+    ],
+)
+def test_cli_verify_rehashed_malformed_config_exits_four(
+    antipodal_cli_run, tmp_path, capsys, edit, message
+):
+    space_path, action_path, cert_path = antipodal_cli_run
+    forged = str(tmp_path / "cert.json")
+    _write_rehashed(forged, load_certificate(cert_path), edit)
+    capsys.readouterr()
+    code = main(["verify", "--cert", forged, "--space", space_path, "--action", action_path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"error: {message}\n"
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_verify_catches_any_single_byte_mutation(antipodal_cli_run, capsys, data):
+    """A changed byte either breaks the JSON (exit 1) or changes the document (exit 4).
+
+    Only a mutation that parses to the same document, such as one of the
+    trailing newline, may pass; no mutation may raise.
+    """
+    space_path, action_path, cert_path = antipodal_cli_run
+    raw = Path(cert_path).read_bytes()
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    mutated = raw[:pos] + bytes([byte]) + raw[pos + 1:]
+    mutated_path = Path(cert_path).with_name("mutated.json")
+    mutated_path.write_bytes(mutated)
+    try:
+        expected = 0 if json.loads(mutated.decode("utf-8")) == json.loads(raw) else 4
+    except ValueError:
+        expected = 1
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(mutated_path), "--space", space_path, "--action", action_path])
+    err = capsys.readouterr().err
+    assert code == expected
+    if expected == 1:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    elif expected == 4:
+        assert err and all(line.startswith("error: ") for line in err.splitlines())
 
 
 def test_certificate_rejects_wrong_format(tmp_path):

@@ -2,12 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import class_pairs, naive_margin, reference_action_report, reference_family_report
+from helpers import (
+    class_pairs,
+    naive_closest_gap,
+    naive_margin,
+    reference_action_report,
+    reference_family_report,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from menger.errors import GroupCapError, HypothesisError, InputError
 from menger.fixtures import antipodal_perm, circle_space, rotation_perm
+from menger import io, pipeline
 from menger.io import hypothesis_doc, verify_certificate, write_certificate
 from menger.partitions import (
     INTERSECTIVE,
@@ -26,6 +33,7 @@ from menger.pipeline import (
     embed_equivariant,
     embed_family,
     margin,
+    orbit_margin,
     orbit_row,
     separate_on_block,
 )
@@ -207,6 +215,46 @@ def test_margin_matches_fraction_loop():
     got = margin(twin, ident, [(1, 6), (0, 1)])
     assert isinstance(got, Fraction) and got == 0
     assert margin(f, fam, []) == naive_margin(f, fam, []) == math.inf
+
+
+@pytest.mark.parametrize("closest_gap", [pipeline._closest_gap, io._closest_gap], ids=["embedder", "verifier"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closest_gap_sweeps_match_pair_loop(closest_gap, data):
+    """The embedder's and the verifier's sweeps on raw integer tuples: narrow
+    value ranges give ties and equal tuples, wide ones long sweeps."""
+    width = data.draw(st.integers(1, 4))
+    hi = data.draw(st.sampled_from([2, 20, 1000]))
+    points = data.draw(
+        st.lists(st.tuples(*[st.integers(-hi, hi)] * width), max_size=30)
+    )
+    assert closest_gap(points) == naive_closest_gap(points)
+
+
+# Few values with mixed denominators: equal orbit tuples, equal gaps and a
+# real lcm all come up often.
+_TIED_VALUES = st.sampled_from(
+    [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), r=st.integers(1, 3))
+def test_orbit_margin_matches_pair_loop(data, r):
+    n_src = data.draw(st.integers(1, 9))
+    n_tgt = data.draw(st.integers(n_src, 10))
+    source = FiniteSpace.create([[float(a != b) for b in range(n_src)] for a in range(n_src)])
+    target = FiniteSpace.create([[float(a != b) for b in range(n_tgt)] for a in range(n_tgt)])
+    maps = [
+        data.draw(st.permutations(range(n_tgt)))[:n_src]
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    fam = MapFamily.create(source, target, maps)
+    f = Observable.create(target, [[data.draw(_TIED_VALUES) for _ in range(r)] for _ in range(n_tgt)])
+    unordered = [(a, b) for a in range(n_src) for b in range(a + 1, n_src)]
+    assert orbit_margin(f, fam) == naive_margin(f, fam, unordered)
+    if n_src < 2:
+        assert orbit_margin(f, fam) == math.inf
 
 
 def test_separate_on_block_non_intersective_rotations():

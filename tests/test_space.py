@@ -71,6 +71,26 @@ def test_validate_triangle_issues_match_triple_loop():
     assert [issue for issue in report.issues if "triangle" in issue] == expected
 
 
+def test_validate_reports_axioms_in_row_major_order():
+    metric = [
+        [0.0, 1.0, 0.0, 2.0],
+        [1.0, 0.0, -1.0, -2.0],
+        [3.0, -1.0, 0.0, 1.0],
+        [2.0, 2.0, 4.0, 0.5],
+    ]
+    space = FiniteSpace.create(metric)
+    axioms = [
+        "metric[3][3]: diagonal entry 0.5 is not zero",
+        "metric[0][2]: asymmetric (0.0 vs 3.0)",
+        "metric[0][2]: distinct points at distance 0.0",
+        "metric[1][2]: distinct points at distance -1.0",
+        "metric[1][3]: asymmetric (-2.0 vs 2.0)",
+        "metric[1][3]: distinct points at distance -2.0",
+        "metric[2][3]: asymmetric (1.0 vs 4.0)",
+    ]
+    assert list(validate_space(space).issues) == axioms + naive_triangle_issues(space)
+
+
 def test_validate_reports_non_monotone_dim_fn():
     metric = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     singletons_high = FiniteSpace.create(
