@@ -7,7 +7,7 @@ re-verifies exhaustively: quantitative margins, exact displacement bounds,
 and a replayable log of every perturbation step.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .covers import (
     BACKEND_BRICKS,

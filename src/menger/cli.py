@@ -3,10 +3,7 @@
 Exit codes are a total function of the outcome class: 0 success, 1 input
 error, 2 hypothesis failure, 3 construction failure, 4 verification
 failure.  All output is deterministic: no timestamps, sorted JSON keys,
-seeded sampling only.  The environment variable MENGER_THREADS caps worker
-parallelism; the current implementation runs every module sequentially, so
-any positive cap is honored trivially, and the value is validated and
-recorded in certificates for provenance.
+seeded sampling only.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from .errors import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_VERIFICATION,
-    InputError,
     MengerError,
     VerificationError,
 )
@@ -62,24 +58,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_threads() -> int | None:
-    raw = os.environ.get("MENGER_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"MENGER_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"MENGER_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _margin_text(margin_str: str) -> str:
     return "infinite (vacuous)" if margin_str == "inf" else margin_str
 
 
-def cmd_check(args: argparse.Namespace, threads: int | None) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     space = load_space(args.space)
     if args.action:
         action, _ = load_action(args.action, space, args.group_cap)
@@ -98,7 +81,7 @@ def cmd_check(args: argparse.Namespace, threads: int | None) -> int:
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
-def cmd_embed(args: argparse.Namespace, threads: int | None) -> int:
+def cmd_embed(args: argparse.Namespace) -> int:
     space = load_space(args.space)
     eps = parse_fraction(args.eps, "--eps")
     coords = load_coords(args.coords) if args.coords else None
@@ -138,11 +121,7 @@ def cmd_embed(args: argparse.Namespace, threads: int | None) -> int:
             coords=coords,
         )
 
-    config = {
-        "exact_cap": args.exact_cap,
-        "group_cap": args.group_cap,
-        "threads": threads,
-    }
+    config = {"exact_cap": args.exact_cap, "group_cap": args.group_cap}
     out = args.out or "certificate.json"
     payload = write_certificate(out, cert, config, input_hashes)
     csv_files = write_orbit_csv(os.path.splitext(out)[0] + ".csv", payload)
@@ -169,7 +148,7 @@ def _recorded_group_cap(cert: dict[str, Any]) -> int:
         raise VerificationError(f"config: group_cap must be an integer, got {raw!r}") from None
 
 
-def cmd_verify(args: argparse.Namespace, threads: int | None) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     cert = load_certificate(args.cert)
     space = load_space(args.space) if args.space else None
     action = None
@@ -198,7 +177,7 @@ def cmd_verify(args: argparse.Namespace, threads: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace, threads: int | None) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     failures = 0
     summary: dict[str, Any] = {}
     if args.scope in ("lemmas", "all"):
@@ -294,8 +273,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        threads = _read_threads()
-        return args.func(args, threads)
+        return args.func(args)
     except MengerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -598,9 +598,8 @@ def verify_certificate(
         stored = cert.get("hypothesis", {})
         try:
             if cert.get("kind") == "action" and action is not None:
-                checks = stored.get("checks") if isinstance(stored, dict) else None
-                n_max = len(checks) if isinstance(checks, list) and checks else None
-                report = check_hypotheses_action(action, r, n_max=n_max)
+                # embed_equivariant always checks up to the largest orbit
+                report = check_hypotheses_action(action, r)
             elif family is not None:
                 report = check_hypotheses_family(family, r)
             else:

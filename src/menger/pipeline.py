@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .covers import (
     BACKEND_CELLS,
@@ -96,51 +96,24 @@ class HypothesisReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All set partitions of ``items``, lexicographic in growth order.
+def check_hypotheses_family(fam: MapFamily, r: int) -> HypothesisReport:
+    """Check dim(X_P) < (r/2)|P| for every partition P some point realizes.
 
-    For sorted ``items`` every block comes out sorted and the blocks ordered
-    by their least element: the canonical form ``Partition`` holds.
-    """
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield tuple(sorted([(first,)] + list(sub)))
-        for k in range(len(sub)):
-            grown = list(sub)
-            grown[k] = tuple(sorted((first,) + sub[k]))
-            yield tuple(sorted(grown))
-
-
-def check_hypotheses_family(
-    fam: MapFamily, r: int, enumerate_all_limit: int = 8
-) -> HypothesisReport:
-    """Check dim(X_P) < (r/2)|P| for the partitions of the family.
-
-    All partitions of the index set are enumerated when the family is small
-    enough; beyond the limit only partitions realized by some point are
-    checked (unrealized classes are empty, so they hold vacuously anyway).
     The points are grouped by their induced partition in one pass, so each
-    class X_P is a lookup; unrealized candidates get the empty class, whose
-    dimension is still asked of the space.
+    class X_P is a lookup, and one check is reported per realized class.
+    A partition no point realizes has the empty class, and dim of the empty
+    set is -1: declared spaces give it by construction and
+    ``validate_space`` checks it for every ``dim_fn``.  Its check,
+    -2 < r|P|, holds for every r >= 1, so it is left out.
     """
     if r < 1:
         raise InputError("r must be at least 1")
-    n = fam.size
     classes: dict[Partition, list[int]] = {}
     for x in range(fam.source.n_points):
         classes.setdefault(induced_partition(fam, x), []).append(x)
-    candidates = set(classes)
-    if n <= enumerate_all_limit:
-        # canonical blocks already, so Partition.of's re-validation is skipped
-        ground = tuple(range(n))
-        candidates.update(Partition(ground, blocks) for blocks in _set_partitions(ground))
     checks = []
-    for p in sorted(candidates, key=lambda q: (len(q.blocks), q.blocks)):
-        xp = frozenset(classes.get(p, ()))
+    for p in sorted(classes, key=lambda q: (len(q.blocks), q.blocks)):
+        xp = frozenset(classes[p])
         d = fam.source.dim(xp)
         bound_num = r * p.block_count()
         checks.append(
@@ -172,12 +145,15 @@ def check_hypotheses_action(
     """Check dim of the n-periodic set against (r/2) n for n up to n_max.
 
     The default n_max is the largest orbit size; beyond it the periodic sets
-    stop growing while the bound keeps increasing.  Orbit sizes are found
-    once, and the n-periodic set is read off them as the points whose orbit
-    has at most n elements.
+    stop growing while the bound keeps increasing.  An n_max below 1 would
+    check nothing, so it is an input error.  Orbit sizes are found once,
+    and the n-periodic set is read off them as the points whose orbit has
+    at most n elements.
     """
     if r < 1:
         raise InputError("r must be at least 1")
+    if n_max is not None and n_max < 1:
+        raise InputError(f"n_max must be at least 1, got {n_max}")
     sizes = _orbit_sizes(action)
     if n_max is None:
         n_max = max(sizes)

@@ -20,7 +20,7 @@ from menger.partitions import (
     induced_partition,
 )
 from menger.perturb import Observable
-from menger.pipeline import HypothesisCheck, HypothesisReport, _set_partitions
+from menger.pipeline import HypothesisCheck, HypothesisReport
 from menger.space import (
     FiniteSpace,
     GroupAction,
@@ -251,14 +251,10 @@ def reference_validate_space(space: FiniteSpace, monotone_samples: int = 200) ->
     return issues
 
 
-def reference_family_report(fam: MapFamily, r: int, enumerate_all_limit: int = 8) -> HypothesisReport:
-    """The family gate with one ``compatible_subset`` scan per candidate."""
-    n = fam.size
+def reference_family_report(fam: MapFamily, r: int) -> HypothesisReport:
+    """The family gate with one ``compatible_subset`` scan per realized partition."""
     everything = range(fam.source.n_points)
     candidates = {induced_partition(fam, x) for x in everything}
-    if n <= enumerate_all_limit:
-        for blocks in _set_partitions(range(n)):
-            candidates.add(Partition.of(range(n), blocks))
     checks = []
     for p in sorted(candidates, key=lambda q: (len(q.blocks), q.blocks)):
         xp = compatible_subset(fam, everything, p)
@@ -270,6 +266,34 @@ def reference_family_report(fam: MapFamily, r: int, enumerate_all_limit: int = 8
             )
         )
     return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
+
+
+def growth_strings(n: int):
+    """Restricted growth strings of length n: one per set partition of range(n)."""
+    if n == 0:
+        yield ()
+        return
+    for head in growth_strings(n - 1):
+        for label in range(max(head, default=-1) + 2):
+            yield head + (label,)
+
+
+def bell_family_verdict(fam: MapFamily, r: int) -> bool:
+    """The family gate over all Bell(|F|) partitions of the map indices, realized or not.
+
+    A point realizes the growth string that numbers its maps' values in order
+    of first appearance, so each class is a lookup by growth string.
+    """
+    members: dict[tuple[int, ...], set[int]] = {}
+    for x in range(fam.source.n_points):
+        first: dict[int, int] = {}
+        key = tuple(first.setdefault(g[x], len(first)) for g in fam.maps)
+        members.setdefault(key, set()).add(x)
+    for labels in growth_strings(fam.size):
+        xp = frozenset(members.get(labels, ()))
+        if not 2 * fam.source.dim(xp) < r * len(set(labels)):
+            return False
+    return True
 
 
 def reference_action_report(action: GroupAction, r: int, n_max: int | None = None) -> HypothesisReport:

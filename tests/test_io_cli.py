@@ -623,21 +623,67 @@ def test_cli_embed_with_f0_and_fraction_eps(tmp_path, capsys):
     assert doc["inputs"].keys() >= {"space", "action", "f0"}
 
 
-def test_cli_threads_env(tmp_path, capsys, monkeypatch):
+def test_cli_certificate_config_holds_only_the_caps(tmp_path, capsys, monkeypatch):
     space_path, action_path = _write_inputs(tmp_path)
-    cert_path = str(tmp_path / "cert.json")
-    monkeypatch.setenv("MENGER_THREADS", "4")
-    code = main(["embed", "--space", space_path, "--action", action_path,
-                 "--r", "1", "--eps", "0.05", "--out", cert_path])
-    capsys.readouterr()
-    assert code == 0
-    assert load_certificate(cert_path)["config"]["threads"] == 4
+    embed = ["embed", "--space", space_path, "--action", action_path, "--r", "1", "--eps", "0.05"]
+    first = str(tmp_path / "first.json")
+    assert main(embed + ["--out", first]) == 0
+    assert load_certificate(first)["config"].keys() == {"exact_cap", "group_cap"}
 
+    # no environment variable reaches the run or the certificate
     monkeypatch.setenv("MENGER_THREADS", "zero")
-    code = main(["check", "--space", space_path, "--action", action_path, "--r", "1"])
-    err = capsys.readouterr().err
+    second = str(tmp_path / "second.json")
+    assert main(embed + ["--out", second]) == 0
+    capsys.readouterr()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+@pytest.mark.parametrize("nmax", ["0", "-2"])
+def test_cli_check_nmax_below_one_exits_one(tmp_path, capsys, nmax):
+    space_path, action_path = _write_inputs(tmp_path)
+    code = main(["check", "--space", space_path, "--action", action_path,
+                 "--r", "1", "--nmax", nmax])
+    captured = capsys.readouterr()
     assert code == 1
-    assert "MENGER_THREADS" in err
+    assert captured.out == ""
+    assert captured.err == f"error: n_max must be at least 1, got {nmax}\n"
+
+
+_EMPTY_COARSE_CHECK = {
+    "kind": "partition", "label": "[[0, 1, 2]]", "subset_size": 0,
+    "dim": -1, "bound_num": 1, "passed": True,
+}
+
+
+# A report cut short or padded with an unrealized class (the 0.2.0 shape)
+# still claims a pass, but it is not the report of the inputs.
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("action", _set("hypothesis", "checks", lambda checks: checks[:1])),
+        ("family", _set("hypothesis", "checks", lambda checks: [_EMPTY_COARSE_CHECK] + checks)),
+    ],
+    ids=["action-cut-to-N1", "family-padded-empty-class"],
+)
+def test_cli_verify_rejects_a_reshaped_hypothesis_report(tmp_path, capsys, kind, edit):
+    space_path, maps_path = _write_inputs(tmp_path)
+    if kind == "family":
+        maps_path = str(tmp_path / "family.json")
+        space = circle_space(9)
+        save_family(
+            MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]), maps_path
+        )
+    inputs = ["--space", space_path, f"--{kind}", maps_path]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+    assert main(["verify", "--cert", cert_path, *inputs]) == 0
+    forged = str(tmp_path / "forged.json")
+    _write_rehashed(forged, load_certificate(cert_path), edit)
+    capsys.readouterr()
+    code = main(["verify", "--cert", forged, *inputs])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "error: hypothesis report does not match the provided inputs\n"
 
 
 def test_cli_argparse_errors_exit_one(tmp_path, capsys):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    bell_family_verdict,
     class_pairs,
+    growth_strings,
     naive_closest_gap,
     naive_margin,
     reference_action_report,
@@ -19,14 +21,12 @@ from menger.io import hypothesis_doc, verify_certificate, write_certificate
 from menger.partitions import (
     INTERSECTIVE,
     DoubledFamily,
-    Partition,
     coherent_decomposition,
     doubled_induced_partition,
 )
 from menger.perturb import Observable, sample_observable, sup_distance
 from menger.pipeline import (
     BRANCH_SKIPPED,
-    _set_partitions,
     check_hypotheses_action,
     check_hypotheses_family,
     default_stage_n,
@@ -61,22 +61,24 @@ def test_family_hypotheses_three_rotations_pass_at_r_one(circle9):
     )
     report = check_hypotheses_family(fam, 1)
     assert report.passed
-    # every partition of three labels shows up among the checks
-    assert len(report.checks) == 5
-    assert all(c.kind == "partition" for c in report.checks)
+    # the three rotations of a point are distinct, so every point realizes
+    # the finest partition and it is the only check
+    assert [(c.kind, c.label, c.subset_size) for c in report.checks] == [
+        ("partition", "[[0], [1], [2]]", 9)
+    ]
 
 
 def test_family_hypotheses_report_names_the_failure():
     space = circle_space(6)
     fam = MapFamily.create(space, space, [identity_perm(6), identity_perm(6)])
     # both maps agree everywhere, so the coarse partition class is the whole
-    # circle and fails at r = 1 while the fine class is empty
+    # circle and fails at r = 1; the fine class is empty and not reported
     report = check_hypotheses_family(fam, 1)
     assert not report.passed
-    bad = report.failures()
-    assert bad and all("FAIL" in c.describe() for c in bad)
-    fine = [c for c in report.checks if c.subset_size == 0]
-    assert all(c.passed and c.dim == -1 for c in fine)
+    assert report.failures() == report.checks
+    (bad,) = report.checks
+    assert (bad.label, bad.subset_size, bad.dim, bad.bound_num) == ("[[0, 1]]", 6, 1, 1)
+    assert bad.describe() == "partition [[0, 1]]: dim 1 < 1/2 [FAIL]"
 
 
 def test_action_hypotheses_antipodal_fails_at_r_one(antipodal_action):
@@ -114,8 +116,8 @@ def families(draw, n_maps: st.SearchStrategy[int]) -> MapFamily:
     return MapFamily.create(space, space, maps)
 
 
-# 1-8 maps enumerate every partition of the index set; 9-10 check only the
-# realized ones
+# every family size takes the same realized-only path; wide families get
+# examples of their own
 @pytest.mark.parametrize("lo, hi", [(1, 8), (9, 10)])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), r=st.integers(1, 4))
@@ -148,9 +150,11 @@ def test_family_gate_on_subspace_asks_the_dim_oracle_alike(lo, hi, data, r):
     got = hypothesis_doc(check_hypotheses_family(fam, r))
     got_calls, calls[:] = list(calls), []
     assert got == hypothesis_doc(reference_family_report(fam, r))
-    # every candidate, realized or not, asks the oracle once, in check order
+    # every realized class asks the oracle once, in check order, and no
+    # unrealized class is asked at all
     assert got_calls == calls
     assert len(got_calls) == len(got["checks"])
+    assert all(got_calls)
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,12 +173,21 @@ def test_action_gate_matches_per_period_scan(data, r, extra):
     assert got["checks"][-1]["subset_size"] == n
 
 
-@pytest.mark.parametrize("n, bell", enumerate([1, 1, 2, 5, 15, 52, 203, 877]))
-def test_set_partitions_are_canonical_and_complete(n, bell):
-    ground = tuple(range(n))
-    parts = [Partition(ground, blocks) for blocks in _set_partitions(ground)]
-    assert len(parts) == len(set(parts)) == bell
-    assert all(p == Partition.of(ground, p.blocks) for p in parts)
+@pytest.mark.parametrize("n, bell", enumerate([1, 1, 2, 5, 15, 52, 203, 877, 4140]))
+def test_bell_helper_yields_every_set_partition_once(n, bell):
+    strings = list(growth_strings(n))
+    assert len(strings) == len(set(strings)) == bell
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4))
+def test_family_gate_reports_realized_classes_with_the_bell_verdict(data, r):
+    fam = data.draw(families(st.integers(1, 10)))
+    report = check_hypotheses_family(fam, r)
+    sizes = [c.subset_size for c in report.checks]
+    assert 0 not in sizes
+    assert sum(sizes) == fam.source.n_points
+    assert report.passed == bell_family_verdict(fam, r)
 
 
 def test_margin_exact_values():
