@@ -136,22 +136,24 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.margin > 0 else 3
 
 
-def _recorded_group_cap(cert: dict[str, Any]) -> int:
-    """The group cap the certificate was made with; a malformed record fails verification."""
+def _recorded_cap(cert: dict[str, Any], key: str, default: int) -> int:
+    """A cap the certificate was made with; a malformed record fails verification."""
     config = cert.get("config", {})
     if not isinstance(config, dict):
         raise VerificationError("config: expected an object of settings")
-    raw = config.get("group_cap")
+    raw = config.get(key)
     try:
-        return int(raw or DEFAULT_GROUP_CAP)
+        return int(raw or default)
     except (TypeError, ValueError, OverflowError):
-        raise VerificationError(f"config: group_cap must be an integer, got {raw!r}") from None
+        raise VerificationError(f"config: {key} must be an integer, got {raw!r}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = load_certificate(args.cert)
     space = load_space(args.space) if args.space else None
     action = None
+    stages = None
+    exact_cap = DEFAULT_EXACT_CAP
     family = None
     input_hashes: dict[str, str] = {}
     if args.space:
@@ -159,14 +161,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.action:
         input_hashes["action"] = hash_file(args.action)
         if space is not None:
-            action, _ = load_action(args.action, space, _recorded_group_cap(cert))
+            group_cap = _recorded_cap(cert, "group_cap", DEFAULT_GROUP_CAP)
+            exact_cap = _recorded_cap(cert, "exact_cap", DEFAULT_EXACT_CAP)
+            action, stages = load_action(args.action, space, group_cap)
     if args.family:
         input_hashes["family"] = hash_file(args.family)
         if space is not None:
             family = load_family(args.family, space)
 
     issues = verify_certificate(
-        cert, space=space, action=action, family=family, input_hashes=input_hashes
+        cert,
+        space=space,
+        action=action,
+        family=family,
+        input_hashes=input_hashes,
+        stages=stages,
+        exact_cap=exact_cap,
     )
     if issues:
         for issue in issues:

@@ -14,10 +14,11 @@ Input file formats (one JSON object per file):
   coords:     {"dim": int, "points": [[float]]}
   observable: {"r": int, "values": [[str|int|float]]}
 
-A certificate file is a single JSON object carrying the run configuration,
-the hypothesis report, the initial and final observables, one log per
-processed block, one record per stage, and a content hash ("cert_sha256")
-over everything else.
+A certificate file is a single JSON object carrying the claim and what it
+is checked from: the run configuration, the hypothesis report, the initial
+and final observables, one record per stage (its points, maps and margin),
+and a content hash ("cert_sha256") over everything else.  How the run got
+there, its block logs, stays in memory.
 """
 
 from __future__ import annotations
@@ -27,23 +28,32 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import sub
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .covers import Coords
 from .errors import InputError, VerificationError
 from .perturb import Observable
 from .pipeline import (
-    BlockLog,
     EmbeddingCertificate,
     HypothesisCheck,
     HypothesisReport,
     StageRecord,
     check_hypotheses_action,
     check_hypotheses_family,
+    stage_points,
+    stage_specs,
 )
-from .space import FiniteSpace, GroupAction, MapFamily, Perm, validate_space
+from .space import (
+    DEFAULT_EXACT_CAP,
+    FiniteSpace,
+    GroupAction,
+    MapFamily,
+    Perm,
+    validate_space,
+)
 
 CERT_FORMAT = "menger-certificate"
 
@@ -92,36 +102,54 @@ def _read_json(path: str) -> Any:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _require(obj: Any, key: str, path: str) -> Any:
+def _require(obj: Any, key: str, where: str = "") -> Any:
     if not isinstance(obj, dict) or key not in obj:
-        raise InputError(f"{path}: missing required key {key!r}")
+        raise InputError(f"{where}missing required key {key!r}")
     return obj[key]
 
 
-def load_space(path: str, validate: bool = True) -> FiniteSpace:
-    doc = _read_json(path)
-    metric = _require(doc, "metric", path)
+@contextmanager
+def _reading(path: str) -> Iterator[None]:
+    """Turn any failure to read the document at ``path`` into one input error.
+
+    Input errors get the path in front; a value of the wrong type or form
+    (a number where a list belongs, a word where a number belongs) surfaces
+    from the conversions as TypeError, ValueError or OverflowError.
+    """
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: malformed document: {exc}") from exc
+
+
+def _space_from_doc(doc: Any) -> FiniteSpace:
+    """A validated space from its JSON object (a space file or a family's source)."""
+    metric = _require(doc, "metric")
     simplices = doc.get("simplices")
     dim_labels = doc.get("dim_labels")
     try:
         if simplices is not None:
             simplices = [frozenset(int(v) for v in s) for s in simplices]
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: simplices must be a list of lists of point indices") from exc
+        raise InputError("simplices must be a list of lists of point indices") from exc
     try:
         if dim_labels is not None:
             dim_labels = [(frozenset(int(v) for v in s), int(d)) for s, d in dim_labels]
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: dim_labels must be a list of [points, dim] entries") from exc
-    try:
-        space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if validate:
-        report = validate_space(space)
-        if not report.ok:
-            raise InputError(f"{path}: invalid metric space: {report.issues[0]}")
+        raise InputError("dim_labels must be a list of [points, dim] entries") from exc
+    space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
+    report = validate_space(space)
+    if not report.ok:
+        raise InputError(f"invalid metric space: {report.issues[0]}")
     return space
+
+
+def load_space(path: str) -> FiniteSpace:
+    doc = _read_json(path)
+    with _reading(path):
+        return _space_from_doc(doc)
 
 
 def save_space(space: FiniteSpace, path: str) -> None:
@@ -135,12 +163,8 @@ def save_space(space: FiniteSpace, path: str) -> None:
 
 def load_coords(path: str) -> Coords:
     doc = _read_json(path)
-    dim = _require(doc, "dim", path)
-    points = _require(doc, "points", path)
-    try:
-        return Coords.create(int(dim), points)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    with _reading(path):
+        return Coords.create(int(_require(doc, "dim")), _require(doc, "points"))
 
 
 def save_coords(coords: Coords, path: str) -> None:
@@ -152,28 +176,10 @@ def save_coords(coords: Coords, path: str) -> None:
 
 def load_family(path: str, space: FiniteSpace) -> MapFamily:
     doc = _read_json(path)
-    maps = _require(doc, "maps", path)
-    labels = doc.get("labels")
-    source = space
-    if "source" in doc:
-        src = doc["source"]
-        try:
-            source = FiniteSpace.create(
-                src["metric"],
-                simplices=[frozenset(int(v) for v in s) for s in src.get("simplices", [])]
-                or None,
-                dim_labels=[
-                    (frozenset(int(v) for v in s), int(d))
-                    for s, d in src.get("dim_labels", [])
-                ]
-                or None,
-            )
-        except (InputError, KeyError, TypeError) as exc:
-            raise InputError(f"{path}: bad embedded source space: {exc}") from exc
-    try:
-        return MapFamily.create(source, space, maps, labels=labels)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    with _reading(path):
+        maps = _require(doc, "maps")
+        source = _space_from_doc(doc["source"]) if "source" in doc else space
+        return MapFamily.create(source, space, maps, labels=doc.get("labels"))
 
 
 def save_family(fam: MapFamily, path: str) -> None:
@@ -184,30 +190,22 @@ def load_action(
     path: str, space: FiniteSpace, group_cap: int
 ) -> tuple[GroupAction, list[tuple[tuple[Perm, ...], Fraction | None]] | None]:
     doc = _read_json(path)
-    generators = _require(doc, "generators", path)
-    try:
+    with _reading(path):
         action = GroupAction.from_generators(
-            space, generators, cap=group_cap, require_closure=False
+            space, _require(doc, "generators"), cap=group_cap, require_closure=False
         )
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    stages = None
-    if "stages" in doc:
+        if "stages" not in doc:
+            return action, None
         stages = []
         for k, st in enumerate(doc["stages"]):
-            elements = _require(st, "elements", f"{path} (stage {k})")
+            elements = _require(st, "elements", f"stage {k}: ")
             perms = tuple(tuple(int(v) for v in p) for p in elements)
             for p in perms:
                 if sorted(p) != list(range(space.n_points)):
-                    raise InputError(f"{path}: stage {k} element is not a permutation")
+                    raise InputError(f"stage {k} element is not a permutation")
             eps_sep = st.get("eps_sep")
             stages.append(
-                (
-                    perms,
-                    None
-                    if eps_sep is None
-                    else parse_fraction(eps_sep, f"{path} stage {k} eps_sep"),
-                )
+                (perms, None if eps_sep is None else parse_fraction(eps_sep, f"stage {k} eps_sep"))
             )
     return action, stages
 
@@ -218,18 +216,15 @@ def save_action(generators: Sequence[Perm], path: str) -> None:
 
 def load_observable(path: str, space: FiniteSpace) -> Observable:
     doc = _read_json(path)
-    r = int(_require(doc, "r", path))
-    values = _require(doc, "values", path)
-    rows = [
-        [parse_fraction(v, f"{path}: values[{y}][{ell}]") for ell, v in enumerate(row)]
-        for y, row in enumerate(values)
-    ]
-    try:
+    with _reading(path):
+        r = int(_require(doc, "r"))
+        rows = [
+            [parse_fraction(v, f"values[{y}][{ell}]") for ell, v in enumerate(row)]
+            for y, row in enumerate(_require(doc, "values"))
+        ]
         obs = Observable.create(space, rows)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if obs.r != r:
-        raise InputError(f"{path}: declared r={r} but rows have {obs.r} values")
+        if obs.r != r:
+            raise InputError(f"declared r={r} but rows have {obs.r} values")
     return obs
 
 
@@ -284,52 +279,6 @@ def hypothesis_doc(report: HypothesisReport) -> dict[str, Any]:
     }
 
 
-def _assignment_doc(log: BlockLog) -> Any:
-    if log.assignment is None:
-        return None
-    return {
-        "eps": fr_str(log.assignment.eps),
-        "per_coordinate": [
-            [[sorted(sub), fr_str(v)] for sub, v in entries]
-            for entries in log.assignment.per_coordinate
-        ],
-    }
-
-
-def _block_doc(log: BlockLog) -> dict[str, Any]:
-    return {
-        "partition": [[list(lbl) for lbl in blk] for blk in log.partition.blocks],
-        "pairs": [list(p) for p in log.pairs],
-        "branch": log.branch,
-        "swapped": log.swapped,
-        "budget": None if log.budget is None else fr_str(log.budget),
-        "eta": None if log.eta is None else fr_str(log.eta),
-        "delta": None if log.delta is None else _margin_str(log.delta),
-        "m1": log.m1,
-        "m2": log.m2,
-        "transport": None if log.transport is None else [list(p) for p in log.transport],
-        "zeta": None if log.zeta is None else [list(p) for p in log.zeta],
-        "covers_col1": None
-        if log.covers_col1 is None
-        else [[sorted(sub) for sub in fam] for fam in log.covers_col1],
-        "covers_col2": None
-        if log.covers_col2 is None
-        else [[sorted(sub) for sub in fam] for fam in log.covers_col2],
-        "merged": None
-        if log.merged is None
-        else [[sorted(sub) for sub in fam] for fam in log.merged],
-        "assignment": _assignment_doc(log),
-        "witness_kinds": None if log.witness_kinds is None else list(log.witness_kinds),
-        "margin_before": None
-        if log.margin_before is None
-        else _margin_str(log.margin_before),
-        "margin_after": None
-        if log.margin_after is None
-        else _margin_str(log.margin_after),
-        "displacement": None if log.displacement is None else fr_str(log.displacement),
-    }
-
-
 def _stage_doc(stage: StageRecord) -> dict[str, Any]:
     return {
         "points": list(stage.points),
@@ -338,9 +287,6 @@ def _stage_doc(stage: StageRecord) -> dict[str, Any]:
         "f_perms": None if stage.f_perms is None else [list(p) for p in stage.f_perms],
         "eps_sep": None if stage.eps_sep is None else fr_str(stage.eps_sep),
         "margin": _margin_str(stage.margin),
-        "table": [
-            [[fr_str(v) for v in per_map] for per_map in row] for row in stage.table
-        ],
     }
 
 
@@ -365,7 +311,6 @@ def certificate_payload(
         "hypothesis": hypothesis_doc(cert.hypothesis),
         "f0_values": _values_doc(cert.f0),
         "observable_values": _values_doc(cert.observable),
-        "blocks": [_block_doc(b) for b in cert.blocks],
         "stages": [_stage_doc(s) for s in cert.stages],
         "margin": _margin_str(cert.margin),
         "displacement": fr_str(cert.displacement),
@@ -440,7 +385,7 @@ def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
 
 
 def _stage_shape_issues(
-    pts: list[int], maps: list[list[int]], table: Any, f_perms: Any, n: int
+    pts: list[int], maps: list[list[int]], f_perms: Any, n: int
 ) -> list[str]:
     """Reasons a stage's indices cannot be followed into the observable.
 
@@ -453,10 +398,6 @@ def _stage_shape_issues(
             issues.append(f"map {k} has {len(m)} values for {len(pts)} points")
         if not all(0 <= v < n for v in m):
             issues.append(f"map {k} has a value outside 0..{n - 1}")
-    if not isinstance(table, list):
-        issues.append("table is not a list of rows")
-    elif len(table) != len(pts):
-        issues.append(f"table has {len(table)} rows for {len(pts)} points")
     if f_perms is not None:
         if not isinstance(f_perms, list) or len(f_perms) != len(maps):
             issues.append("f_perms does not hold one element per map")
@@ -473,14 +414,18 @@ def verify_certificate(
     action: GroupAction | None = None,
     family: MapFamily | None = None,
     input_hashes: dict[str, str] | None = None,
+    stages: list[tuple[tuple[Perm, ...], Fraction | None]] | None = None,
+    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> list[str]:
     """Re-derive everything checkable from a certificate document.
 
     Returns the list of mismatches (empty means the certificate is sound).
     The content hash is checked first; then every recomputed quantity, the
-    margins, the displacement, and the stage tables must match the stored
-    strings exactly.  When the original input objects are supplied, the
-    hypothesis report and recorded input hashes are recomputed too.
+    margins and the displacement, must match the stored strings exactly.
+    When the original input objects are supplied, the hypothesis report,
+    the recorded input hashes and each stage's points and maps are
+    recomputed too: an action's stages come from ``stages`` (as
+    ``load_action`` returns them) with ``exact_cap``, as ``embed`` made them.
     """
     issues: list[str] = []
 
@@ -504,11 +449,9 @@ def verify_certificate(
     except InputError as exc:
         return [str(exc)]
 
-    # One common denominator turns the margins into integer comparisons; the
-    # canonical strings serve every table check.
+    # One common denominator turns the margins into integer comparisons.
     den = math.lcm(*(v.denominator for row in new_rows for v in row))
     num_rows = [tuple(v.numerator * (den // v.denominator) for v in row) for row in new_rows]
-    str_rows = [[fr_str(v) for v in row] for row in new_rows]
 
     for name, rows in (("f0", f0_rows), ("observable", new_rows)):
         for y, row in enumerate(rows):
@@ -531,24 +474,23 @@ def verify_certificate(
 
     # the total margin is recomputed only when every stage could be read
     complete = True
-    stages = cert.get("stages", [])
-    if not isinstance(stages, list):
+    stages_doc = cert.get("stages", [])
+    if not isinstance(stages_doc, list):
         issues.append("stages: expected a list of stage records")
-        stages = []
+        stages_doc = []
         complete = False
     stage_margins: list[Fraction | float] = []
-    for s_idx, st in enumerate(stages):
+    for s_idx, st in enumerate(stages_doc):
         where = f"stage {s_idx}"
         try:
             pts = [int(p) for p in st["points"]]
             maps = [[int(v) for v in m] for m in st["maps"]]
-            table = st["table"]
             f_perms = st.get("f_perms")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             issues.append(f"{where} is missing required data: {exc}")
             complete = False
             continue
-        shape = _stage_shape_issues(pts, maps, table, f_perms, n)
+        shape = _stage_shape_issues(pts, maps, f_perms, n)
         if shape:
             issues.extend(f"{where}: {msg}" for msg in shape)
             complete = False
@@ -558,15 +500,6 @@ def verify_certificate(
                 derived = [perm[p] for p in pts]
                 if derived != maps[k]:
                     issues.append(f"{where}: map {k} disagrees with its element")
-        for u, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != len(maps):
-                issues.append(f"{where}: table row {u} does not hold one entry per map")
-                continue
-            for k, per_map in enumerate(row):
-                if per_map != str_rows[maps[k][u]]:
-                    issues.append(
-                        f"{where}: table row {u}, map {k} does not match the observable"
-                    )
         best = _closest_gap(
             [tuple(v for m in maps for v in num_rows[m[u]]) for u in range(len(pts))]
         )
@@ -596,41 +529,70 @@ def verify_certificate(
 
     if space is not None and (action is not None or family is not None):
         stored = cert.get("hypothesis", {})
+        report = expected = None
         try:
             if cert.get("kind") == "action" and action is not None:
                 # embed_equivariant always checks up to the largest orbit
                 report = check_hypotheses_action(action, r)
+                specs = stage_specs(action, stages)
+                expected = [
+                    {
+                        "points": list(pts),
+                        "f_perms": [list(p) for p in f_perms],
+                        "eps_sep": None if eps_sep is None else fr_str(eps_sep),
+                    }
+                    for (f_perms, eps_sep), pts in zip(
+                        specs, stage_points(action, specs, r, exact_cap)
+                    )
+                ]
             elif family is not None:
                 report = check_hypotheses_family(family, r)
-            else:
-                report = None
+                expected = [
+                    {
+                        "points": list(range(family.source.n_points)),
+                        "maps": [list(m) for m in family.maps],
+                    }
+                ]
         except InputError as exc:
-            issues.append(f"hypothesis recomputation failed: {exc}")
-            report = None
+            issues.append(f"recomputation from the inputs failed: {exc}")
         if report is not None and hypothesis_doc(report) != stored:
             issues.append("hypothesis report does not match the provided inputs")
+        if expected is not None:
+            issues.extend(_stage_input_issues(stages_doc, expected))
 
     return issues
 
 
-def write_orbit_csv(path: str, cert: dict[str, Any] | EmbeddingCertificate) -> list[str]:
-    """Orbit map tables as CSV, one file per stage.
+def _stage_input_issues(stored: list[Any], expected: list[dict[str, Any]]) -> list[str]:
+    """Where the stored stage records differ from the ones the inputs give."""
+    issues = []
+    if len(stored) != len(expected):
+        issues.append(
+            f"stages: the certificate holds {len(stored)} stage records, "
+            f"the inputs give {len(expected)}"
+        )
+    for s_idx, (st, want) in enumerate(zip(stored, expected)):
+        for key, value in want.items():
+            if not isinstance(st, dict) or st.get(key) != value:
+                issues.append(f"stage {s_idx}: {key!r} does not match the provided inputs")
+    return issues
+
+
+def write_orbit_csv(path: str, payload: dict[str, Any]) -> list[str]:
+    """Orbit map tables of a certificate payload as CSV, one file per stage.
 
     Columns: the point index, then for every map of the stage (enumeration
-    order) its r observable coordinates, exact "p/q" strings.  Returns the
-    list of files written; stages beyond the first get a numbered suffix.
+    order) its r observable coordinates, exact "p/q" strings read from
+    ``observable_values`` at the map's value.  Returns the list of files
+    written; stages beyond the first get a numbered suffix.
     """
-    if isinstance(cert, EmbeddingCertificate):
-        stages = [_stage_doc(s) for s in cert.stages]
-        r = cert.r
-    else:
-        stages = cert["stages"]
-        r = int(cert["r"])
+    values = payload["observable_values"]
+    r = int(payload["r"])
     written = []
     root, ext = os.path.splitext(path)
     if ext.lower() != ".csv":
         root, ext = path, ".csv"
-    for s_idx, st in enumerate(stages):
+    for s_idx, st in enumerate(payload["stages"]):
         target = f"{root}{ext}" if s_idx == 0 else f"{root}.stage{s_idx}{ext}"
         header = ["point"]
         for label in st["labels"]:
@@ -641,8 +603,8 @@ def write_orbit_csv(path: str, cert: dict[str, Any] | EmbeddingCertificate) -> l
             writer.writerow(header)
             for u, point in enumerate(st["points"]):
                 row: list[Any] = [point]
-                for k in range(len(st["maps"])):
-                    row.extend(st["table"][u][k])
+                for m in st["maps"]:
+                    row.extend(values[m[u]])
                 writer.writerow(row)
         written.append(target)
     return written

@@ -9,8 +9,9 @@ pairs of points are grouped by their doubled partition, each class is carved
 into coherent blocks, and every block is separated by one locally constant
 perturbation whose size is controlled by a geometrically shrinking budget.
 Progress is certified, never assumed: each block run re-verifies separation
-pair by pair through an explicit witness, and the final certificate carries
-enough data to replay every check.
+pair by pair through an explicit witness.  The certificate states the claim
+itself, the final observable with each stage's points and maps, so a
+verifier re-checks injectivity and displacement without replaying the run.
 """
 
 from __future__ import annotations
@@ -227,10 +228,6 @@ def orbit_margin(f: Observable, fam: MapFamily) -> Fraction | float:
     return math.inf if best is None else Fraction(best, den)
 
 
-def orbit_row(f: Observable, fam: MapFamily, x: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(f.values[g[x]] for g in fam.maps)
-
-
 @dataclass(frozen=True, eq=False)
 class BlockLog:
     """Audit record of one block: what ran, with what data, and how it went."""
@@ -238,26 +235,18 @@ class BlockLog:
     partition: Partition
     pairs: tuple[Pair, ...]
     branch: str
-    swapped: bool = False
     budget: Fraction | None = None
     eta: Fraction | None = None
-    delta: Fraction | float | None = None
     m1: int | None = None
     m2: int | None = None
     transport: tuple[tuple[int, int], ...] | None = None
     zeta: tuple[tuple[int, int], ...] | None = None
-    covers_col1: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-    covers_col2: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-    merged: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+    merged: tuple[tuple[frozenset[int], ...], ...] | None = None
     assignment: ValueAssignment | None = None
     witness_kinds: tuple[str, ...] | None = None
     margin_before: Fraction | float | None = None
     margin_after: Fraction | float | None = None
     displacement: Fraction | None = None
-
-
-def _families_to_log(fams: Sequence[Sequence[frozenset[int]]]) -> tuple:
-    return tuple(tuple(tuple(sorted(sub)) for sub in fam) for fam in fams)
 
 
 def _certify_eta(fam: MapFamily, eta: Fraction, delta: Fraction | float) -> bool:
@@ -307,13 +296,11 @@ def separate_on_block(
         return f, BlockLog(block.partition, (), BRANCH_EMPTY)
 
     work = block
-    swapped = False
     if (
         column_partition(block.partition, 1).block_count()
         < column_partition(block.partition, 2).block_count()
     ):
         work = mirror_block(df, block)
-        swapped = True
 
     red1 = reduced_maps(df, work, 1)
     red2 = reduced_maps(df, work, 2)
@@ -424,17 +411,13 @@ def separate_on_block(
         partition=block.partition,
         pairs=block.pairs,
         branch=branch,
-        swapped=swapped,
         budget=eps_f,
         eta=eta,
-        delta=delta,
         m1=m1,
         m2=m2,
         transport=transport_log,
         zeta=zeta_log,
-        covers_col1=_families_to_log(fams1),
-        covers_col2=_families_to_log(fams2),
-        merged=_families_to_log(merged_t),
+        merged=merged_t,
         assignment=assignment,
         witness_kinds=tuple(kinds),
         margin_after=blk_margin,
@@ -445,7 +428,7 @@ def separate_on_block(
 
 @dataclass(frozen=True, eq=False)
 class StageRecord:
-    """One processed family: its maps, ambient points, and final orbit table."""
+    """One processed family: its ambient points, maps and orbit margin."""
 
     points: tuple[int, ...]
     maps: tuple[tuple[int, ...], ...]
@@ -453,7 +436,6 @@ class StageRecord:
     f_perms: tuple[Perm, ...] | None
     eps_sep: Fraction | None
     margin: Fraction | float
-    table: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,10 +566,6 @@ def _run_family_blocks(
             state.logs.append(replace(blog, margin_before=pre, margin_after=after))
 
 
-def _final_table(f: Observable, fam: MapFamily) -> tuple:
-    return tuple(orbit_row(f, fam, x) for x in range(fam.source.n_points))
-
-
 def embed_family(
     fam: MapFamily,
     r: int,
@@ -643,7 +621,6 @@ def embed_family(
         f_perms=None,
         eps_sep=None,
         margin=final_margin,
-        table=_final_table(state.f, fam),
     )
     return EmbeddingCertificate(
         kind="family",
@@ -665,6 +642,52 @@ def default_stage_n(space: FiniteSpace, r: int) -> int:
     """Smallest n with 2 dim(X) < r n, used for the separation threshold."""
     d = space.dim(range(space.n_points))
     return (2 * d) // r + 1
+
+
+def stage_specs(
+    action: GroupAction,
+    stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None = None,
+) -> list[tuple[tuple[Perm, ...], Fraction | None]]:
+    """Each stage of an action as (element permutations, eps_sep or None).
+
+    Without explicit stages the whole enumerated group is the one stage; a
+    group whose closure was capped needs them.
+    """
+    if stages is None:
+        if action.elements is None:
+            raise GroupCapError(
+                "group closure was capped; pass finite stages (F, eps_sep) explicitly"
+            )
+        return [(action.elements, None)]
+    return [
+        (
+            tuple(tuple(int(v) for v in p) for p in f_perms),
+            None if eps_sep is None else Fraction(eps_sep),
+        )
+        for f_perms, eps_sep in stages
+    ]
+
+
+def stage_points(
+    action: GroupAction,
+    specs: Sequence[tuple[Sequence[Perm], Fraction | None]],
+    r: int,
+    exact_cap: int = DEFAULT_EXACT_CAP,
+) -> list[tuple[int, ...]]:
+    """The sorted ambient points each stage is embedded on.
+
+    A stage without eps_sep covers the whole space; one with eps_sep covers
+    the points whose F-orbit equals the full orbit or spreads into at least
+    r*n points pairwise eps_sep-apart, n being ``default_stage_n``, which
+    asks the dimension oracle only when some stage has an eps_sep.
+    """
+    n = default_stage_n(action.space, r) if any(e is not None for _, e in specs) else 0
+    return [
+        tuple(range(action.space.n_points))
+        if eps_sep is None
+        else tuple(sorted(restricted_space(action, f_perms, eps_sep, r, n, exact_cap)))
+        for f_perms, eps_sep in specs
+    ]
 
 
 def embed_equivariant(
@@ -690,21 +713,7 @@ def embed_equivariant(
     eps_f = Fraction(eps)
     if eps_f <= 0:
         raise InputError("eps must be positive")
-    if stages is None:
-        if action.elements is None:
-            raise GroupCapError(
-                "group closure was capped; pass finite stages (F, eps_sep) explicitly"
-            )
-        stage_specs: list[tuple[tuple[Perm, ...], Fraction | None]] = [
-            (action.elements, None)
-        ]
-    else:
-        stage_specs = []
-        for f_perms, eps_sep in stages:
-            perms = tuple(tuple(int(v) for v in p) for p in f_perms)
-            stage_specs.append(
-                (perms, None if eps_sep is None else Fraction(eps_sep))
-            )
+    specs = stage_specs(action, stages)
 
     used_seed = None
     if f0 is None:
@@ -722,18 +731,9 @@ def embed_equivariant(
             f"dimension hypothesis fails: {first.describe()}", report
         )
 
-    n_threshold = default_stage_n(action.space, r)
     state = _BaireState(f0, eps_f)
     stage_fams: list[tuple[MapFamily, tuple[int, ...], tuple[Perm, ...], Fraction | None]] = []
-    for f_perms, eps_sep in stage_specs:
-        if eps_sep is None:
-            pts = tuple(range(action.space.n_points))
-        else:
-            pts = tuple(
-                sorted(
-                    restricted_space(action, f_perms, eps_sep, r, n_threshold, exact_cap)
-                )
-            )
+    for (f_perms, eps_sep), pts in zip(specs, stage_points(action, specs, r, exact_cap)):
         if not pts:
             stage_fams.append((None, (), f_perms, eps_sep))
             continue
@@ -755,8 +755,10 @@ def embed_equivariant(
     margins: list[Fraction | float] = []
     for fam, pts, f_perms, eps_sep in stage_fams:
         if fam is None:
+            # a stage without points still has one (empty) map per element
+            labels = tuple(f"e{k}" for k in range(len(f_perms)))
             records.append(
-                StageRecord((), (), (), f_perms, eps_sep, math.inf, ())
+                StageRecord((), ((),) * len(f_perms), labels, f_perms, eps_sep, math.inf)
             )
             continue
         stage_margin = orbit_margin(state.f, fam)
@@ -771,7 +773,6 @@ def embed_equivariant(
                 f_perms=f_perms,
                 eps_sep=eps_sep,
                 margin=stage_margin,
-                table=_final_table(state.f, fam),
             )
         )
 

@@ -398,26 +398,6 @@ def periodic_set(action: GroupAction, n_max: int) -> frozenset[int]:
     )
 
 
-def fix_set(action: GroupAction) -> frozenset[int]:
-    """The set of global fixed points (orbit size one)."""
-    return periodic_set(action, 1)
-
-
-def action_kernel(action: GroupAction) -> tuple[Perm, ...]:
-    """Elements acting as the identity on every point.
-
-    Elements are stored as permutations, so the kernel of the represented
-    action collapses to the identity permutation whenever it is present; the
-    quotient acting faithfully is what the element list already describes.
-    """
-    if action.elements is None:
-        raise GroupCapError(
-            "group closure was capped; the kernel needs the enumerated elements"
-        )
-    n = action.space.n_points
-    return tuple(g for g in action.elements if all(g[x] == x for x in range(n)))
-
-
 class SepResult(NamedTuple):
     size: int
     exact: bool

@@ -139,6 +139,11 @@ def naive_coherent_blocks(df: DoubledFamily, p_hat: Partition) -> list[list[tupl
     return blocks
 
 
+def orbit_row(f: Observable, fam: MapFamily, x: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The orbit tuple (f(g(x)))_g of one source point, as exact values."""
+    return tuple(f.values[g[x]] for g in fam.maps)
+
+
 def naive_margin(f: Observable, fam: MapFamily, pairs) -> Fraction | float:
     """Least sup-distance of orbit tuples, compared as Fractions."""
     best: Fraction | float = math.inf

@@ -19,6 +19,7 @@ from helpers import (
     naive_compatible,
     naive_doubled_blocks,
     naive_induced_blocks,
+    orbit_row,
     random_endo_family,
     random_euclidean_space,
 )
@@ -52,7 +53,6 @@ from menger.pipeline import (
     embed_equivariant,
     embed_family,
     margin,
-    orbit_row,
 )
 from menger.space import GroupAction, MapFamily
 from menger.witness import run_witness_oracle

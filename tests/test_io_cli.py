@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from menger.fixtures import antipodal_perm, circle_space, path_space, rotation_p
 from menger.io import (
     CERT_FORMAT,
     canonical_json,
+    certificate_payload,
     fr_str,
     hash_file,
     load_action,
@@ -230,7 +232,7 @@ def test_certificate_tampering_is_detected(tmp_path):
     ).hexdigest()
     issues = verify_certificate(forged)
     assert issues
-    assert any("table row" in msg or "displacement" in msg for msg in issues)
+    assert any("displacement" in msg for msg in issues)
 
 
 def _write_rehashed(path, payload, edit):
@@ -282,13 +284,7 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
     [
         ("family", _set("stages", 0, "maps", 1, 0, 9), "stage 0: map 1 has a value outside 0..8"),
         ("family", _set("stages", 0, "maps", 2, 4, -1), "stage 0: map 2 has a value outside 0..8"),
-        ("family", _set("stages", 0, "table", 5), "stage 0: table is not a list of rows"),
         ("family", _set("stages", 5), "stages: expected a list of stage records"),
-        (
-            "family",
-            _set("stages", 0, "table", 3, lambda row: row[:2]),
-            "stage 0: table row 3 does not hold one entry per map",
-        ),
         (
             "action",
             _set("stages", 0, "f_perms", 1, lambda perm: perm[:2]),
@@ -313,8 +309,7 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
         ("family", _set("format", "other"), "format: expected 'menger-certificate', got 'other'"),
     ],
     ids=[
-        "map-past-end", "map-negative", "table-not-list", "stages-not-list",
-        "table-row-short", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
+        "map-past-end", "map-negative", "stages-not-list", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
         "value-not-rational", "format-changed",
     ],
 )
@@ -357,6 +352,92 @@ def test_cli_verify_rehashed_certificate_without_inputs(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert code == 4
     assert err == f"error: inputs: certificate records no hash for '{kind}'\n"
+
+
+def _write_staged_action(path, stages):
+    """An action file for rotations of the 9-point circle with explicit stages."""
+    elements = {s: list(rotation_perm(9, s)) for s in range(9)}
+    doc = {
+        "generators": [elements[1]],
+        "stages": [
+            {"elements": [elements[s] for s in steps], "eps_sep": eps_sep}
+            for steps, eps_sep in stages
+        ],
+    }
+    Path(path).write_text(json.dumps(doc))
+
+
+def _drop_last_point(doc):
+    """Cut the only stage to all but its last point, keeping the margins consistent."""
+    values = [[Fraction(v) for v in row] for row in doc["observable_values"]]
+    (stage,) = doc["stages"]
+    stage["points"].pop()
+    for m in stage["maps"]:
+        m.pop()
+    stage["margin"] = _text(naive_stage_margin(values, stage["maps"], len(stage["points"])))
+    doc["margin"] = stage["margin"]
+
+
+@pytest.mark.parametrize(
+    "kind, edit, expected",
+    [
+        ("action", _drop_last_point,
+         ["stage 0: 'points' does not match the provided inputs"]),
+        ("family", _drop_last_point,
+         ["stage 0: 'points' does not match the provided inputs",
+          "stage 0: 'maps' does not match the provided inputs"]),
+        ("staged", _set("stages", 0, "eps_sep", "1/2"),
+         ["stage 0: 'eps_sep' does not match the provided inputs"]),
+        ("staged", _set("stages", lambda stages: stages[:1]),
+         ["stages: the certificate holds 1 stage records, the inputs give 2"]),
+    ],
+    ids=["action-point-dropped", "family-point-dropped", "stage-eps-changed", "stage-dropped"],
+)
+def test_cli_verify_rebuilds_the_stages_from_the_inputs(tmp_path, capsys, kind, edit, expected):
+    """A stage that covers other points than the inputs give fails with its inputs.
+
+    Each forged certificate is consistent in itself (its margins are
+    recomputed for the cut stage), so only the inputs can expose it.
+    """
+    space_path, maps_path = _write_inputs(tmp_path)
+    if kind == "family":
+        maps_path = str(tmp_path / "family.json")
+        space = circle_space(9)
+        save_family(
+            MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]), maps_path
+        )
+    elif kind == "staged":
+        _write_staged_action(maps_path, [((0, 3, 6), None), ((0, 1), "1/3")])
+    inputs = ["--space", space_path, "--family" if kind == "family" else "--action", maps_path]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+    assert main(["verify", "--cert", cert_path, *inputs]) == 0
+    forged = str(tmp_path / "forged.json")
+    _write_rehashed(forged, load_certificate(cert_path), edit)
+    capsys.readouterr()
+    assert main(["verify", "--cert", forged]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--cert", forged, *inputs])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == [f"error: {line}" for line in expected]
+
+
+def test_cli_stage_without_points_embeds_and_verifies(tmp_path, capsys):
+    """A stage whose restricted space is empty records one empty map per element."""
+    space_path, action_path = _write_inputs(tmp_path)
+    _write_staged_action(action_path, [((0, 3, 6), None), ((0, 1), "100")])
+    inputs = ["--space", space_path, "--action", action_path]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+    empty = load_certificate(cert_path)["stages"][1]
+    assert (empty["points"], empty["maps"], empty["margin"]) == ([], [[], []], "inf")
+    assert _read_csv(str(tmp_path / "cert.stage1.csv")) == [
+        ["point", "e0[0]", "e1[0]"]
+    ]
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert_path, *inputs]) == 0
+    assert capsys.readouterr().out.startswith("certificate OK")
 
 
 def test_cli_verify_reports_every_issue(tmp_path, capsys):
@@ -406,7 +487,6 @@ def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
             {
                 "points": pts,
                 "maps": maps,
-                "table": [[strs[m[u]] for m in maps] for u in range(len(pts))],
                 "margin": _text(margins[-1]),
             }
         )
@@ -498,17 +578,29 @@ def test_certificate_rejects_wrong_format(tmp_path):
         load_certificate(str(path))
 
 
+def _orbit_rows(cert, stage):
+    """The CSV rows a stage should have: point, then every map's exact values."""
+    values = cert.observable.values
+    return [
+        [str(p)] + [fr_str(v) for m in stage.maps for v in values[m[u]]]
+        for u, p in enumerate(stage.points)
+    ]
+
+
+def _read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_orbit_csv_layout(tmp_path):
     _, fam, cert = _small_family_cert()
     base = str(tmp_path / "orbits.csv")
-    files = write_orbit_csv(base, cert)
+    files = write_orbit_csv(base, certificate_payload(cert))
     assert files == [base]
-    lines = open(base, encoding="utf-8").read().splitlines()
-    assert lines[0] == "point,g0[0],g1[0],g2[0]"
-    assert len(lines) == 10
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert first[1] == fr_str(cert.observable.values[fam.maps[0][0]][0])
+    rows = _read_csv(base)
+    assert rows[0] == ["point", "g0[0]", "g1[0]", "g2[0]"]
+    assert rows[1:] == _orbit_rows(cert, cert.stages[0])
+    assert len(rows) == 10
 
 
 def test_orbit_csv_multi_stage(tmp_path):
@@ -526,11 +618,14 @@ def test_orbit_csv_multi_stage(tmp_path):
     )
     assert cert.stages[1].points == tuple(range(9))
     base = str(tmp_path / "orbits.csv")
-    files = write_orbit_csv(base, cert)
+    files = write_orbit_csv(base, certificate_payload(cert))
     assert files == [base, str(tmp_path / "orbits.stage1.csv")]
-    header2 = open(files[1], encoding="utf-8").readline().strip()
-    expected = "point," + ",".join(f"e{k}[{ell}]" for k in range(3) for ell in range(3))
-    assert header2 == expected
+    expected = ["point"] + [f"e{k}[{ell}]" for k in range(3) for ell in range(3)]
+    for name, stage in zip(files, cert.stages):
+        rows = _read_csv(name)
+        assert rows[0] == expected
+        assert rows[1:] == _orbit_rows(cert, stage)
+        assert len(rows) == 10
 
 
 def _write_inputs(tmp_path, n=9, step=3):

@@ -18,9 +18,7 @@ from menger.space import (
     FiniteSpace,
     GroupAction,
     MapFamily,
-    action_kernel,
     compose,
-    fix_set,
     identity_perm,
     invert_perm,
     orbit,
@@ -226,8 +224,6 @@ def test_orbits_and_periodic_sets(rot3_action):
     assert orbit(rot3_action, 0) == frozenset({0, 3, 6})
     assert periodic_set(rot3_action, 2) == frozenset()
     assert periodic_set(rot3_action, 3) == frozenset(range(9))
-    assert fix_set(rot3_action) == frozenset()
-    assert action_kernel(rot3_action) == (identity_perm(9),)
 
 
 def test_sep_matches_naive_enumeration():
