@@ -126,8 +126,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     payload = write_certificate(out, cert, config, input_hashes)
     csv_files = write_orbit_csv(os.path.splitext(out)[0] + ".csv", payload)
 
-    executed = sum(1 for b in cert.blocks if b.branch not in ("already_separated", "empty"))
-    print(f"blocks: {len(cert.blocks)} processed, {executed} perturbations")
+    print(f"perturbations: {len(cert.blocks)} blocks")
     print(f"margin: {_margin_text(payload['margin'])}")
     print(f"displacement: {fr_str(cert.displacement)} (budget {fr_str(cert.eps)})")
     print(f"certificate: {out}")

@@ -102,6 +102,11 @@ def diameter_clusters(
     center on ties).  Radius eps/2 forces diameter at most eps through the
     triangle inequality, which holds at float level because the metric was
     validated with the same arithmetic.
+
+    Each point's distance to its nearest center so far, and that center,
+    are updated once per new center.  Distances are floats, so comparing
+    them with each other is exact; comparisons with eps/2 and eps are exact
+    against the Fraction.
     """
     pts = sorted(set(int(p) for p in points))
     if not pts:
@@ -110,31 +115,29 @@ def diameter_clusters(
     if eps_f <= 0:
         raise InputError("cluster diameter bound must be positive")
     half = eps_f / 2
+    rows = space.rows()
     centers = [pts[0]]
+    first = rows[pts[0]]
+    nearest = [first[p] for p in pts]
+    owner = [pts[0]] * len(pts)
     while True:
-        farthest = None
-        far_d = Fraction(0)
-        for p in pts:
-            d = min(Fraction(space.distance(p, c)) for c in centers)
-            if d > far_d:
-                far_d = d
-                farthest = p
-        if farthest is None or far_d <= half:
+        far_d = max(nearest)
+        if far_d <= half:
             break
-        centers.append(farthest)
+        c = pts[nearest.index(far_d)]
+        centers.append(c)
+        row = rows[c]
+        for i, p in enumerate(pts):
+            d = row[p]
+            if d < nearest[i]:
+                nearest[i] = d
+                owner[i] = c
     groups: dict[int, list[int]] = {c: [] for c in centers}
-    for p in pts:
-        best = centers[0]
-        best_d = Fraction(space.distance(p, centers[0]))
-        for c in centers[1:]:
-            d = Fraction(space.distance(p, c))
-            if d < best_d:
-                best = c
-                best_d = d
-        groups[best].append(p)
+    for p, c in zip(pts, owner):
+        groups[c].append(p)
     clusters = tuple(frozenset(groups[c]) for c in centers if groups[c])
     for sub in clusters:
-        if Fraction(space.diameter(sub)) > eps_f:
+        if space.diameter(sub) > eps_f:
             raise InternalCheckError(f"cluster {sorted(sub)} exceeds diameter bound {eps}")
     return clusters
 

@@ -108,6 +108,17 @@ def _require(obj: Any, key: str, where: str = "") -> Any:
     return obj[key]
 
 
+def _list(value: Any, where: str) -> list:
+    """``value`` itself when it is a JSON list.
+
+    A string is iterable too, so without this check ``"labels": "ab"`` would
+    read as two labels; any other value is refused here as well.
+    """
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 @contextmanager
 def _reading(path: str) -> Iterator[None]:
     """Turn any failure to read the document at ``path`` into one input error.
@@ -131,13 +142,19 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
     dim_labels = doc.get("dim_labels")
     try:
         if simplices is not None:
-            simplices = [frozenset(int(v) for v in s) for s in simplices]
-    except (TypeError, ValueError) as exc:
+            simplices = [
+                frozenset(int(v) for v in _list(s, "simplices"))
+                for s in _list(simplices, "simplices")
+            ]
+    except (TypeError, ValueError, InputError) as exc:
         raise InputError("simplices must be a list of lists of point indices") from exc
     try:
         if dim_labels is not None:
-            dim_labels = [(frozenset(int(v) for v in s), int(d)) for s, d in dim_labels]
-    except (TypeError, ValueError) as exc:
+            dim_labels = [
+                (frozenset(int(v) for v in _list(s, "dim_labels")), int(d))
+                for s, d in _list(dim_labels, "dim_labels")
+            ]
+    except (TypeError, ValueError, InputError) as exc:
         raise InputError("dim_labels must be a list of [points, dim] entries") from exc
     space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
     report = validate_space(space)
@@ -164,7 +181,10 @@ def save_space(space: FiniteSpace, path: str) -> None:
 def load_coords(path: str) -> Coords:
     doc = _read_json(path)
     with _reading(path):
-        return Coords.create(int(_require(doc, "dim")), _require(doc, "points"))
+        points = [
+            _list(p, f"points[{k}]") for k, p in enumerate(_list(_require(doc, "points"), "points"))
+        ]
+        return Coords.create(int(_require(doc, "dim")), points)
 
 
 def save_coords(coords: Coords, path: str) -> None:
@@ -177,9 +197,12 @@ def save_coords(coords: Coords, path: str) -> None:
 def load_family(path: str, space: FiniteSpace) -> MapFamily:
     doc = _read_json(path)
     with _reading(path):
-        maps = _require(doc, "maps")
+        maps = [_list(m, f"maps[{k}]") for k, m in enumerate(_list(_require(doc, "maps"), "maps"))]
+        labels = doc.get("labels")
+        if labels is not None:
+            _list(labels, "labels")
         source = _space_from_doc(doc["source"]) if "source" in doc else space
-        return MapFamily.create(source, space, maps, labels=doc.get("labels"))
+        return MapFamily.create(source, space, maps, labels=labels)
 
 
 def save_family(fam: MapFamily, path: str) -> None:
@@ -191,15 +214,24 @@ def load_action(
 ) -> tuple[GroupAction, list[tuple[tuple[Perm, ...], Fraction | None]] | None]:
     doc = _read_json(path)
     with _reading(path):
+        generators = [
+            _list(g, f"generators[{k}]")
+            for k, g in enumerate(_list(_require(doc, "generators"), "generators"))
+        ]
         action = GroupAction.from_generators(
-            space, _require(doc, "generators"), cap=group_cap, require_closure=False
+            space, generators, cap=group_cap, require_closure=False
         )
         if "stages" not in doc:
             return action, None
+        if not _list(doc["stages"], "stages"):
+            raise InputError("stages: the list is empty; leave it out to use the whole group")
         stages = []
         for k, st in enumerate(doc["stages"]):
-            elements = _require(st, "elements", f"stage {k}: ")
-            perms = tuple(tuple(int(v) for v in p) for p in elements)
+            elements = _list(_require(st, "elements", f"stage {k}: "), f"stage {k} elements")
+            perms = tuple(
+                tuple(int(v) for v in _list(p, f"stage {k} element {e}"))
+                for e, p in enumerate(elements)
+            )
             for p in perms:
                 if sorted(p) != list(range(space.n_points)):
                     raise InputError(f"stage {k} element is not a permutation")
@@ -219,8 +251,11 @@ def load_observable(path: str, space: FiniteSpace) -> Observable:
     with _reading(path):
         r = int(_require(doc, "r"))
         rows = [
-            [parse_fraction(v, f"values[{y}][{ell}]") for ell, v in enumerate(row)]
-            for y, row in enumerate(_require(doc, "values"))
+            [
+                parse_fraction(v, f"values[{y}][{ell}]")
+                for ell, v in enumerate(_list(row, f"values[{y}]"))
+            ]
+            for y, row in enumerate(_list(_require(doc, "values"), "values"))
         ]
         obs = Observable.create(space, rows)
         if obs.r != r:
@@ -479,6 +514,8 @@ def verify_certificate(
         issues.append("stages: expected a list of stage records")
         stages_doc = []
         complete = False
+    elif not stages_doc:
+        issues.append("stages: the certificate holds no stage record, so it claims nothing")
     stage_margins: list[Fraction | float] = []
     for s_idx, st in enumerate(stages_doc):
         where = f"stage {s_idx}"

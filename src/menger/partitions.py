@@ -144,7 +144,13 @@ def doubled_induced_partition(df: DoubledFamily, pair: Pair) -> Partition:
         raise InputError(f"pair {pair} out of range")
     if x1 == x2:
         raise InputError("pair must be off the diagonal")
-    return Partition.from_key(df.labels, key=lambda s: df.value(s, pair))
+    # Labels are scanned in ground order, so the groups come out canonical,
+    # as in ``Partition.from_key``; the labels are distinct by construction.
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, g in enumerate(df.base.maps):
+        groups.setdefault(g[x1], []).append((i, 1))
+        groups.setdefault(g[x2], []).append((i, 2))
+    return Partition(df.labels, tuple(map(tuple, groups.values())))
 
 
 def classify(p_hat: Partition) -> str:
@@ -216,6 +222,43 @@ class CoherentBlock:
         return CoherentBlock(p_hat, pairs_t, images)
 
 
+def first_fit_block(
+    df: DoubledFamily, p_hat: Partition, pairs: Iterable[Pair]
+) -> tuple[CoherentBlock, list[Pair]]:
+    """The first block of the first-fit packing of ``pairs``, and the pairs left over.
+
+    One greedy pass: a pair joins the block when each of its values is new
+    to the block or already held through the same label block of ``p_hat``;
+    otherwise it is left over, in order.  First-fit over ``pairs`` is this
+    block followed by first-fit over the leftover pairs, so peeling one block
+    at a time reproduces ``coherent_decomposition``.
+
+    Every pair must induce ``p_hat`` (the caller's class grouping establishes
+    this): all labels of one label block then take one value, so the first
+    label stands for its block, a pair alone never holds one value through
+    two label blocks, and the first pair always fits.  The block is built
+    without ``CoherentBlock.build``'s re-check: the fit test keeps the image
+    sets of distinct label blocks disjoint.
+    """
+    maps = df.base.maps
+    leads = [(k, maps[blk[0][0]], blk[0][1] - 1) for k, blk in enumerate(p_hat.blocks)]
+    owner: dict[int, int] = {}     # target point -> the label block holding it
+    taken: list[Pair] = []
+    rest: list[Pair] = []
+    for pair in pairs:
+        contrib = [(k, g[pair[j]]) for k, g, j in leads]
+        if all(owner.get(v, k) == k for k, v in contrib):
+            owner.update((v, k) for k, v in contrib)
+            taken.append(pair)
+        else:
+            rest.append(pair)
+    images: list[set[int]] = [set() for _ in p_hat.blocks]
+    for v, k in owner.items():
+        images[k].add(v)
+    block = CoherentBlock(p_hat, tuple(sorted(set(taken))), tuple(map(frozenset, images)))
+    return block, rest
+
+
 def coherent_decomposition(
     df: DoubledFamily, p_hat: Partition, pairs: Iterable[Pair]
 ) -> tuple[CoherentBlock, ...]:
@@ -226,51 +269,18 @@ def coherent_decomposition(
     a pair no block can absorb starts a new one.  A single pair is always
     coherent (its label values already separate blocks), so the fallback
     never fails.  This first-fit order fixes which pairs share a block, and
-    so the block contents a certificate records: any other order produces a
-    different, equally valid decomposition and a different certificate.
+    so the blocks a run perturbs: any other order produces a different,
+    equally valid decomposition and a different certificate.
 
-    A fit is tested on bitsets (bit b stands for block b): ``held[v]`` marks
-    the blocks whose images contain target point v, and ``owned[k, v]`` those
-    that reach v through label block k.  A pair conflicts with every block
-    that holds one of its values through a different label block.
-
-    The blocks are built from the packing without ``CoherentBlock.build``'s
-    re-check: every pair in ``pairs`` must induce ``p_hat`` (the caller's
-    class grouping establishes this), and the fit test has already kept the
-    image sets of distinct label blocks disjoint.
+    The blocks are peeled one at a time by ``first_fit_block``, under its
+    precondition: every pair in ``pairs`` induces ``p_hat``.
     """
-    labels = [(k, s) for k, blk in enumerate(p_hat.blocks) for s in blk]
-    held: dict[int, int] = {}
-    owned: dict[tuple[int, int], int] = {}
-    blocks: list[list[Pair]] = []
-    images: list[list[set[int]]] = []
-    for pair in pairs:
-        contrib = {(k, df.value(s, pair)) for k, s in labels}
-        conflict = 0
-        for k, v in contrib:
-            conflict |= held.get(v, 0) & ~owned.get((k, v), 0)
-        free = ~conflict & ((1 << len(blocks)) - 1)
-        if free:
-            b = (free & -free).bit_length() - 1
-            blocks[b].append(pair)
-        else:
-            b = len(blocks)
-            blocks.append([pair])
-            images.append([set() for _ in p_hat.blocks])
-        bit = 1 << b
-        image = images[b]
-        for k, v in contrib:
-            held[v] = held.get(v, 0) | bit
-            owned[k, v] = owned.get((k, v), 0) | bit
-            image[k].add(v)
-
-    out = []
-    for blk, image in zip(blocks, images):
-        out.append(CoherentBlock(p_hat, tuple(sorted(set(blk))), tuple(map(frozenset, image))))
-        # free the growing sets as their frozen copies are made, so the two
-        # never both exist for every block
-        image.clear()
-    return tuple(out)
+    blocks = []
+    rest = list(pairs)
+    while rest:
+        block, rest = first_fit_block(df, p_hat, rest)
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def mirror_block(df: DoubledFamily, block: CoherentBlock) -> CoherentBlock:

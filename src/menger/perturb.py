@@ -92,15 +92,22 @@ def sample_observable(space: FiniteSpace, r: int, seed: int) -> Observable:
 
 
 def sup_distance(f: Observable, g: Observable) -> Fraction:
+    """Largest gap between the two observables at one point and coordinate.
+
+    Exact on integer numerators: with f = a / df and g = b / dg, the gap
+    |a/df - b/dg| is |a*dg - b*df| over the common denominator df*dg.
+    """
     if f.r != g.r or len(f.values) != len(g.values):
         raise InputError("observables have different shapes")
-    best = Fraction(0)
-    for row_f, row_g in zip(f.values, g.values):
+    df, rows_f = f.numerators()
+    dg, rows_g = g.numerators()
+    best = 0
+    for row_f, row_g in zip(rows_f, rows_g):
         for a, b in zip(row_f, row_g):
-            d = abs(a - b)
+            d = abs(a * dg - b * df)
             if d > best:
                 best = d
-    return best
+    return Fraction(best, df * dg)
 
 
 def modulus(f: Observable, ell: int, eps: Fraction | float) -> float:
@@ -109,16 +116,23 @@ def modulus(f: Observable, ell: int, eps: Fraction | float) -> float:
     Scans every pair of points and returns the smallest distance among pairs
     whose value gap exceeds eps, or infinity when no pair does.  Consumers
     rely on the strict guard: d(y1, y2) < modulus implies |gap| <= eps.
+    Gaps are compared exactly on integer numerators: with values a / den
+    and eps = p / q, the gap exceeds eps when |a1 - a2| * q > p * den.
     """
     if not 0 <= ell < f.r:
         raise InputError(f"coordinate {ell} out of range")
     eps_f = Fraction(eps)
-    n = f.space.n_points
+    den, rows = f.numerators()
+    scale = eps_f.denominator
+    bound = eps_f.numerator * den
+    vals = [row[ell] for row in rows]
+    dist = f.space.rows()
     best = math.inf
-    for y1 in range(n):
-        for y2 in range(y1 + 1, n):
-            if abs(f.values[y1][ell] - f.values[y2][ell]) > eps_f:
-                d = f.space.distance(y1, y2)
+    for y1, a in enumerate(vals):
+        drow = dist[y1]
+        for y2 in range(y1 + 1, len(vals)):
+            if abs(a - vals[y2]) * scale > bound:
+                d = drow[y2]
                 if d < best:
                     best = d
     return best
@@ -170,62 +184,75 @@ def assign_values(fams: Families, f: Observable, eps: Fraction | float) -> Value
     # Values live in [0, 1], so a budget beyond 2 widens no window; capping
     # the lattice scale keeps at least 2S candidates inside every window.
     h = min(eps_f, Fraction(2)) / (4 * total * r)
+    half = eps_f / 2
+    # Values, windows and lattice points are integer numerators over one
+    # denominator L: h = step / L and eps/2 = radius / L.
+    den, rows = f.numerators()
+    L = math.lcm(den, h.denominator, half.denominator)
+    scale = L // den
+    step = h.numerator * (L // h.denominator)
+    radius = half.numerator * (L // half.denominator)
 
     queue = []
+    # the points holding each subset's least and greatest value: every
+    # value of the subset lies between them
+    extremes: dict[tuple[int, int], tuple[int, int]] = {}
     for ell, fam in enumerate(fams):
         for k, sub in enumerate(fam):
             if not sub:
                 raise InputError(f"family {ell} contains an empty subset")
-            vals = [f.values[y][ell] for y in sorted(sub)]
-            lo, hi = min(vals), max(vals)
-            if hi - lo > eps_f / 2:
+            y_lo = min(sub, key=lambda y: rows[y][ell])
+            y_hi = max(sub, key=lambda y: rows[y][ell])
+            extremes[ell, k] = (y_lo, y_hi)
+            lo, hi = rows[y_lo][ell] * scale, rows[y_hi][ell] * scale
+            if hi - lo > radius:
                 raise BudgetError(
                     f"subset {sorted(sub)} of coordinate {ell} has value spread "
-                    f"{hi - lo} > eps/2 = {eps_f / 2}"
+                    f"{Fraction(hi - lo, L)} > eps/2 = {half}"
                 )
-            window = (max(Fraction(0), hi - eps_f / 2), min(Fraction(1), lo + eps_f / 2))
-            queue.append((window[1], window[0], ell, k, sub))
-    queue.sort(key=lambda item: (item[0], item[1], item[2], item[3]))
+            queue.append((min(L, lo + radius), max(0, hi - radius), ell, k, sub))
+    queue.sort(key=lambda item: item[:4])
 
     used: dict[int, set[int]] = {ell: set() for ell in range(r)}
-    chosen: dict[tuple[int, int], Fraction] = {}
-    for hi, lo, ell, k, sub in queue:
-        idx = math.ceil((lo / h - ell) / r)
-        if idx < 0:
-            idx = 0
+    chosen: dict[tuple[int, int], int] = {}
+    for top, bottom, ell, k, sub in queue:
+        # the least index with step * (ell + r * idx) >= bottom
+        idx = max(0, -((ell * step - bottom) // (r * step)))
         while idx in used[ell]:
             idx += 1
-        v = h * (ell + r * idx)
-        if v > hi:
+        v = step * (ell + r * idx)
+        if v > top:
             raise BudgetError(
-                f"no free grid value inside window [{lo}, {hi}] for subset "
-                f"{sorted(sub)} of coordinate {ell}"
+                f"no free grid value inside window [{Fraction(bottom, L)}, {Fraction(top, L)}] "
+                f"for subset {sorted(sub)} of coordinate {ell}"
             )
         used[ell].add(idx)
-        chosen[(ell, k)] = v
+        chosen[ell, k] = v
 
     per_coord = []
     for ell, fam in enumerate(fams):
         entries = []
         for k, sub in enumerate(fam):
-            v = chosen[(ell, k)]
-            for y in sub:
-                if abs(v - f.values[y][ell]) > eps_f / 2:
+            v = chosen[ell, k]
+            # |v - value| is largest at one of the two extremes
+            for y in extremes[ell, k]:
+                if abs(v - rows[y][ell] * scale) > radius:
                     raise InternalCheckError(
-                        f"assigned value {v} drifts more than eps/2 from point {y}"
+                        f"assigned value {Fraction(v, L)} drifts more than eps/2 from point {y}"
                     )
-            entries.append((sub, v))
+            entries.append((sub, Fraction(v, L)))
         per_coord.append(tuple(entries))
 
     # Cross-coordinate ranges must be disjoint; the congruence argument makes
     # this automatic, but it is cheap to confirm.
     for ell1 in range(r):
-        vals1 = {v for _, v in per_coord[ell1]}
+        vals1 = {chosen[ell1, k] for k in range(len(fams[ell1]))}
         for ell2 in range(ell1 + 1, r):
-            clash = vals1 & {v for _, v in per_coord[ell2]}
+            clash = vals1 & {chosen[ell2, k] for k in range(len(fams[ell2]))}
             if clash:
                 raise InternalCheckError(
-                    f"coordinates {ell1} and {ell2} share assigned value {clash.pop()}"
+                    f"coordinates {ell1} and {ell2} share assigned value "
+                    f"{Fraction(clash.pop(), L)}"
                 )
     return ValueAssignment(eps_f, tuple(per_coord))
 

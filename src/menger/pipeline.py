@@ -42,10 +42,11 @@ from .partitions import (
     DoubledFamily,
     Partition,
     classify,
-    coherent_decomposition,
+    coherent_decomposition,  # noqa: F401  bench/spans.py patches this name here
     column_partition,
     compatible_subset,  # noqa: F401  bench/spans.py patches this name here
     doubled_induced_partition,
+    first_fit_block,
     induced_partition,
     intersective_transport,
     mirror_block,
@@ -67,6 +68,8 @@ from .witness import BipartiteInstance, check_separation
 Pair = tuple[int, int]
 
 BRANCH_EMPTY = "empty"
+# Only perturbed blocks are logged, so no log carries this branch any more;
+# bench/spans.py still counts it.
 BRANCH_SKIPPED = "already_separated"
 
 
@@ -244,24 +247,34 @@ class BlockLog:
     merged: tuple[tuple[frozenset[int], ...], ...] | None = None
     assignment: ValueAssignment | None = None
     witness_kinds: tuple[str, ...] | None = None
-    margin_before: Fraction | float | None = None
     margin_after: Fraction | float | None = None
     displacement: Fraction | None = None
 
 
-def _certify_eta(fam: MapFamily, eta: Fraction, delta: Fraction | float) -> bool:
-    """Exhaustive guard: source pairs closer than eta map within delta everywhere."""
+def _eta_threshold(fam: MapFamily, delta: Fraction | float) -> float:
+    """Least source distance of a pair that some map sends at least delta apart.
+
+    The exhaustive guard "source pairs closer than eta map within delta
+    under every map" holds exactly when eta is at most this threshold;
+    infinity when no pair reaches delta.  A float distance is at least
+    delta exactly when it is at least ``reach``, the least float not below
+    delta, so the scan compares floats only.
+    """
     if delta == math.inf:
-        return True
-    n = fam.source.n_points
-    for x1 in range(n):
-        for x2 in range(x1 + 1, n):
-            if Fraction(fam.source.distance(x1, x2)) < eta:
-                for g in fam.maps:
-                    d = Fraction(fam.target.distance(g[x1], g[x2]))
-                    if not d < delta:
-                        return False
-    return True
+        return math.inf
+    reach = float(delta)
+    if reach < delta:
+        reach = math.nextafter(reach, math.inf)
+    src = fam.source.rows()
+    tgt = fam.target.rows()
+    maps = fam.maps
+    best = math.inf
+    for x1, row in enumerate(src):
+        for x2 in range(x1 + 1, len(row)):
+            d = row[x2]
+            if d < best and any(tgt[g[x1]][g[x2]] >= reach for g in maps):
+                best = d
+    return best
 
 
 def separate_on_block(
@@ -312,7 +325,8 @@ def separate_on_block(
     delta: Fraction | float = (min(finite) / 2) if finite else math.inf
 
     eta = eps_f
-    while not _certify_eta(fam, eta, delta):
+    threshold = _eta_threshold(fam, delta)
+    while eta > threshold:
         eta = eta / 2
     bound = eta / 2
 
@@ -500,13 +514,18 @@ def _run_family_blocks(
     is never classified; only colliding pairs are grouped by their doubled
     partition.  Classes are taken with more label blocks first, and each
     class is filtered again against the current observable, since earlier
-    perturbations separate most of its pairs: those join the ledger, and
-    only the rest are packed into coherent blocks.  Budgets shrink
-    geometrically from eps/2 and are additionally capped by a quarter of
-    the running ledger margin; a perturbation within half the margin keeps
-    every ledger pair separated, the pairs separated at the start included,
-    and staying strictly inside that radius keeps the inequality strict.
-    Monotone progress is asserted after every block.
+    perturbations separate most of its pairs: those join the ledger.  The
+    rest are packed lazily, one first-fit block at a time: a block whose
+    pairs are all separated joins the ledger, any other block is perturbed,
+    and once no leftover pair of the class collides, the leftovers join the
+    ledger unpacked.  Peeling reproduces the whole-class first-fit packing,
+    so the perturbed blocks are the same as when every block is packed.
+    Budgets shrink geometrically from eps/2 and are additionally capped by
+    a quarter of the running ledger margin; a perturbation within half the
+    margin keeps every ledger pair separated, the pairs separated at the
+    start included, and staying strictly inside that radius keeps the
+    inequality strict.  Monotone progress is asserted after every perturbed
+    block, and only perturbed blocks are logged.
     """
     df = DoubledFamily(fam)
     n = fam.source.n_points
@@ -527,27 +546,18 @@ def _run_family_blocks(
                 classes.setdefault(p_hat, []).append((x1, x2))
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
 
+    # labels always describe the current observable: they are recomputed
+    # after every perturbation
     for p_hat in ordered:
-        labels = _orbit_labels(state.f, fam)
         live: list[Pair] = []
         for pair in classes[p_hat]:
             if labels[pair[0]] != labels[pair[1]]:
                 group_pairs.append(pair)
             else:
                 live.append(pair)
-        if not live:
-            continue
-        for blk in coherent_decomposition(df, p_hat, live):
-            pre = margin(state.f, fam, blk.pairs)
-            if pre > 0:
-                state.logs.append(
-                    BlockLog(
-                        partition=blk.partition,
-                        pairs=blk.pairs,
-                        branch=BRANCH_SKIPPED,
-                        margin_before=pre,
-                    )
-                )
+        while live:
+            blk, live = first_fit_block(df, p_hat, live)
+            if all(labels[x1] != labels[x2] for x1, x2 in blk.pairs):
                 group_pairs.extend(blk.pairs)
                 continue
             cap = state.ledger_margin()
@@ -563,7 +573,11 @@ def _run_family_blocks(
                 raise InternalCheckError(
                     "monotone progress violated: a previously separated pair collided"
                 )
-            state.logs.append(replace(blog, margin_before=pre, margin_after=after))
+            state.logs.append(replace(blog, margin_after=after))
+            labels = _orbit_labels(state.f, fam)
+            if all(labels[x1] != labels[x2] for x1, x2 in live):
+                group_pairs.extend(live)
+                break
 
 
 def embed_family(
@@ -651,8 +665,11 @@ def stage_specs(
     """Each stage of an action as (element permutations, eps_sep or None).
 
     Without explicit stages the whole enumerated group is the one stage; a
-    group whose closure was capped needs them.
+    group whose closure was capped needs them.  An empty stage list would
+    certify nothing, so it is an input error.
     """
+    if stages is not None and not stages:
+        raise InputError("stages: the list is empty; pass None to use the whole group")
     if stages is None:
         if action.elements is None:
             raise GroupCapError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -57,6 +57,7 @@ class FiniteSpace:
     simplices: tuple[frozenset[int], ...] | None = None
     dim_labels: tuple[tuple[frozenset[int], int], ...] | None = None
     dim_fn: Callable[[frozenset[int]], int] | None = None
+    _rows: list[list[float]] | None = field(default=None, init=False, repr=False)
 
     @staticmethod
     def create(
@@ -102,15 +103,27 @@ class FiniteSpace:
 
         return FiniteSpace(n, arr, simp, labels, dim_fn)
 
+    def rows(self) -> list[list[float]]:
+        """The metric as nested lists of Python floats, the same values as ``metric``.
+
+        Computed on first use and kept, since the metric is read-only; reading
+        a list entry is much cheaper than indexing the array.
+        """
+        if self._rows is None:
+            object.__setattr__(self, "_rows", self.metric.tolist())
+        return self._rows
+
     def distance(self, i: int, j: int) -> float:
-        return float(self.metric[i, j])
+        return self.rows()[i][j]
 
     def diameter(self, subset: Iterable[int]) -> float:
         pts = sorted(subset)
+        rows = self.rows()
         best = 0.0
         for a in range(len(pts)):
+            row = rows[pts[a]]
             for b in range(a + 1, len(pts)):
-                d = float(self.metric[pts[a], pts[b]])
+                d = row[pts[b]]
                 if d > best:
                     best = d
         return best

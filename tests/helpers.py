@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from menger.partitions import (
+    CoherentBlock,
     DoubledFamily,
     Partition,
     compatible_subset,
@@ -20,7 +22,14 @@ from menger.partitions import (
     induced_partition,
 )
 from menger.perturb import Observable
-from menger.pipeline import HypothesisCheck, HypothesisReport
+from menger.pipeline import (
+    HypothesisCheck,
+    HypothesisReport,
+    _BaireState,
+    _orbit_labels,
+    margin,
+    separate_on_block,
+)
 from menger.space import (
     FiniteSpace,
     GroupAction,
@@ -110,16 +119,19 @@ def class_pairs(df: DoubledFamily, p_hat: Partition) -> list[tuple[int, int]]:
     ]
 
 
-def naive_coherent_blocks(df: DoubledFamily, p_hat: Partition) -> list[list[tuple[int, int]]]:
+def naive_coherent_blocks(
+    df: DoubledFamily, p_hat: Partition, pairs=None
+) -> list[list[tuple[int, int]]]:
     """First-fit packing of the class of ``p_hat`` by merging image sets.
 
     Each pair joins the first block whose merged per-label-block images stay
-    pairwise disjoint, or opens a new block.
+    pairwise disjoint, or opens a new block.  ``pairs`` gives the members
+    and their order; by default the whole class in (x1, x2) order.
     """
     lookup = {s: k for k, blk in enumerate(p_hat.blocks) for s in blk}
     blocks: list[list[tuple[int, int]]] = []
     images: list[list[set[int]]] = []
-    for pair in class_pairs(df, p_hat):
+    for pair in class_pairs(df, p_hat) if pairs is None else pairs:
         contrib: list[set[int]] = [set() for _ in p_hat.blocks]
         for s in p_hat.ground:
             contrib[lookup[s]].add(df.value(s, pair))
@@ -313,3 +325,132 @@ def reference_action_report(action: GroupAction, r: int, n_max: int | None = Non
             HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n)
         )
     return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
+
+
+def naive_sup_distance(f: Observable, g: Observable) -> Fraction:
+    """Largest gap between two observables, compared as Fractions."""
+    return max(
+        (abs(a - b) for row_f, row_g in zip(f.values, g.values) for a, b in zip(row_f, row_g)),
+        default=Fraction(0),
+    )
+
+
+def naive_modulus(f: Observable, ell: int, eps) -> float:
+    """Least distance of a pair whose coordinate-ell gap exceeds eps, as Fractions."""
+    eps_f = Fraction(eps)
+    n = f.space.n_points
+    dists = [
+        f.space.distance(y1, y2)
+        for y1 in range(n)
+        for y2 in range(y1 + 1, n)
+        if abs(f.values[y1][ell] - f.values[y2][ell]) > eps_f
+    ]
+    return min(dists, default=math.inf)
+
+
+def naive_diameter_clusters(space: FiniteSpace, points, eps) -> tuple[frozenset[int], ...]:
+    """Farthest-point clustering that recomputes every distance to every center."""
+    pts = sorted(set(points))
+    if not pts:
+        return ()
+    half = Fraction(eps) / 2
+    centers = [pts[0]]
+    while True:
+        far = [min(Fraction(space.distance(p, c)) for c in centers) for p in pts]
+        far_d = max(far)
+        if far_d <= half:
+            break
+        centers.append(pts[far.index(far_d)])
+    groups: dict[int, list[int]] = {c: [] for c in centers}
+    for p in pts:
+        dists = [Fraction(space.distance(p, c)) for c in centers]
+        groups[centers[dists.index(min(dists))]].append(p)
+    return tuple(frozenset(groups[c]) for c in centers if groups[c])
+
+
+def naive_assign_values(fams, f: Observable, eps: Fraction):
+    """The per-coordinate (subset, value) entries of ``assign_values``, as Fractions.
+
+    Subsets are served by (window top, window bottom, coordinate, index);
+    each takes the first unused lattice point h * (ell + r * idx), counting
+    idx up from 0, that lies inside its window.
+    """
+    r = f.r
+    total = sum(len(fam) for fam in fams)
+    if total == 0:
+        return tuple(() for _ in fams)
+    h = min(eps, Fraction(2)) / (4 * total * r)
+    half = eps / 2
+    queue = []
+    for ell, fam in enumerate(fams):
+        for k, sub in enumerate(fam):
+            vals = [f.values[y][ell] for y in sub]
+            top = min(Fraction(1), min(vals) + half)
+            queue.append((top, max(Fraction(0), max(vals) - half), ell, k))
+    used: set[tuple[int, int]] = set()
+    chosen = {}
+    for top, bottom, ell, k in sorted(queue):
+        idx = 0
+        while (ell, idx) in used or h * (ell + r * idx) < bottom:
+            idx += 1
+        assert h * (ell + r * idx) <= top
+        used.add((ell, idx))
+        chosen[ell, k] = h * (ell + r * idx)
+    return tuple(
+        tuple((sub, chosen[ell, k]) for k, sub in enumerate(fam)) for ell, fam in enumerate(fams)
+    )
+
+
+def naive_certify_eta(fam: MapFamily, eta: Fraction, delta) -> bool:
+    """Every source pair closer than eta stays closer than delta under every map."""
+    n = fam.source.n_points
+    return all(
+        Fraction(fam.target.distance(g[x1], g[x2])) < delta
+        for x1 in range(n)
+        for x2 in range(x1 + 1, n)
+        if Fraction(fam.source.distance(x1, x2)) < eta
+        for g in fam.maps
+    )
+
+
+def reference_block_loop(fam: MapFamily, f0: Observable, eps: Fraction) -> _BaireState:
+    """The block loop of ``embed_family`` with every class packed whole.
+
+    Each class's colliding pairs are packed into all their first-fit blocks
+    at once (``naive_coherent_blocks``), and a block is skipped when ``margin``
+    finds its pairs already separated; only perturbed blocks are logged.
+    Returns the final state: observable, logs and ledger.
+    """
+    state = _BaireState(f0, eps)
+    df = DoubledFamily(fam)
+    n = fam.source.n_points
+    ledger: list[tuple[int, int]] = []
+    state.groups.append((fam, ledger))
+    labels = _orbit_labels(state.f, fam)
+    classes: dict[Partition, list[tuple[int, int]]] = {}
+    for x1 in range(n):
+        for x2 in range(n):
+            if x1 == x2:
+                continue
+            if labels[x1] != labels[x2]:
+                ledger.append((x1, x2))
+            else:
+                p_hat = doubled_induced_partition(df, (x1, x2))
+                classes.setdefault(p_hat, []).append((x1, x2))
+    for p_hat in sorted(classes, key=lambda p: (-len(p.blocks), p.blocks)):
+        labels = _orbit_labels(state.f, fam)
+        live = []
+        for x1, x2 in classes[p_hat]:
+            (ledger if labels[x1] != labels[x2] else live).append((x1, x2))
+        for pairs in naive_coherent_blocks(df, p_hat, live):
+            blk = CoherentBlock.build(df, p_hat, pairs)
+            if margin(state.f, fam, blk.pairs) > 0:
+                ledger.extend(blk.pairs)
+                continue
+            cap = state.ledger_margin()
+            budget = state.geom if cap == math.inf else min(state.geom, cap / 4)
+            state.f, log = separate_on_block(df, blk, state.f, budget)
+            state.geom /= 2
+            ledger.extend(blk.pairs)
+            state.logs.append(replace(log, margin_after=state.ledger_margin()))
+    return state

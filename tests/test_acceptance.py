@@ -128,6 +128,15 @@ def pipeline_runs():
 
     seeded = embed_family(fam9, 1, Fraction(1, 20), seed=7)
     runs.append(("rotations, seeded start", fam9, Fraction(1, 20), seeded))
+
+    # a start whose second class still collides after the first perturbation
+    space9 = fam9.source
+    fam2 = MapFamily.create(space9, space9, [tuple(range(9)), (1, 4, 3, 8, 0, 6, 2, 5, 7)])
+    half = Fraction(1, 2)
+    start = [half, 1, 1, 1, 1, half, 0, half, half]
+    f0_2 = Observable.create(space9, [[v, v] for v in start])
+    runs.append(("two-map circle, two perturbed blocks", fam2, eps9,
+                 embed_family(fam2, 2, eps9, f0=f0_2)))
     return runs
 
 
@@ -238,18 +247,21 @@ def test_acceptance_6_baire_persistence(capsys, pipeline_runs):
     with criterion(capsys, 6, desc):
         multi_block = 0
         for name, fam, eps, cert in pipeline_runs:
-            processed = [b for b in cert.blocks if b.branch != BRANCH_EMPTY]
-            if len(processed) > 1:
+            # only perturbed blocks are logged
+            assert all(b.branch not in (BRANCH_EMPTY, BRANCH_SKIPPED) for b in cert.blocks)
+            if len(cert.blocks) >= 2:
                 multi_block += 1
-            # every pair of every processed block is still separated at the
+            # every pair of every perturbed block is still separated at the
             # end of the run, so no earlier separation was ever destroyed
-            for log in processed:
+            for log in cert.blocks:
+                assert log.margin_after > 0
                 assert margin(cert.observable, fam, log.pairs) > 0
             assert cert.displacement <= eps
-            executed = [b for b in processed if b.branch != BRANCH_SKIPPED]
-            for log in executed:
-                assert log.margin_after > 0
-        assert multi_block >= 2
+        assert multi_block >= 1
+        _, _, _, two = next(r for r in pipeline_runs if r[0].startswith("two-map"))
+        assert len(two.blocks) == 2
+        assert two.margin == Fraction(17, 38400)
+        assert two.displacement == Fraction(1, 40)
 
 
 def test_acceptance_7_certificate_round_trip(tmp_path, capsys, pipeline_runs):

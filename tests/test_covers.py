@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import naive_diameter_clusters, random_euclidean_space
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menger.covers import (
     BACKEND_BRICKS,
@@ -149,3 +152,27 @@ def test_seeded_sweep_cells_and_bricks():
         cover_b = build_cover(space, points, m_b, mu_b, eps,
                               backend=BACKEND_BRICKS, coords=coords)
         assert verify_cover(cover_b, space).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_diameter_clusters_match_the_recomputing_scan(data):
+    """Running nearest-center distances give the clusters of the full rescan."""
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    n = data.draw(st.integers(2, 12))
+    kind = data.draw(st.sampled_from(["circle", "path", "planar"]))
+    if kind == "circle":
+        space = circle_space(max(n, 3))
+    elif kind == "path":
+        space = path_space(n)
+    else:
+        space = random_euclidean_space(rng, n)
+    points = data.draw(st.lists(st.integers(0, space.n_points - 1), max_size=12))
+    dists = sorted({space.distance(a, b) for a in range(space.n_points) for b in range(a)})
+    # eps at twice a distance puts points exactly at radius eps/2 of a center
+    eps = data.draw(
+        st.sampled_from(dists).map(lambda d: 2 * Fraction(d))
+        | st.sampled_from(dists).map(Fraction)
+        | st.fractions(Fraction(1, 50), Fraction(5))
+    )
+    assert diameter_clusters(space, points, eps) == naive_diameter_clusters(space, points, eps)

@@ -440,6 +440,50 @@ def test_cli_stage_without_points_embeds_and_verifies(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("certificate OK")
 
 
+def test_cli_empty_stage_list_exits_one(tmp_path, capsys):
+    """An empty stage list would certify nothing: embed and verify refuse it."""
+    space_path, action_path = _write_inputs(tmp_path)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", "--space", space_path, "--action", action_path,
+                 "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+    empty_path = str(tmp_path / "empty.json")
+    _write_staged_action(empty_path, [])
+    inputs = ["--space", space_path, "--action", empty_path]
+    capsys.readouterr()
+    for argv in (
+        ["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", str(tmp_path / "never.json")],
+        ["verify", "--cert", cert_path, *inputs],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            f"error: {empty_path}: stages: the list is empty; leave it out to use the whole group\n"
+        )
+    assert not (tmp_path / "never.json").exists()
+    action = GroupAction.from_generators(circle_space(9), [rotation_perm(9, 3)])
+    with pytest.raises(InputError, match="the list is empty"):
+        embed_equivariant(action, r=1, eps=Fraction(1, 20), stages=[])
+
+
+def test_cli_verify_rejects_a_certificate_without_stages(tmp_path, capsys):
+    space_path, action_path = _write_inputs(tmp_path)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", "--space", space_path, "--action", action_path,
+                 "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+
+    def edit(doc):
+        doc["stages"] = []
+        doc["margin"] = "inf"
+
+    _write_rehashed(cert_path, load_certificate(cert_path), edit)
+    capsys.readouterr()
+    code = main(["verify", "--cert", cert_path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: stages: the certificate holds no stage record, so it claims nothing\n"
+
+
 def test_cli_verify_reports_every_issue(tmp_path, capsys):
     _, _, cert = _small_family_cert()
     path = str(tmp_path / "cert.json")

@@ -78,6 +78,18 @@ def test_valid_documents_embed(tmp_path, capsys):
         ("family", ("maps",), 5),
         ("coords", ("dim",), "x"),
         ("coords", ("points",), 5),
+        # a string where a list belongs would be read character by character
+        ("family", ("labels",), "abc"),
+        ("family", ("maps",), "012345"),
+        ("family", ("maps", 0), "012345"),
+        ("coords", ("points",), "012345"),
+        ("coords", ("points", 0), "01"),
+        ("action", ("generators", 0), "234501"),
+        ("action", ("stages", 0, "elements", 0), "012345"),
+        ("f0", ("values", 0), "1"),
+        ("space", ("simplices", 0), "01"),
+        # an empty stage list would certify nothing
+        ("action", ("stages",), []),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )

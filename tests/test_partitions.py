@@ -26,6 +26,7 @@ from menger.partitions import (
     column_partition,
     compatible_subset,
     doubled_induced_partition,
+    first_fit_block,
     induced_partition,
     intersective_transport,
     mirror_partition,
@@ -271,3 +272,33 @@ def test_reduced_maps_agree_on_classes():
     assert red1.partition.block_count() == 2
     for rep in red1.reps:
         assert set(rep) == set(red1.points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_fit_block_peels_the_first_fit_packing(data):
+    """Peeling one block at a time gives the blocks of first-fit over the whole order."""
+    n = data.draw(st.integers(3, 8))
+    space = circle_space(n)
+    maps = [data.draw(st.permutations(range(n))) for _ in range(data.draw(st.integers(1, 4)))]
+    df = DoubledFamily(MapFamily.create(space, space, maps))
+    classes: dict[Partition, list[tuple[int, int]]] = {}
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                classes.setdefault(doubled_induced_partition(df, (a, b)), []).append((a, b))
+    for p_hat, members in classes.items():
+        order = data.draw(st.permutations(members))
+        order += data.draw(st.lists(st.sampled_from(members), max_size=3))
+        expected = naive_coherent_blocks(df, p_hat, order)
+        peeled = []
+        rest = list(order)
+        while rest:
+            blk, left = first_fit_block(df, p_hat, rest)
+            # the leftovers keep their order: they are the pairs not taken
+            assert left == [pair for pair in rest if pair not in blk.pairs]
+            assert blk == CoherentBlock.build(df, p_hat, blk.pairs)
+            peeled.append(blk)
+            rest = left
+        assert [blk.pairs for blk in peeled] == [tuple(sorted(set(b))) for b in expected]
+        assert coherent_decomposition(df, p_hat, order) == tuple(peeled)

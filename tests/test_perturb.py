@@ -3,6 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import (
+    naive_assign_values,
+    naive_modulus,
+    naive_sup_distance,
+    random_euclidean_space,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menger.errors import BudgetError, InputError
 from menger.fixtures import circle_space, path_space
@@ -139,6 +147,35 @@ def test_assign_values_respects_windows_and_separation():
                 assert not (all_assigned[e1] & all_assigned[e2])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    r=st.integers(1, 3),
+    eps=st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(10)]),
+)
+def test_assign_values_picks_the_values_of_the_fraction_search(data, r, eps):
+    """Subsets of one or two points on a coarse value grid: windows often
+    share a bottom or a top, so the service order decides who gets a value."""
+    n = data.draw(st.integers(3, 9))
+    grid = st.integers(0, 19).map(lambda k: Fraction(k, 20))
+    values = [[Fraction(1, 2)] * r for _ in range(n)]
+    fams = []
+    for ell in range(r):
+        pts = data.draw(st.permutations(range(n)))
+        fam = []
+        while pts and data.draw(st.booleans()):
+            size = min(len(pts), data.draw(st.integers(1, 2)))
+            base = data.draw(grid)
+            for j, y in enumerate(pts[:size]):
+                values[y][ell] = base + Fraction(j, 20)
+            fam.append(frozenset(pts[:size]))
+            pts = pts[size:]
+        fams.append(tuple(fam))
+    f = Observable.create(circle_space(n), values)
+    fams = tuple(fams)
+    assert assign_values(fams, f, eps).per_coordinate == naive_assign_values(fams, f, eps)
+
+
 def test_assign_values_rejects_wide_subsets():
     space = path_space(3)
     f = Observable.create(space, [[0], [Fraction(1, 2)], [1]])
@@ -228,3 +265,27 @@ def test_perturb_random_sweep_keeps_all_three_guarantees():
             for y in range(n):
                 if y not in covered[ell]:
                     assert g.values[y][ell] == f.values[y][ell]
+
+
+# few distinct values with mixed denominators: duplicates and exact ties
+# between a gap and eps are common
+_VALUES = st.sampled_from(
+    [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_modulus_and_sup_distance_match_fraction_scans(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    n = data.draw(st.integers(1, 8))
+    r = data.draw(st.integers(1, 3))
+    on_circle = n >= 3 and data.draw(st.booleans(), label="circle")
+    space = circle_space(n) if on_circle else random_euclidean_space(rng, n)
+    f = Observable.create(space, [[data.draw(_VALUES) for _ in range(r)] for _ in range(n)])
+    g = Observable.create(space, [[data.draw(_VALUES) for _ in range(r)] for _ in range(n)])
+    assert sup_distance(f, g) == naive_sup_distance(f, g)
+    assert sup_distance(f, f) == 0
+    for eps in (Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0.25, Fraction(1)):
+        for ell in range(r):
+            assert modulus(f, ell, eps) == naive_modulus(f, ell, eps)

@@ -6,12 +6,18 @@ from helpers import (
     bell_family_verdict,
     class_pairs,
     growth_strings,
+    naive_certify_eta,
     naive_closest_gap,
     naive_margin,
     orbit_row,
+    random_endo_family,
+    random_euclidean_space,
     reference_action_report,
+    reference_block_loop,
     reference_family_report,
 )
+import random
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +39,7 @@ from menger.pipeline import (
     default_stage_n,
     embed_equivariant,
     embed_family,
+    _eta_threshold,
     margin,
     orbit_margin,
     separate_on_block,
@@ -381,9 +388,9 @@ def test_embed_family_mixed_start_works_only_on_colliding_pairs(circle9, monkeyp
     assert cert.blocks
     for log in cert.blocks:
         assert set(log.pairs) <= colliding
-    perturbed = [b for b in cert.blocks if b.branch != BRANCH_SKIPPED]
-    assert perturbed
-    assert all(b.margin_before == 0 for b in perturbed)
+    # only perturbed blocks are logged
+    assert all(b.branch != BRANCH_SKIPPED for b in cert.blocks)
+    perturbed = cert.blocks
     # the separated pairs are in the ledger from the start, so they cap the
     # first budget below eps/2
     assert perturbed[0].budget <= margin(f0, fam, separated) / 4 < eps / 2
@@ -537,3 +544,94 @@ def test_default_stage_n(circle9):
     assert default_stage_n(circle9, 1) == 3
     assert default_stage_n(circle9, 2) == 2
     assert default_stage_n(circle9, 3) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(1, 3), eps=st.sampled_from([Fraction(1, 20), Fraction(1, 3)]))
+def test_lazy_block_loop_matches_whole_class_packing(data, r, eps):
+    """Peeling blocks lazily perturbs the same blocks as packing every class whole."""
+    n = data.draw(st.integers(4, 9))
+    space = circle_space(n)
+    maps = [data.draw(st.permutations(range(n))) for _ in range(data.draw(st.integers(1, 3)))]
+    fam = MapFamily.create(space, space, maps)
+    assume(check_hypotheses_family(fam, r).passed)
+    coarse = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+    if data.draw(st.booleans(), label="constant start"):
+        rows = [[data.draw(coarse) for _ in range(r)]] * n
+    else:
+        rows = [[data.draw(coarse) for _ in range(r)] for _ in range(n)]
+    f0 = Observable.create(space, rows)
+    cert = embed_family(fam, r=r, eps=eps, f0=f0)
+    ref = reference_block_loop(fam, f0, eps)
+    assert cert.observable.values == ref.f.values
+    assert cert.margin == orbit_margin(ref.f, fam)
+    assert [(b.partition, b.pairs, b.budget, b.eta, b.margin_after) for b in cert.blocks] == [
+        (b.partition, b.pairs, b.budget, b.eta, b.margin_after) for b in ref.logs
+    ]
+
+
+def _two_map_circle():
+    """A 9-point run whose second class still collides after its first perturbation."""
+    space = circle_space(9)
+    fam = MapFamily.create(space, space, [identity_perm(9), (1, 4, 3, 8, 0, 6, 2, 5, 7)])
+    half = Fraction(1, 2)
+    start = [half, 1, 1, 1, 1, half, 0, half, half]
+    return fam, 2, Observable.create(space, [[v, v] for v in start])
+
+
+def _constant_rotations():
+    space = circle_space(9)
+    fam = MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)])
+    return fam, 1, Observable.create(space, [[Fraction(1, 2)]] * 9)
+
+
+def _one_class_twice():
+    """A 12-point run whose first class still collides after one perturbed block."""
+    space = circle_space(12)
+    maps = [
+        (1, 2, 8, 6, 9, 3, 0, 5, 4, 11, 7, 10),
+        (7, 5, 6, 2, 1, 8, 11, 10, 4, 9, 3, 0),
+        (6, 10, 4, 0, 9, 5, 1, 11, 8, 2, 3, 7),
+    ]
+    fam = MapFamily.create(space, space, maps)
+    return fam, 1, Observable.create(space, [[Fraction(0)]] * 12)
+
+
+@pytest.mark.parametrize("make", [_two_map_circle, _constant_rotations, _one_class_twice])
+def test_lazy_block_loop_matches_whole_class_packing_on_fixed_runs(make):
+    fam, r, f0 = make()
+    eps = Fraction(1, 10)
+    cert = embed_family(fam, r=r, eps=eps, f0=f0)
+    ref = reference_block_loop(fam, f0, eps)
+    assert cert.observable.values == ref.f.values
+    assert [(b.pairs, b.budget) for b in cert.blocks] == [(b.pairs, b.budget) for b in ref.logs]
+    if make is _one_class_twice:
+        assert [b.partition for b in cert.blocks][:2] == [cert.blocks[0].partition] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eta_threshold_decides_like_the_exhaustive_guard(data):
+    """eta passes the pair-by-pair guard exactly when it is at most the threshold."""
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    n = data.draw(st.integers(2, 8))
+    on_circle = n >= 3 and data.draw(st.booleans(), label="circle")
+    space = circle_space(n) if on_circle else random_euclidean_space(rng, n)
+    fam = random_endo_family(rng, space, data.draw(st.integers(1, 3)))
+    dists = sorted({Fraction(space.distance(a, b)) for a in range(n) for b in range(a + 1, n)})
+    # deltas and etas on the distances themselves, where the strict and
+    # non-strict comparisons differ, and between them
+    # deltas a hair off a distance round to that distance as floats
+    hair = Fraction(1, 10**30)
+    delta = data.draw(
+        st.sampled_from([math.inf] + dists)
+        | st.sampled_from(dists).map(lambda d: d * Fraction(3, 4))
+        | st.sampled_from(dists).map(lambda d: d + hair)
+        | st.sampled_from(dists).map(lambda d: d - hair)
+        | st.fractions(Fraction(1, 100), Fraction(3))
+    )
+    threshold = _eta_threshold(fam, delta)
+    etas = dists + [d / 2 for d in dists] + [Fraction(1, 2**k) for k in range(8)]
+    etas += [d + Fraction(1, 10**9) for d in dists]
+    for eta in etas:
+        assert naive_certify_eta(fam, eta, delta) == (eta <= threshold)
