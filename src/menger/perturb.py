@@ -265,19 +265,28 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
     properties are re-checked exhaustively with exact arithmetic: the result
     stays within the assignment budget of f in sup norm, distinct subsets of
     one family get distinct values at every covered point, and covered values
-    of different coordinates never coincide.
+    of different coordinates never coincide.  Covered points carry their
+    subset's value, so the last two compare one value per nonempty subset:
+    a value-to-subset map per coordinate, then the intersections of the
+    coordinates' value sets.  Untouched values of f are already valid; only
+    the assigned ones are checked to lie in [0, 1].
     """
     if len(fams) != f.r:
         raise InputError(f"expected {f.r} families, got {len(fams)}")
     new_rows = [list(row) for row in f.values]
     covered: list[dict[int, int]] = [dict() for _ in range(f.r)]
+    # per coordinate: assigned value -> the first nonempty subset holding it
+    owner: list[dict[Fraction, int]] = [dict() for _ in range(f.r)]
     for ell, fam in enumerate(fams):
         if len(assignment.per_coordinate[ell]) != len(fam):
             raise InputError(f"assignment for coordinate {ell} does not match family")
         for k, sub in enumerate(fam):
-            a_sub, v = assignment.per_coordinate[ell][k]
+            a_sub, raw = assignment.per_coordinate[ell][k]
             if a_sub != sub:
                 raise InputError(f"assignment order mismatch in coordinate {ell}")
+            v = Fraction(raw)
+            if not 0 <= v <= 1:
+                raise InputError(f"coordinate {ell}: assigned value {raw} outside [0, 1]")
             for y in sub:
                 if y in covered[ell]:
                     raise InputError(
@@ -286,30 +295,27 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
                     )
                 covered[ell][y] = k
                 new_rows[y][ell] = v
-    result = Observable.create(f.space, new_rows)
+            if not sub:
+                continue
+            first = owner[ell].setdefault(v, k)
+            if first != k:
+                raise InternalCheckError(
+                    f"coordinate {ell}: points {min(fam[first])}, {min(sub)} in distinct "
+                    f"subsets share value {v}"
+                )
+    result = Observable(f.space, f.r, tuple(map(tuple, new_rows)))
 
     drift = sup_distance(result, f)
     if drift > assignment.eps:
         raise InternalCheckError(f"perturbation moved f by {drift} > budget {assignment.eps}")
-    for ell in range(f.r):
-        per_point = covered[ell]
-        pts = sorted(per_point)
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                ya, yb = pts[a], pts[b]
-                if per_point[ya] != per_point[yb]:
-                    if result.values[ya][ell] == result.values[yb][ell]:
-                        raise InternalCheckError(
-                            f"coordinate {ell}: points {ya}, {yb} in distinct subsets "
-                            f"share value {result.values[ya][ell]}"
-                        )
     for ell1 in range(f.r):
         for ell2 in range(ell1 + 1, f.r):
-            for y1 in covered[ell1]:
-                for y2 in covered[ell2]:
-                    if result.values[y1][ell1] == result.values[y2][ell2]:
-                        raise InternalCheckError(
-                            f"covered value clash across coordinates {ell1}, {ell2} "
-                            f"at points {y1}, {y2}"
-                        )
+            clash = owner[ell1].keys() & owner[ell2].keys()
+            if clash:
+                v = min(clash)
+                raise InternalCheckError(
+                    f"covered value clash across coordinates {ell1}, {ell2} "
+                    f"at points {min(fams[ell1][owner[ell1][v]])}, "
+                    f"{min(fams[ell2][owner[ell2][v]])}"
+                )
     return result

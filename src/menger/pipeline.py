@@ -194,29 +194,36 @@ def margin(f: Observable, fam: MapFamily, pairs: Iterable[Pair]) -> Fraction | f
     return math.inf if best is None else Fraction(best, den)
 
 
-def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
+def _closest_gap(
+    points: list[tuple[int, ...]], labels: Sequence[int] | None = None
+) -> int | None:
     """Least L-infinity distance between two of the points; None for fewer than two.
 
-    Sort, then sweep (Hinrichs, Nievergelt and Schorn 1988): each point is
-    compared with its predecessors, nearest first, until their first
-    coordinates differ by at least the best distance so far; every earlier
-    point is at least that far away in that coordinate alone.
+    With ``labels``, only points whose labels differ are compared, and None
+    means no two labels differ; without them every pair counts.  Sort, then
+    sweep (Hinrichs, Nievergelt and Schorn 1988): each point is compared
+    with its predecessors, nearest first, until their first coordinates
+    differ by at least the best distance so far; every earlier point is at
+    least that far away in that coordinate alone.
     """
-    pts = sorted(points)
-    if len(pts) < 2:
+    if labels is None:
+        labels = range(len(points))
+    elif len(set(labels)) < 2:
         return None
-    best = max(map(abs, map(sub, pts[0], pts[1])))
-    for j in range(2, len(pts)):
-        q = pts[j]
+    pts = sorted(zip(points, labels))
+    best = math.inf
+    for j in range(1, len(pts)):
+        q, lq = pts[j]
         head = q[0]
         for i in range(j - 1, -1, -1):
-            p = pts[i]
+            p, lp = pts[i]
             if head - p[0] >= best:
                 break
-            d = max(map(abs, map(sub, p, q)))
-            if d < best:
-                best = d
-    return best
+            if lp != lq:
+                d = max(map(abs, map(sub, p, q)))
+                if d < best:
+                    best = d
+    return None if best == math.inf else best
 
 
 def orbit_margin(f: Observable, fam: MapFamily) -> Fraction | float:
@@ -469,18 +476,37 @@ class EmbeddingCertificate:
 
 
 class _BaireState:
-    """Shared budget schedule and separation ledger across blocks and stages."""
+    """Shared budget schedule and separation ledger across blocks and stages.
+
+    Each ``groups`` entry ``(fam, start_labels, processed_pairs)`` stands for
+    one family's ledger: every pair whose orbit labels differed when the
+    family's run started, plus ``processed_pairs``, the pairs that collided
+    at the start and whose class has been handled since.
+    """
 
     def __init__(self, f: Observable, eps: Fraction):
         self.f = f
         self.eps = eps
         self.geom = eps / 2
-        self.groups: list[tuple[MapFamily, list[Pair]]] = []
+        self.groups: list[tuple[MapFamily, list[int], list[Pair]]] = []
         self.logs: list[BlockLog] = []
 
     def ledger_margin(self) -> Fraction | float:
-        vals = [margin(self.f, fam, pairs) for fam, pairs in self.groups if pairs]
-        return min(vals) if vals else math.inf
+        """Least sup-distance between orbit tuples over every ledger pair.
+
+        The pairs separated at the start are not listed: one closest-pair
+        sweep over the current orbit tuples, restricted to points whose
+        start labels differ, finds their least distance.
+        """
+        den, _ = self.f.numerators()
+        best: Fraction | float = math.inf
+        for fam, start_labels, processed in self.groups:
+            gap = _closest_gap(_orbit_tuples(self.f, fam), start_labels)
+            if gap is not None:
+                best = min(best, Fraction(gap, den))
+            if processed:
+                best = min(best, margin(self.f, fam, processed))
+        return best
 
 
 def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
@@ -509,56 +535,56 @@ def _run_family_blocks(
 ) -> None:
     """Separate every pair of one family that still collides, block by block.
 
-    One pass over the ordered pairs compares orbit tuples under the current
-    observable: a pair already separated goes straight into the ledger and
-    is never classified; only colliding pairs are grouped by their doubled
-    partition.  Classes are taken with more label blocks first, and each
-    class is filtered again against the current observable, since earlier
-    perturbations separate most of its pairs: those join the ledger.  The
-    rest are packed lazily, one first-fit block at a time: a block whose
-    pairs are all separated joins the ledger, any other block is perturbed,
-    and once no leftover pair of the class collides, the leftovers join the
-    ledger unpacked.  Peeling reproduces the whole-class first-fit packing,
-    so the perturbed blocks are the same as when every block is packed.
-    Budgets shrink geometrically from eps/2 and are additionally capped by
-    a quarter of the running ledger margin; a perturbation within half the
+    The orbit labels under the current observable say which pairs collide:
+    a pair whose labels differ is already separated and joins the ledger
+    through the start labels, without being listed or classified.  Points
+    are grouped by label, and only the colliding pairs inside a group are
+    enumerated (in row-major order) and grouped by their doubled
+    partition, so the work grows with n plus the colliding pairs.  Classes
+    are taken with more label blocks first, and each class is filtered
+    again against the current observable, since earlier perturbations
+    separate most of its pairs: those join the ledger.  The rest are packed
+    lazily, one first-fit block at a time: a block whose pairs are all
+    separated joins the ledger, any other block is perturbed, and once no
+    leftover pair of the class collides, the leftovers join the ledger
+    unpacked.  Peeling reproduces the whole-class first-fit packing, so the
+    perturbed blocks are the same as when every block is packed.  Budgets
+    shrink geometrically from eps/2 and are additionally capped by a
+    quarter of the running ledger margin; a perturbation within half the
     margin keeps every ledger pair separated, the pairs separated at the
     start included, and staying strictly inside that radius keeps the
     inequality strict.  Monotone progress is asserted after every perturbed
     block, and only perturbed blocks are logged.
     """
     df = DoubledFamily(fam)
-    n = fam.source.n_points
-    group_pairs: list[Pair] = []
-    state.groups.append((fam, group_pairs))
-
     labels = _orbit_labels(state.f, fam)
+    processed: list[Pair] = []
+    state.groups.append((fam, labels, processed))
+
+    members: dict[int, list[int]] = {}
+    for x, label in enumerate(labels):
+        members.setdefault(label, []).append(x)
     classes: dict[Partition, list[Pair]] = {}
-    for x1 in range(n):
-        l1 = labels[x1]
-        for x2 in range(n):
-            if x1 == x2:
-                continue
-            if labels[x2] != l1:
-                group_pairs.append((x1, x2))
-            else:
+    for x1, label in enumerate(labels):
+        for x2 in members[label]:
+            if x2 != x1:
                 p_hat = doubled_induced_partition(df, (x1, x2))
                 classes.setdefault(p_hat, []).append((x1, x2))
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
 
     # labels always describe the current observable: they are recomputed
-    # after every perturbation
+    # after every perturbation, while the ledger keeps the start labels
     for p_hat in ordered:
         live: list[Pair] = []
         for pair in classes[p_hat]:
             if labels[pair[0]] != labels[pair[1]]:
-                group_pairs.append(pair)
+                processed.append(pair)
             else:
                 live.append(pair)
         while live:
             blk, live = first_fit_block(df, p_hat, live)
             if all(labels[x1] != labels[x2] for x1, x2 in blk.pairs):
-                group_pairs.extend(blk.pairs)
+                processed.extend(blk.pairs)
                 continue
             cap = state.ledger_margin()
             budget = state.geom
@@ -567,7 +593,7 @@ def _run_family_blocks(
             f_new, blog = separate_on_block(df, blk, state.f, budget, backend, coords)
             state.f = f_new
             state.geom = state.geom / 2
-            group_pairs.extend(blk.pairs)
+            processed.extend(blk.pairs)
             after = state.ledger_margin()
             if not after > 0:
                 raise InternalCheckError(
@@ -576,7 +602,7 @@ def _run_family_blocks(
             state.logs.append(replace(blog, margin_after=after))
             labels = _orbit_labels(state.f, fam)
             if all(labels[x1] != labels[x2] for x1, x2 in live):
-                group_pairs.extend(live)
+                processed.extend(live)
                 break
 
 

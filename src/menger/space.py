@@ -185,7 +185,6 @@ def _metric_issues(m: np.ndarray) -> list[str]:
     if issues:
         # The axioms compare entries, which means nothing for NaN or inf.
         return issues
-    n = m.shape[0]
     for i in np.flatnonzero(np.diagonal(m) != 0.0):
         issues.append(f"metric[{i}][{i}]: diagonal entry {m[i, i]} is not zero")
     asymmetric = m != m.T
@@ -196,15 +195,42 @@ def _metric_issues(m: np.ndarray) -> list[str]:
             issues.append(f"metric[{i}][{j}]: asymmetric ({m[i, j]} vs {m[j, i]})")
         if nonpositive[i, j]:
             issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
-    for i in range(n):
-        # violated[j, k] is m[i, k] > m[i, j] + m[j, k]: one row at a time
-        # keeps the temporaries n x n.
-        violated = m[i][None, :] > m[i][:, None] + m
-        for j, k in zip(*np.nonzero(violated)):
-            issues.append(
-                f"metric[{i}][{k}]: triangle violation via {j} "
-                f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
-            )
+    return issues + _triangle_issues(m)
+
+
+# Largest temporary of the triangle scan, in elements.
+_TILE = 1 << 16
+
+
+def _triangle_issues(m: np.ndarray) -> list[str]:
+    """Every triangle violation m[i, k] > m[i, j] + m[j, k], ordered by (i, j, k).
+
+    Exhaustive over all triples.  Rows i are tested a block at a time
+    against a band of middle points j, each comparison an array of at most
+    ``_TILE`` elements; only a block of rows that violates is scanned again
+    row by row to report its triples in order.
+    """
+    n = m.shape[0]
+    band = max(1, min(n, _TILE // n))
+    rows = max(1, _TILE // (band * n))
+    bands = [(b, m[b : b + band]) for b in range(0, n, band)]
+    issues: list[str] = []
+    for a in range(0, n, rows):
+        blk = m[a : a + rows]
+        if not any(
+            (blk[:, None, :] > blk[:, b : b + band, None] + mid).any() for b, mid in bands
+        ):
+            continue
+        for i in range(a, a + len(blk)):
+            for b, mid in bands:
+                # violated[j - b, k] is m[i, k] > m[i, j] + m[j, k]
+                violated = m[i][None, :] > m[i, b : b + band, None] + mid
+                for j, k in zip(*np.nonzero(violated)):
+                    j += b
+                    issues.append(
+                        f"metric[{i}][{k}]: triangle violation via {j} "
+                        f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
+                    )
     return issues
 
 

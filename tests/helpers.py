@@ -13,6 +13,8 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
+
 from menger.partitions import (
     CoherentBlock,
     DoubledFamily,
@@ -178,6 +180,17 @@ def naive_closest_gap(points) -> int | None:
     return min(gaps, default=None)
 
 
+def naive_labelled_gap(points, labels) -> int | None:
+    """Least L-infinity distance over the pairs of tuples whose labels differ;
+    None when no two labels differ."""
+    gaps = [
+        max((abs(a - b) for a, b in zip(p, q)), default=0)
+        for (p, lp), (q, lq) in itertools.combinations(zip(points, labels), 2)
+        if lp != lq
+    ]
+    return min(gaps, default=None)
+
+
 def naive_stage_margin(values, maps, n_points: int) -> Fraction | float:
     """A certificate stage's margin: every unordered pair of stage points,
     every map and coordinate, compared as Fractions.
@@ -236,6 +249,35 @@ def reference_metric_issues(space: FiniteSpace) -> list[str]:
             if m[i, j] <= 0.0:
                 issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
     return issues + naive_triangle_issues(space)
+
+
+def per_row_metric_issues(m: np.ndarray) -> list[str]:
+    """The metric axioms with one numpy pass per row for the triangle check:
+    non-finite entries alone, else the diagonal, the upper triangle row by
+    row, then violated[j, k] = m[i, k] > m[i, j] + m[j, k] for each row i."""
+    issues = [
+        f"metric[{i}][{j}]: not a finite number" for i, j in zip(*np.nonzero(~np.isfinite(m)))
+    ]
+    if issues:
+        return issues
+    n = m.shape[0]
+    for i in np.flatnonzero(np.diagonal(m) != 0.0):
+        issues.append(f"metric[{i}][{i}]: diagonal entry {m[i, i]} is not zero")
+    asymmetric = m != m.T
+    nonpositive = m <= 0.0
+    for i, j in zip(*np.nonzero(np.triu(asymmetric | nonpositive, 1))):
+        if asymmetric[i, j]:
+            issues.append(f"metric[{i}][{j}]: asymmetric ({m[i, j]} vs {m[j, i]})")
+        if nonpositive[i, j]:
+            issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
+    for i in range(n):
+        violated = m[i][None, :] > m[i][:, None] + m
+        for j, k in zip(*np.nonzero(violated)):
+            issues.append(
+                f"metric[{i}][{k}]: triangle violation via {j} "
+                f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
+            )
+    return issues
 
 
 def reference_validate_space(space: FiniteSpace, monotone_samples: int = 200) -> list[str]:
@@ -418,14 +460,15 @@ def reference_block_loop(fam: MapFamily, f0: Observable, eps: Fraction) -> _Bair
 
     Each class's colliding pairs are packed into all their first-fit blocks
     at once (``naive_coherent_blocks``), and a block is skipped when ``margin``
-    finds its pairs already separated; only perturbed blocks are logged.
-    Returns the final state: observable, logs and ledger.
+    finds its pairs already separated; only perturbed blocks are logged.  The
+    ledger is an explicit list of ordered pairs, every pair separated at the
+    start included, and its margin is a Fraction loop over that list.
+    Returns the final state: observable and logs.
     """
     state = _BaireState(f0, eps)
     df = DoubledFamily(fam)
     n = fam.source.n_points
     ledger: list[tuple[int, int]] = []
-    state.groups.append((fam, ledger))
     labels = _orbit_labels(state.f, fam)
     classes: dict[Partition, list[tuple[int, int]]] = {}
     for x1 in range(n):
@@ -447,10 +490,10 @@ def reference_block_loop(fam: MapFamily, f0: Observable, eps: Fraction) -> _Bair
             if margin(state.f, fam, blk.pairs) > 0:
                 ledger.extend(blk.pairs)
                 continue
-            cap = state.ledger_margin()
+            cap = naive_margin(state.f, fam, ledger)
             budget = state.geom if cap == math.inf else min(state.geom, cap / 4)
             state.f, log = separate_on_block(df, blk, state.f, budget)
             state.geom /= 2
             ledger.extend(blk.pairs)
-            state.logs.append(replace(log, margin_after=state.ledger_margin()))
+            state.logs.append(replace(log, margin_after=naive_margin(state.f, fam, ledger)))
     return state

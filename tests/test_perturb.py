@@ -12,7 +12,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menger.errors import BudgetError, InputError
+from menger.errors import BudgetError, InputError, InternalCheckError
 from menger.fixtures import circle_space, path_space
 from menger.perturb import (
     Observable,
@@ -242,6 +242,58 @@ def test_perturb_rejects_mismatched_assignment():
         perturb(f, swapped, fams)
     with pytest.raises(InputError):
         perturb(f, ValueAssignment(Fraction(1), ((),)), fams)
+
+
+def test_perturb_rejects_a_value_shared_by_two_subsets():
+    space = path_space(4)
+    f = Observable.create(space, [[0], [0], [0], [0]])
+    fams = ((frozenset({0, 1}), frozenset(), frozenset({3})),)
+    shared = ValueAssignment(
+        Fraction(1),
+        (
+            (
+                (frozenset({0, 1}), Fraction(1, 8)),
+                (frozenset(), Fraction(1, 4)),
+                (frozenset({3}), Fraction(1, 8)),
+            ),
+        ),
+    )
+    with pytest.raises(InternalCheckError, match="points 0, 3 in distinct subsets share value 1/8"):
+        perturb(f, shared, fams)
+    # an empty subset covers no point, so its value may repeat another's
+    distinct = ValueAssignment(
+        Fraction(1),
+        (
+            (
+                (frozenset({0, 1}), Fraction(1, 8)),
+                (frozenset(), Fraction(1, 8)),
+                (frozenset({3}), Fraction(1, 4)),
+            ),
+        ),
+    )
+    g = perturb(f, distinct, fams)
+    assert [row[0] for row in g.values] == [Fraction(1, 8), Fraction(1, 8), 0, Fraction(1, 4)]
+
+
+def test_perturb_rejects_a_value_shared_across_coordinates():
+    space = path_space(3)
+    f = Observable.create(space, [[0, 0], [0, 0], [0, 0]])
+    fams = ((frozenset({0}),), (frozenset({2}),))
+    clash = ValueAssignment(
+        Fraction(1),
+        (((frozenset({0}), Fraction(1, 8)),), ((frozenset({2}), Fraction(1, 8)),)),
+    )
+    with pytest.raises(InternalCheckError, match="across coordinates 0, 1 at points 0, 2"):
+        perturb(f, clash, fams)
+
+
+def test_perturb_rejects_assigned_values_outside_the_unit_interval():
+    space = path_space(2)
+    f = Observable.create(space, [[1], [1]])
+    fams = ((frozenset({0}),),)
+    for v in (Fraction(-1, 8), Fraction(9, 8)):
+        with pytest.raises(InputError, match="outside"):
+            perturb(f, ValueAssignment(Fraction(1), (((frozenset({0}), v),),)), fams)
 
 
 def test_perturb_random_sweep_keeps_all_three_guarantees():

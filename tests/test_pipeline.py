@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     growth_strings,
     naive_certify_eta,
     naive_closest_gap,
+    naive_labelled_gap,
     naive_margin,
     orbit_row,
     random_endo_family,
@@ -249,6 +251,23 @@ def test_closest_gap_sweeps_match_pair_loop(closest_gap, data):
         st.lists(st.tuples(*[st.integers(-hi, hi)] * width), max_size=30)
     )
     assert closest_gap(points) == naive_closest_gap(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_labelled_closest_gap_matches_labelled_pair_loop(data):
+    """Only pairs with different labels count: few labels give many skipped
+    pairs and ties, one label gives None, distinct labels the plain sweep."""
+    width = data.draw(st.integers(1, 4))
+    hi = data.draw(st.sampled_from([2, 20, 1000]))
+    points = data.draw(st.lists(st.tuples(*[st.integers(-hi, hi)] * width), max_size=30))
+    n_labels = data.draw(st.sampled_from([1, 2, 3, max(1, len(points))]))
+    labels = [data.draw(st.integers(0, n_labels - 1)) for _ in points]
+    got = pipeline._closest_gap(points, labels)
+    assert got == naive_labelled_gap(points, labels)
+    if len(set(labels)) < 2:
+        assert got is None
+    assert pipeline._closest_gap(points, list(range(len(points)))) == pipeline._closest_gap(points)
 
 
 # Few values with mixed denominators: equal orbit tuples, equal gaps and a
@@ -538,6 +557,71 @@ def test_embed_equivariant_explicit_stages(circle9):
     assert cert.stages[0].points == tuple(range(9))
     for record in cert.stages:
         assert record.margin > 0
+
+
+@pytest.mark.parametrize(
+    "start, budgets, afters, stage_margins",
+    [
+        # the thirds collide in stage 1; stage 2's block is capped by a
+        # quarter of stage 1's ledger margin
+        (
+            [0, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1, 1, 1],
+            [Fraction(1, 20), Fraction(1, 3840)],
+            [Fraction(1, 960), Fraction(1, 51200)],
+            [Fraction(1, 960), Fraction(1, 51200)],
+        ),
+        (
+            [Fraction(1, 2), 1, 1, 1, 1, Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)],
+            [Fraction(1, 20), Fraction(1, 1280)],
+            [Fraction(1, 240), Fraction(17, 51200)],
+            [Fraction(76589, 153600), Fraction(17, 51200)],
+        ),
+    ],
+)
+def test_embed_equivariant_two_stages_from_a_mixed_start(
+    circle9, start, budgets, afters, stage_margins
+):
+    """Budgets and margins of a two-stage run whose ledger holds pairs
+    separated at the start and processed pairs of both stages; the values
+    are those of the explicit ordered-pair ledger."""
+    action = GroupAction.from_generators(
+        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
+    )
+    stages = [
+        ([rotation_perm(9, s) for s in (0, 3, 6)], None),
+        ([rotation_perm(9, s) for s in (0, 1)], None),
+    ]
+    f0 = Observable.create(circle9, [[v, 1 - v] for v in start])
+    cert = embed_equivariant(action, r=2, eps=Fraction(1, 10), f0=f0, stages=stages)
+    assert [b.budget for b in cert.blocks] == budgets
+    assert [b.margin_after for b in cert.blocks] == afters
+    assert [record.margin for record in cert.stages] == stage_margins
+    assert cert.margin == min(stage_margins)
+    assert cert.displacement == Fraction(1, 40)
+
+
+def test_embed_family_seeded_start_lists_no_pair(monkeypatch):
+    """An injective start classifies no pair, computes no pair margin and
+    lists no pair: a list of the 39800 ordered pairs alone would take about
+    2.4 MiB of the traced peak."""
+    n = 200
+    space = circle_space(n)
+    fam = MapFamily.create(space, space, [rotation_perm(n, s) for s in (0, n // 3, 2 * n // 3)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an injective start must not reach the pair layer")
+
+    monkeypatch.setattr("menger.pipeline.margin", refuse)
+    monkeypatch.setattr("menger.pipeline.doubled_induced_partition", refuse)
+    tracemalloc.start()
+    try:
+        cert = embed_family(fam, r=1, eps=Fraction(1, 20), seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.blocks == ()
+    assert cert.margin > 0
+    assert peak < 1 << 20
 
 
 def test_default_stage_n(circle9):

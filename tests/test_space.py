@@ -1,17 +1,21 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from helpers import (
     naive_sep,
     naive_triangle_issues,
+    per_row_metric_issues,
     random_euclidean_space,
     reference_validate_space,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from menger import space as space_module
 from menger.errors import GroupCapError, InputError
 from menger.fixtures import circle_space, rotation_perm
 from menger.space import (
@@ -87,6 +91,66 @@ def test_validate_reports_axioms_in_row_major_order():
         "metric[2][3]: asymmetric (1.0 vs 4.0)",
     ]
     assert list(validate_space(space).issues) == axioms + naive_triangle_issues(space)
+
+
+def _defective_metric(rng: np.random.Generator, n: int, defects) -> np.ndarray:
+    """The L1 metric of n random planar points with the defects written in:
+    ("far", i, j) stretches one distance into triangle violations, ("asym",
+    i, j) changes one entry alone, ("zero", i, j) and ("nan", i, j) set both."""
+    pts = rng.integers(0, 50, size=(n, 2)).astype(float)
+    m = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+    m[m == 0] = 0.5
+    np.fill_diagonal(m, 0.0)
+    for kind, i, j in defects:
+        i, j = i % n, j % n
+        if kind == "far":
+            m[i, j] = m[j, i] = 500.0
+        elif kind == "asym":
+            m[i, j] += 1.0
+        elif kind == "zero":
+            m[i, j] = m[j, i] = 0.0
+        elif kind == "nan":
+            m[i, j] = m[j, i] = math.nan
+    return m
+
+
+_DEFECTS = st.lists(
+    st.tuples(
+        st.sampled_from(["far", "far", "asym", "zero", "nan"]),
+        st.integers(0, 69),
+        st.integers(0, 69),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 70),
+    seed=st.integers(0, 2**32 - 1),
+    defects=_DEFECTS,
+    tile=st.sampled_from([1, 64, 1000, 1 << 16]),
+)
+def test_blocked_triangle_check_matches_per_row_reference(n, seed, defects, tile):
+    """Row blocks and middle-point bands report the issues of the per-row
+    scan in the same order; from n = 41 the default tile holds several row
+    blocks, and smaller tiles cut the middle points into bands as well."""
+    m = _defective_metric(np.random.default_rng(seed), n, defects)
+    with mock.patch.object(space_module, "_TILE", tile):
+        got = space_module._metric_issues(m)
+    assert got == per_row_metric_issues(m)
+
+
+def test_blocked_triangle_check_on_banded_middle_points():
+    """Above 256 points even one row is cut into bands of middle points."""
+    m = _defective_metric(
+        np.random.default_rng(3), 300, [("far", 7, 290), ("far", 299, 150), ("asym", 40, 41)]
+    )
+    got = space_module._metric_issues(m)
+    assert any("triangle violation" in issue for issue in got)
+    assert got == per_row_metric_issues(m)
+    m = _defective_metric(np.random.default_rng(3), 300, [])
+    assert space_module._metric_issues(m) == []
 
 
 def test_validate_reports_non_monotone_dim_fn():
