@@ -207,30 +207,27 @@ def _triangle_issues(m: np.ndarray) -> list[str]:
 
     Exhaustive over all triples.  Rows i are tested a block at a time
     against a band of middle points j, each comparison an array of at most
-    ``_TILE`` elements; only a block of rows that violates is scanned again
-    row by row to report its triples in order.
+    ``_TILE`` elements.
     """
     n = m.shape[0]
     band = max(1, min(n, _TILE // n))
     rows = max(1, _TILE // (band * n))
-    bands = [(b, m[b : b + band]) for b in range(0, n, band)]
+    # A band narrower than n leaves room for one row only, so np.nonzero of
+    # each tile, blocks outer and bands inner, lists triples in (i, j, k) order.
     issues: list[str] = []
     for a in range(0, n, rows):
         blk = m[a : a + rows]
-        if not any(
-            (blk[:, None, :] > blk[:, b : b + band, None] + mid).any() for b, mid in bands
-        ):
-            continue
-        for i in range(a, a + len(blk)):
-            for b, mid in bands:
-                # violated[j - b, k] is m[i, k] > m[i, j] + m[j, k]
-                violated = m[i][None, :] > m[i, b : b + band, None] + mid
-                for j, k in zip(*np.nonzero(violated)):
-                    j += b
-                    issues.append(
-                        f"metric[{i}][{k}]: triangle violation via {j} "
-                        f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
-                    )
+        for b in range(0, n, band):
+            # violated[r, j - b, k] is m[a + r, k] > m[a + r, j] + m[j, k]
+            violated = blk[:, None, :] > blk[:, b : b + band, None] + m[b : b + band]
+            if not violated.any():
+                continue
+            for r, j, k in zip(*np.nonzero(violated)):
+                i, j = a + r, b + j
+                issues.append(
+                    f"metric[{i}][{k}]: triangle violation via {j} "
+                    f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
+                )
     return issues
 
 
