@@ -18,7 +18,6 @@ from .covers import (
     build_cover,
     diameter_clusters,
     pull_cover,
-    push_cover,
     verify_cover,
 )
 from .errors import (

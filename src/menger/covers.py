@@ -249,33 +249,15 @@ def _brick_families(
         side = side / 2
 
 
-def _as_map(mapping, ambient: Sequence[int]) -> dict[int, int]:
+def _as_map(mapping) -> dict[int, int]:
     if isinstance(mapping, dict):
-        out = {int(k): int(v) for k, v in mapping.items()}
-    else:
-        out = {i: int(v) for i, v in enumerate(mapping)}
-    for p in ambient:
-        if p not in out:
-            raise InputError(f"map is not defined on ambient point {p}")
-    return out
-
-
-def push_cover(cover: ColoredCover, g, target: FiniteSpace) -> ColoredCover:
-    """Image of a cover under an injective map, diameters recomputed downstream."""
-    gm = _as_map(g, cover.ambient)
-    values = [gm[p] for p in cover.ambient]
-    if len(set(values)) != len(values):
-        raise InputError("push map is not injective on the ambient set")
-    families = tuple(
-        tuple(frozenset(gm[p] for p in sub) for sub in fam) for fam in cover.families
-    )
-    ambient = tuple(sorted(values))
-    return ColoredCover(ambient, families, _tight_eps(target, families), cover.mu)
+        return {int(k): int(v) for k, v in mapping.items()}
+    return {i: int(v) for i, v in enumerate(mapping)}
 
 
 def pull_cover(cover: ColoredCover, t, source: FiniteSpace) -> ColoredCover:
     """Preimage of a cover under a bijection onto its ambient set."""
-    tm = _as_map(t, [])
+    tm = _as_map(t)
     if len(set(tm.values())) != len(tm):
         raise InputError("pull map is not injective")
     if set(tm.values()) != set(cover.ambient):

@@ -52,6 +52,7 @@ from .space import (
     GroupAction,
     MapFamily,
     Perm,
+    as_index,
     validate_space,
 )
 
@@ -62,34 +63,49 @@ def fr_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def parse_fraction(value: Any, where: str = "value") -> Fraction:
-    """Exact rational from a JSON scalar.
+def parse_ratio(value: Any, where: str = "value") -> tuple[int, int]:
+    """Exact rational from a JSON scalar, as (numerator, positive denominator).
 
-    Strings are parsed directly ("3/7", "0.05"); integers exactly; floats go
-    through their shortest decimal form, so 0.05 in a file means 1/20.
+    The one rule for exact values.  A string in the spelling ``fr_str``
+    writes, ASCII ``-?[0-9]+`` with an optional ``/[0-9]+``, is split straight
+    into its two integers, unreduced ("2/4" gives (2, 4)).  Any other string
+    is read by ``Fraction`` ("0.05", " 1/3"); integers are exact; floats go
+    through their shortest decimal form, so 0.05 in a file means 1/20; bools
+    and everything else are refused.
     """
+    if isinstance(value, str) and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError:
+                pass  # more digits than int converts: refused below, as Fraction does
+            else:
+                if q:
+                    return p, q
     try:
         if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, bool):
+            x = Fraction(value)
+        elif isinstance(value, bool):
             raise ValueError("boolean is not a number")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
+        elif isinstance(value, int):
+            return value, 1
+        elif isinstance(value, float):
+            x = Fraction(str(value))
+        else:
+            raise ValueError("not a number")
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: cannot parse {value!r} as a rational") from exc
-    raise InputError(f"{where}: cannot parse {value!r} as a rational")
+    return x.numerator, x.denominator
+
+
+def parse_fraction(value: Any, where: str = "value") -> Fraction:
+    """``parse_ratio``'s value as a Fraction."""
+    return Fraction(*parse_ratio(value, where))
 
 
 def _margin_str(x: Fraction | float) -> str:
     return "inf" if x == math.inf else fr_str(x)
-
-
-def _parse_margin(s: Any, where: str) -> Fraction | float:
-    if s == "inf":
-        return math.inf
-    return parse_fraction(s, where)
 
 
 def _read_json(path: str) -> Any:
@@ -98,7 +114,7 @@ def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:   # bad JSON or UTF-8, or an integer past int's digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -140,20 +156,15 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
     metric = _require(doc, "metric")
     simplices = doc.get("simplices")
     dim_labels = doc.get("dim_labels")
+    # FiniteSpace.create reads the point indices and dimensions themselves
     try:
         if simplices is not None:
-            simplices = [
-                frozenset(int(v) for v in _list(s, "simplices"))
-                for s in _list(simplices, "simplices")
-            ]
-    except (TypeError, ValueError, InputError) as exc:
+            simplices = [_list(s, "simplices") for s in _list(simplices, "simplices")]
+    except InputError as exc:
         raise InputError("simplices must be a list of lists of point indices") from exc
     try:
         if dim_labels is not None:
-            dim_labels = [
-                (frozenset(int(v) for v in _list(s, "dim_labels")), int(d))
-                for s, d in _list(dim_labels, "dim_labels")
-            ]
+            dim_labels = [(_list(s, "dim_labels"), d) for s, d in _list(dim_labels, "dim_labels")]
     except (TypeError, ValueError, InputError) as exc:
         raise InputError("dim_labels must be a list of [points, dim] entries") from exc
     space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
@@ -184,7 +195,7 @@ def load_coords(path: str) -> Coords:
         points = [
             _list(p, f"points[{k}]") for k, p in enumerate(_list(_require(doc, "points"), "points"))
         ]
-        return Coords.create(int(_require(doc, "dim")), points)
+        return Coords.create(as_index(_require(doc, "dim"), "dim"), points)
 
 
 def save_coords(coords: Coords, path: str) -> None:
@@ -228,16 +239,19 @@ def load_action(
         stages = []
         for k, st in enumerate(doc["stages"]):
             elements = _list(_require(st, "elements", f"stage {k}: "), f"stage {k} elements")
-            perms = tuple(
-                tuple(int(v) for v in _list(p, f"stage {k} element {e}"))
-                for e, p in enumerate(elements)
-            )
+            perms = []
+            for e, raw in enumerate(elements):
+                where = f"stage {k} element {e}"
+                perms.append(tuple(as_index(v, where) for v in _list(raw, where)))
             for p in perms:
                 if sorted(p) != list(range(space.n_points)):
                     raise InputError(f"stage {k} element is not a permutation")
             eps_sep = st.get("eps_sep")
             stages.append(
-                (perms, None if eps_sep is None else parse_fraction(eps_sep, f"stage {k} eps_sep"))
+                (
+                    tuple(perms),
+                    None if eps_sep is None else parse_fraction(eps_sep, f"stage {k} eps_sep"),
+                )
             )
     return action, stages
 
@@ -249,7 +263,7 @@ def save_action(generators: Sequence[Perm], path: str) -> None:
 def load_observable(path: str, space: FiniteSpace) -> Observable:
     doc = _read_json(path)
     with _reading(path):
-        r = int(_require(doc, "r"))
+        r = as_index(_require(doc, "r"), "r")
         rows = [
             [
                 parse_fraction(v, f"values[{y}][{ell}]")
@@ -379,14 +393,15 @@ def load_certificate(path: str) -> dict[str, Any]:
     return doc
 
 
-def _parse_values(doc: Any, n: int, r: int, where: str) -> list[list[Fraction]]:
+def _ratio_rows(doc: Any, n: int, r: int, where: str) -> list[list[tuple[int, int]]]:
     if not isinstance(doc, list) or len(doc) != n:
         raise VerificationError(f"{where}: expected {n} value rows")
     rows = []
     for y, row in enumerate(doc):
         if len(row) != r:
             raise VerificationError(f"{where}: row {y} has {len(row)} values, expected {r}")
-        rows.append([parse_fraction(v, f"{where}[{y}]") for v in row])
+        at = f"{where}[{y}]"
+        rows.append([parse_ratio(v, at) for v in row])
     return rows
 
 
@@ -466,8 +481,11 @@ def verify_certificate(
 
     stored_hash = cert.get("cert_sha256")
     body = {k: v for k, v in cert.items() if k != "cert_sha256"}
-    actual = hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
-    if stored_hash != actual:
+    try:
+        actual = hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
+    except ValueError:      # NaN or infinity, which no certificate is written with
+        actual = None
+    if actual is None or stored_hash != actual:
         issues.append("cert_sha256 mismatch: certificate content was altered")
         return issues
     if cert.get("format") != CERT_FORMAT:
@@ -477,28 +495,30 @@ def verify_certificate(
         r = int(cert["r"])
         eps = parse_fraction(cert["eps"], "eps")
         n = len(cert["observable_values"])
-        f0_rows = _parse_values(cert["f0_values"], n, r, "f0_values")
-        new_rows = _parse_values(cert["observable_values"], n, r, "observable_values")
+        f0_rows = _ratio_rows(cert["f0_values"], n, r, "f0_values")
+        new_rows = _ratio_rows(cert["observable_values"], n, r, "observable_values")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return [f"certificate is missing required data: {exc}"]
     except InputError as exc:
         return [str(exc)]
 
-    # One common denominator turns the margins into integer comparisons.
-    den = math.lcm(*(v.denominator for row in new_rows for v in row))
-    num_rows = [tuple(v.numerator * (den // v.denominator) for v in row) for row in new_rows]
-
     for name, rows in (("f0", f0_rows), ("observable", new_rows)):
         for y, row in enumerate(rows):
-            for v in row:
-                if not 0 <= v <= 1:
+            for p, q in row:
+                if not 0 <= p <= q:
                     issues.append(f"{name} value out of [0, 1] at point {y}")
 
-    displacement = Fraction(0)
-    for row0, row1 in zip(f0_rows, new_rows):
-        for a, b in zip(row0, row1):
-            if abs(a - b) > displacement:
-                displacement = abs(a - b)
+    # One common denominator turns the displacement and the margins into
+    # integer comparisons.
+    den = math.lcm(*(q for rows in (f0_rows, new_rows) for row in rows for _, q in row))
+    f0_nums = [[p * (den // q) for p, q in row] for row in f0_rows]
+    num_rows = [tuple(p * (den // q) for p, q in row) for row in new_rows]
+
+    gap = max(
+        (abs(a - b) for row0, row1 in zip(f0_nums, num_rows) for a, b in zip(row0, row1)),
+        default=0,
+    )
+    displacement = Fraction(gap, den)
     if fr_str(displacement) != cert.get("displacement"):
         issues.append(
             f"displacement mismatch: recomputed {fr_str(displacement)}, "
@@ -520,11 +540,18 @@ def verify_certificate(
     for s_idx, st in enumerate(stages_doc):
         where = f"stage {s_idx}"
         try:
-            pts = [int(p) for p in st["points"]]
-            maps = [[int(v) for v in m] for m in st["maps"]]
+            pts = [as_index(p, "points") for p in st["points"]]
+            maps = []
+            for k, m in enumerate(st["maps"]):
+                at = f"map {k}"
+                maps.append([as_index(v, at) for v in m])
             f_perms = st.get("f_perms")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             issues.append(f"{where} is missing required data: {exc}")
+            complete = False
+            continue
+        except InputError as exc:
+            issues.append(f"{where}: {exc}")
             complete = False
             continue
         shape = _stage_shape_issues(pts, maps, f_perms, n)

@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import index
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +23,21 @@ Perm = tuple[int, ...]
 
 DEFAULT_EXACT_CAP = 24
 DEFAULT_GROUP_CAP = 10_000
+
+
+def as_index(value: Any, where: str) -> int:
+    """``value`` as a point index or a count, refusing what ``int`` would truncate.
+
+    Integers (numpy's included) pass unchanged; a float such as 1.7, a bool
+    and a numeric string are refused, so no input value is rounded into a
+    different one.
+    """
+    if value.__class__ is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{where}: expected an integer, got {value!r}")
 
 
 def identity_perm(n: int) -> Perm:
@@ -81,7 +97,8 @@ class FiniteSpace:
         if simplices is not None:
             simp = []
             for k, raw in enumerate(simplices):
-                face = frozenset(int(v) for v in raw)
+                where = f"simplices[{k}]"
+                face = frozenset(as_index(v, where) for v in raw)
                 if not face:
                     raise InputError(f"simplices[{k}]: empty simplex")
                 if not all(0 <= v < n for v in face):
@@ -93,12 +110,14 @@ class FiniteSpace:
         if dim_labels is not None:
             labels = []
             for k, (raw, d) in enumerate(dim_labels):
-                sub = frozenset(int(v) for v in raw)
+                where = f"dim_labels[{k}].subset"
+                sub = frozenset(as_index(v, where) for v in raw)
                 if not all(0 <= v < n for v in sub):
                     raise InputError(f"dim_labels[{k}].subset: index out of range")
-                if int(d) < 0:
+                d = as_index(d, f"dim_labels[{k}].dim")
+                if d < 0:
                     raise InputError(f"dim_labels[{k}].dim: must be nonnegative")
-                labels.append((sub, int(d)))
+                labels.append((sub, d))
             labels = tuple(labels)
 
         return FiniteSpace(n, arr, simp, labels, dim_fn)
@@ -298,7 +317,8 @@ class MapFamily:
             raise InputError("a map family needs at least one map")
         fixed = []
         for k, raw in enumerate(maps):
-            g = tuple(int(v) for v in raw)
+            where = f"maps[{k}]"
+            g = tuple(as_index(v, where) for v in raw)
             if len(g) != source.n_points:
                 raise InputError(f"maps[{k}]: length {len(g)} != {source.n_points} source points")
             if not all(0 <= v < target.n_points for v in g):
@@ -347,7 +367,8 @@ class GroupAction:
         n = space.n_points
         gens = []
         for k, raw in enumerate(generators):
-            p = tuple(int(v) for v in raw)
+            where = f"generators[{k}]"
+            p = tuple(as_index(v, where) for v in raw)
             if len(p) != n or sorted(p) != list(range(n)):
                 raise InputError(f"generators[{k}]: not a permutation of 0..{n - 1}")
             gens.append(p)

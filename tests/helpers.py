@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from menger.errors import InputError, VerificationError
 from menger.partitions import (
     CoherentBlock,
     DoubledFamily,
@@ -482,3 +483,84 @@ def reference_block_loop(fam: MapFamily, f0: Observable, eps: Fraction) -> _Bair
             ledger.extend(blk.pairs)
             state.logs.append(replace(log, margin_after=naive_margin(state.f, fam, ledger)))
     return state
+
+
+def reference_parse_fraction(value, where: str = "value") -> Fraction:
+    """The exact-value rule read with ``Fraction`` alone: strings by
+    ``Fraction(str)``, integers exactly, floats through their shortest
+    decimal, bools and everything else refused with one InputError text."""
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        if isinstance(value, bool):
+            raise ValueError("boolean is not a number")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: cannot parse {value!r} as a rational") from exc
+    raise InputError(f"{where}: cannot parse {value!r} as a rational")
+
+
+def _reference_value_rows(doc, n: int, r: int, where: str) -> list[list[Fraction]]:
+    if not isinstance(doc, list) or len(doc) != n:
+        raise VerificationError(f"{where}: expected {n} value rows")
+    rows = []
+    for y, row in enumerate(doc):
+        if len(row) != r:
+            raise VerificationError(f"{where}: row {y} has {len(row)} values, expected {r}")
+        rows.append([reference_parse_fraction(v, f"{where}[{y}]") for v in row])
+    return rows
+
+
+def _margin_text(x) -> str:
+    return "inf" if x == math.inf else str(x)
+
+
+def reference_value_issues(cert) -> list[str]:
+    """The issues ``verify_certificate`` reports, without inputs, on a
+    certificate whose stages are well formed, computed in Fractions.
+
+    Values are read by ``reference_parse_fraction``; the range check, the
+    displacement and each margin (``naive_stage_margin``) are Fraction
+    arithmetic, in the verifier's issue order.
+    """
+    try:
+        r = int(cert["r"])
+        eps = reference_parse_fraction(cert["eps"], "eps")
+        n = len(cert["observable_values"])
+        f0_rows = _reference_value_rows(cert["f0_values"], n, r, "f0_values")
+        new_rows = _reference_value_rows(cert["observable_values"], n, r, "observable_values")
+    except InputError as exc:
+        return [str(exc)]
+    issues = []
+    for name, rows in (("f0", f0_rows), ("observable", new_rows)):
+        for y, row in enumerate(rows):
+            for v in row:
+                if not 0 <= v <= 1:
+                    issues.append(f"{name} value out of [0, 1] at point {y}")
+    displacement = Fraction(0)
+    for row0, row1 in zip(f0_rows, new_rows):
+        for a, b in zip(row0, row1):
+            displacement = max(displacement, abs(a - b))
+    if str(displacement) != cert["displacement"]:
+        issues.append(
+            f"displacement mismatch: recomputed {displacement}, stored {cert['displacement']}"
+        )
+    if displacement > eps:
+        issues.append(f"displacement {displacement} exceeds eps {eps}")
+    margins = []
+    for s_idx, st in enumerate(cert["stages"]):
+        margins.append(naive_stage_margin(new_rows, st["maps"], len(st["points"])))
+        if _margin_text(margins[-1]) != st["margin"]:
+            issues.append(
+                f"stage {s_idx}: margin mismatch: recomputed {_margin_text(margins[-1])}, "
+                f"stored {st['margin']}"
+            )
+    total = min(margins, default=math.inf)
+    if _margin_text(total) != cert["margin"]:
+        issues.append(
+            f"margin mismatch: recomputed {_margin_text(total)}, stored {cert['margin']}"
+        )
+    return issues

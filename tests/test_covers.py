@@ -14,7 +14,6 @@ from menger.covers import (
     build_cover,
     diameter_clusters,
     pull_cover,
-    push_cover,
     verify_cover,
 )
 from menger.errors import CoverInfeasibleError, InputError
@@ -107,21 +106,19 @@ def test_verify_cover_catches_violations_from_scratch():
     assert any("diameter" in v for v in report.violations)
 
 
-def test_push_pull_round_trip_is_identity():
+def test_pull_of_an_image_cover_is_the_cover():
     space = circle_space(8)
     cover = build_cover(space, range(8), m=4, mu=2, eps=Fraction(3, 4))
     g = rotation_perm(8, 3)
-    pushed = push_cover(cover, g, space)
-    assert verify_cover(pushed, space).ok
-    back = pull_cover(pushed, {x: g[x] for x in range(8)}, space)
+    image = ColoredCover(
+        tuple(sorted(g[p] for p in cover.ambient)),
+        tuple(tuple(frozenset(g[p] for p in sub) for sub in fam) for fam in cover.families),
+        cover.eps,      # a rotation is an isometry, so every diameter is kept
+        cover.mu,
+    )
+    assert verify_cover(image, space).ok
+    back = pull_cover(image, {x: g[x] for x in range(8)}, space)
     assert back == cover
-
-
-def test_push_requires_injectivity_on_ambient():
-    space = path_space(3)
-    cover = build_cover(space, range(3), m=1, mu=1, eps=Fraction(2))
-    with pytest.raises(InputError):
-        push_cover(cover, {0: 1, 1: 1, 2: 2}, space)
 
 
 def test_pull_requires_exact_bijection_onto_ambient():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import naive_stage_margin
+from helpers import naive_stage_margin, reference_parse_fraction, reference_value_issues
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from menger.io import (
     load_observable,
     load_space,
     parse_fraction,
+    parse_ratio,
     save_action,
     save_family,
     save_observable,
@@ -48,6 +49,23 @@ def test_parse_fraction_semantics():
     for bad in (True, "abc", None, "1/0", [1]):
         with pytest.raises(InputError):
             parse_fraction(bad, "field")
+
+
+def test_parse_ratio_reads_the_canonical_spelling_straight():
+    assert parse_ratio("3/7") == (3, 7)
+    assert parse_ratio("2/4") == (2, 4)             # split, not reduced
+    assert parse_ratio("-0") == (0, 1)
+    assert parse_ratio("12") == (12, 1)
+    # every other spelling follows the Fraction rule
+    assert parse_ratio("0.50") == (1, 2)
+    assert parse_ratio(" 1/3") == (1, 3)
+    assert parse_ratio("\uff11/\uff12") == (1, 2)      # full-width digits
+    assert parse_ratio(0.05) == (1, 20)
+    assert parse_ratio(7) == (7, 1)
+    for bad in ("1/0", "7" * 5000, True, None):
+        with pytest.raises(InputError) as got:
+            parse_ratio(bad, "field")
+        assert str(got.value) == f"field: cannot parse {bad!r} as a rational"
 
 
 def test_space_round_trip(tmp_path):
@@ -90,8 +108,20 @@ def test_space_loader_reports_problems(tmp_path):
         ({"metric": [[0.0, float("inf")], [1.0, 0.0]]}, "metric[0][1]: not a finite number"),
         ({"metric": [[0.0, 1.0], [1.0, 0.0]], "simplices": 5}, "simplices must be a list"),
         ({"metric": [[0.0, 1.0], [1.0, 0.0]], "dim_labels": 3}, "dim_labels must be a list"),
+        # an index or a dimension is refused, not truncated, when it is not an integer
+        ({"metric": [[0.0, 1.0], [1.0, 0.0]], "simplices": [[0, 1.5]]},
+         "simplices[0]: expected an integer, got 1.5"),
+        ({"metric": [[0.0, 1.0], [1.0, 0.0]], "simplices": [[0, True]]},
+         "simplices[0]: expected an integer, got True"),
+        ({"metric": [[0.0, 1.0], [1.0, 0.0]], "dim_labels": [[[0, 1], 1.7]]},
+         "dim_labels[0].dim: expected an integer, got 1.7"),
+        ({"metric": [[0.0, 1.0], [1.0, 0.0]], "dim_labels": [[[0, 1], True]]},
+         "dim_labels[0].dim: expected an integer, got True"),
     ],
-    ids=["non-numeric", "nan", "inf", "simplices-int", "dim-labels-int"],
+    ids=[
+        "non-numeric", "nan", "inf", "simplices-int", "dim-labels-int",
+        "simplex-vertex-float", "simplex-vertex-bool", "dim-label-float", "dim-label-bool",
+    ],
 )
 def test_cli_malformed_space_exits_one_with_one_line(tmp_path, capsys, doc, message):
     space_path = tmp_path / "space.json"
@@ -307,10 +337,12 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
             "observable_values[0]: cannot parse 'abc' as a rational",
         ),
         ("family", _set("format", "other"), "format: expected 'menger-certificate', got 'other'"),
+        ("family", _set("stages", 0, "maps", 1, 0, 1.5), "stage 0: map 1: expected an integer, got 1.5"),
+        ("action", _set("stages", 0, "points", 1, True), "stage 0: points: expected an integer, got True"),
     ],
     ids=[
         "map-past-end", "map-negative", "stages-not-list", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
-        "value-not-rational", "format-changed",
+        "value-not-rational", "format-changed", "map-value-float", "point-bool",
     ],
 )
 def test_cli_verify_rehashed_malformed_certificate_exits_four(tmp_path, capsys, kind, edit, message):
@@ -546,6 +578,155 @@ def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
     }
     doc["cert_sha256"] = hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
     assert verify_certificate(doc) == []
+
+
+def _zero_and_half_cert():
+    """A family certificate whose f0 is 0 at point 0 and 1/2 elsewhere."""
+    space = circle_space(9)
+    fam = MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)])
+    f0 = Observable.create(space, [[Fraction(0)]] + [[Fraction(1, 2)]] * 8)
+    return embed_family(fam, r=1, eps=Fraction(1, 10), f0=f0)
+
+
+@pytest.mark.parametrize(
+    "y, value", [(1, "2/4"), (1, "0.50"), (1, 0.5), (0, 0)], ids=["non-reduced", "decimal", "float", "int"]
+)
+def test_cli_verify_accepts_a_value_respelled_without_change(tmp_path, capsys, y, value):
+    path = str(tmp_path / "cert.json")
+    payload = write_certificate(path, _zero_and_half_cert())
+    assert payload["f0_values"][0][0] == "0" and payload["f0_values"][1][0] == "1/2"
+    _write_rehashed(path, payload, _set("f0_values", y, 0, value))
+    code = main(["verify", "--cert", path])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("certificate OK")
+
+
+@pytest.mark.parametrize("value", ["3/2", "1/0", True], ids=["above-one", "zero-denominator", "bool"])
+def test_cli_verify_refuses_a_changed_or_unreadable_value(tmp_path, capsys, value):
+    path = str(tmp_path / "cert.json")
+    payload = write_certificate(path, _zero_and_half_cert())
+    _write_rehashed(path, payload, _set("f0_values", 1, 0, value))
+    code = main(["verify", "--cert", path])
+    err = capsys.readouterr().err
+    if value == "3/2":
+        # 3/2 lies farther from any value in [0, 1] than eps = 1/10 allows elsewhere
+        d = Fraction(3, 2) - Fraction(payload["observable_values"][1][0])
+        expected = [
+            "f0 value out of [0, 1] at point 1",
+            f"displacement mismatch: recomputed {d}, stored {payload['displacement']}",
+            f"displacement {d} exceeds eps 1/10",
+        ]
+    else:
+        expected = [f"f0_values[1]: cannot parse {value!r} as a rational"]
+    assert code == 4
+    assert err.splitlines() == [f"error: {line}" for line in expected]
+
+
+def test_cli_verify_certificate_holding_nan_exits_four(tmp_path, capsys):
+    """NaN is no JSON value a certificate is written with, so its hash cannot match."""
+    path = tmp_path / "cert.json"
+    payload = write_certificate(str(path), _small_action_cert())
+    path.write_text(json.dumps(dict(payload, version=float("nan"))))
+    code = main(["verify", "--cert", str(path)])
+    assert code == 4
+    assert capsys.readouterr().err == "error: cert_sha256 mismatch: certificate content was altered\n"
+
+
+def test_cli_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    space_path = tmp_path / "space.json"
+    space_path.write_text('{"metric": [[0, 1], [1, 0]], "note": ' + "7" * 5000 + "}")
+    fam_path = str(tmp_path / "family.json")
+    save_family(MapFamily.create(path_space(2), path_space(2), [[0, 1]]), fam_path)
+    code = main(["check", "--space", str(space_path), "--family", fam_path, "--r", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {space_path}: invalid JSON: ")
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x0660 + d) for d in range(10)))
+
+
+def _respellings(v: str):
+    """Values to put in place of the certificate value ``v``: the same value
+    or another, spelled canonically or not, and values that are refused."""
+    x = Fraction(v)
+    p, q = x.numerator, x.denominator
+    return st.one_of(
+        st.fractions(0, 1, max_denominator=10**6).map(str),               # canonical
+        st.integers(2, 9).map(lambda k: f"{p * k}/{q * k}"),             # not reduced
+        st.integers(0, 10**6).map(lambda k: f"0.{k:06d}"),               # decimal
+        st.sampled_from(["0.50", "1.0", ".5", "1e-3", "5E-1", "0.1"]),
+        st.integers(-2, 3),                                               # JSON integer
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, 0.5, 1.0, 0.1, 5e-324]),
+        st.booleans(),
+        st.sampled_from([f"-{v}", "-0", "-1/3", "--1"]),                  # negative
+        st.sampled_from([f"{p + q}/{q}", "3/2", "2"]),                    # above 1
+        st.sampled_from([f"{p}/0", "0/0", "1/-2"]),                       # zero or negative denominator
+        st.sampled_from([f" {v}", f"{v} ", f"{v}\n", f"{p} / {q}", f"\t{v}"]),
+        st.just(f"+{v}"),
+        st.sampled_from([f"{p}_0/{q}_0", f"1_{v}", f"{v}_", "1__0"]),       # underscores
+        st.sampled_from([v.translate(_FULL_WIDTH), v.translate(_ARABIC_INDIC)]),
+        st.sampled_from(["7" * 5000, "1" + "0" * 4999 + f"/{q}", "0" * 4999 + "1"]),
+        st.sampled_from([None, [v], {"v": v}, [], "", "/", "1/", "/2", "abc", "inf", "nan"]),
+    )
+
+
+@pytest.fixture(scope="module")
+def small_payloads():
+    """Certificate bodies (no content hash) from small family and action embeds."""
+    action8 = GroupAction.from_generators(circle_space(8), [antipodal_perm(8)])
+    certs = [
+        _small_family_cert()[2],
+        _small_action_cert(),
+        _zero_and_half_cert(),
+        embed_equivariant(action8, r=2, eps=Fraction(1, 20), seed=3),
+    ]
+    return [json.loads(canonical_json(certificate_payload(c))) for c in certs]
+
+
+def _draw_respelled(data, payload):
+    """A copy of ``payload`` with one to three value entries respelled."""
+    doc = json.loads(canonical_json(payload))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        key = data.draw(st.sampled_from(["f0_values", "observable_values"]), label="key")
+        y = data.draw(st.integers(0, len(doc[key]) - 1), label="row")
+        ell = data.draw(st.integers(0, len(doc[key][y]) - 1), label="column")
+        doc[key][y][ell] = data.draw(_respellings(payload[key][y][ell]), label="value")
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_reads_values_like_the_fraction_reference(small_payloads, data):
+    """Re-hashed certificates with respelled values get the issue list that
+    today's Fraction value checks give, text and order."""
+    doc = _draw_respelled(data, data.draw(st.sampled_from(small_payloads), label="cert"))
+    doc["cert_sha256"] = hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
+    assert verify_certificate(doc) == reference_value_issues(doc)
+
+
+def _parsed(parse, value):
+    try:
+        return Fraction(parse(value, "v"))
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parse_ratio_agrees_with_parse_fraction(small_payloads, data):
+    payload = data.draw(st.sampled_from(small_payloads), label="cert")
+    key = data.draw(st.sampled_from(["f0_values", "observable_values"]), label="key")
+    row = data.draw(st.sampled_from(payload[key]), label="row")
+    value = data.draw(_respellings(data.draw(st.sampled_from(row), label="entry")), label="value")
+    expected = _parsed(reference_parse_fraction, value)
+    assert _parsed(parse_fraction, value) == expected
+    assert _parsed(lambda v, where: Fraction(*parse_ratio(v, where)), value) == expected
+    if not isinstance(expected, str):
+        assert parse_ratio(value)[1] > 0
 
 
 @pytest.fixture(scope="module")

@@ -106,6 +106,36 @@ def test_cli_value_of_the_wrong_type_exits_one(tmp_path, capsys, kind, path, val
     assert err.startswith(f"error: {tmp_path / kind}.json: ")
 
 
+# Each value here reads as a valid index or count under int(), which truncates
+# 1.7 to 1 and True to 1; it is refused instead, in a line naming its field.
+@pytest.mark.parametrize(
+    "kind, path, value, field",
+    [
+        ("family", ("maps", 0, 1), 1.7, "maps[0]"),
+        ("family", ("maps", 0, 1), True, "maps[0]"),
+        ("f0", ("r",), 1.9, "r"),
+        ("f0", ("r",), True, "r"),
+        ("action", ("generators", 0, 0), 2.0, "generators[0]"),
+        ("action", ("stages", 0, "elements", 0, 1), True, "stage 0 element 0"),
+        ("coords", ("dim",), 2.0, "dim"),
+        ("space", ("simplices", 0, 1), True, "simplices[0]"),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_cli_index_that_is_not_an_integer_exits_one(tmp_path, capsys, kind, path, value, field):
+    docs = _valid_docs(tmp_path)
+    target = docs[kind]
+    for step in path[:-1]:
+        target = target[step]
+    assert target[path[-1]] == int(value)       # what int() would have read it as
+    target[path[-1]] = value
+    code = _embed(tmp_path, docs, _maps_kind(kind))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / kind}.json: {field}")
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
