@@ -21,6 +21,7 @@ from .errors import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_VERIFICATION,
+    InputError,
     MengerError,
     VerificationError,
 )
@@ -46,7 +47,7 @@ from .pipeline import (
     embed_equivariant,
     embed_family,
 )
-from .space import DEFAULT_EXACT_CAP, DEFAULT_GROUP_CAP
+from .space import DEFAULT_EXACT_CAP, DEFAULT_GROUP_CAP, as_index
 from .witness import run_witness_oracle
 
 
@@ -141,9 +142,11 @@ def _recorded_cap(cert: dict[str, Any], key: str, default: int) -> int:
     if not isinstance(config, dict):
         raise VerificationError("config: expected an object of settings")
     raw = config.get(key)
+    if raw is None:
+        return default
     try:
-        return int(raw or default)
-    except (TypeError, ValueError, OverflowError):
+        return as_index(raw, key)
+    except InputError:
         raise VerificationError(f"config: {key} must be an integer, got {raw!r}") from None
 
 

@@ -116,6 +116,8 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except ValueError as exc:   # bad JSON or UTF-8, or an integer past int's digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:      # json.load recurses once per nesting level
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _require(obj: Any, key: str, where: str = "") -> Any:
@@ -492,7 +494,10 @@ def verify_certificate(
         return [f"format: expected {CERT_FORMAT!r}, got {cert.get('format')!r}"]
 
     try:
-        r = int(cert["r"])
+        r = as_index(cert["r"], "r")
+    except (KeyError, InputError) as exc:
+        return [f"certificate is missing required data: {exc}"]
+    try:
         eps = parse_fraction(cert["eps"], "eps")
         n = len(cert["observable_values"])
         f0_rows = _ratio_rows(cert["f0_values"], n, r, "f0_values")

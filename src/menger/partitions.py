@@ -111,6 +111,39 @@ def induced_partition(fam: MapFamily, x: int) -> Partition:
     return Partition.from_key(range(fam.size), key=lambda i: fam.maps[i][x])
 
 
+def occurrence_keys(fam: MapFamily) -> tuple[list[int], list[dict[int, int]]]:
+    """Flat integer keys for the partitions the source points induce.
+
+    For each point x, ``firsts[x]`` maps each value g(x) to the least index
+    of a map taking it, and ``ids[x]`` numbers the tuple of those indices
+    over the maps, in order of first appearance.  The tuple names the least
+    map of each map's block, so two points share an id exactly when they
+    induce one partition.
+    """
+    seen: dict[tuple[int, ...], int] = {}
+    ids: list[int] = []
+    firsts: list[dict[int, int]] = []
+    backwards = range(fam.size - 1, -1, -1)
+    for values in zip(*fam.maps):
+        # written last, the least index of each value is the one kept
+        first = dict(zip(reversed(values), backwards))
+        ids.append(seen.setdefault(tuple(map(first.__getitem__, values)), len(seen)))
+        firsts.append(first)
+    return ids, firsts
+
+
+def induced_classes(fam: MapFamily) -> dict[Partition, list[int]]:
+    """The source points grouped by induced partition, each class in point order.
+
+    Points are grouped by ``occurrence_keys`` ids, so ``induced_partition``
+    runs once per class, on its least point.
+    """
+    groups: dict[int, list[int]] = {}
+    for x, i in enumerate(occurrence_keys(fam)[0]):
+        groups.setdefault(i, []).append(x)
+    return {induced_partition(fam, xs[0]): xs for xs in groups.values()}
+
+
 def compatible_subset(fam: MapFamily, w: Iterable[int], p: Partition) -> frozenset[int]:
     """Points of ``w`` whose induced partition is exactly ``p``."""
     return frozenset(x for x in w if induced_partition(fam, x) == p)
@@ -246,12 +279,14 @@ def first_fit_block(
     taken: list[Pair] = []
     rest: list[Pair] = []
     for pair in pairs:
-        contrib = [(k, g[pair[j]]) for k, g, j in leads]
-        if all(owner.get(v, k) == k for k, v in contrib):
-            owner.update((v, k) for k, v in contrib)
-            taken.append(pair)
+        for k, g, j in leads:
+            if owner.get(g[pair[j]], k) != k:
+                rest.append(pair)
+                break
         else:
-            rest.append(pair)
+            for k, g, j in leads:
+                owner[g[pair[j]]] = k
+            taken.append(pair)
     images: list[set[int]] = [set() for _ in p_hat.blocks]
     for v, k in owner.items():
         images[k].add(v)

@@ -47,9 +47,10 @@ from .partitions import (
     compatible_subset,  # noqa: F401  bench/spans.py patches this name here
     doubled_induced_partition,
     first_fit_block,
-    induced_partition,
+    induced_classes,
     intersective_transport,
     mirror_block,
+    occurrence_keys,
     reduced_maps,
 )
 from .perturb import Observable, ValueAssignment, assign_values, modulus, perturb, sample_observable, sup_distance
@@ -103,8 +104,9 @@ class HypothesisReport:
 def check_hypotheses_family(fam: MapFamily, r: int) -> HypothesisReport:
     """Check dim(X_P) < (r/2)|P| for every partition P some point realizes.
 
-    The points are grouped by their induced partition in one pass, so each
-    class X_P is a lookup, and one check is reported per realized class.
+    The points are grouped by their induced partition in one pass
+    (``induced_classes``), so each class X_P is a lookup, and one check is
+    reported per realized class.
     A partition no point realizes has the empty class, and dim of the empty
     set is -1: declared spaces give it by construction and
     ``validate_space`` checks it for every ``dim_fn``.  Its check,
@@ -112,9 +114,7 @@ def check_hypotheses_family(fam: MapFamily, r: int) -> HypothesisReport:
     """
     if r < 1:
         raise InputError("r must be at least 1")
-    classes: dict[Partition, list[int]] = {}
-    for x in range(fam.source.n_points):
-        classes.setdefault(induced_partition(fam, x), []).append(x)
+    classes = induced_classes(fam)
     checks = []
     for p in sorted(classes, key=lambda q: (len(q.blocks), q.blocks)):
         xp = frozenset(classes[p])
@@ -527,6 +527,36 @@ def _orbit_labels(f: Observable, fam: MapFamily) -> list[int]:
     return [seen.setdefault(t, len(seen)) for t in _orbit_tuples(f, fam)]
 
 
+def colliding_pair_classes(df: DoubledFamily, labels: Sequence[int]) -> dict[Partition, list[Pair]]:
+    """The ordered pairs of distinct points with one label, grouped by doubled partition.
+
+    Pairs are listed in row-major order, and each class keeps that order.
+    A pair (x1, x2) is keyed by flat integers: the ``occurrence_keys`` ids
+    of x1 and x2, which fix the blocks inside each column, and for each
+    map g the least map index taking g(x1) at x2 (-1 for none), which fixes
+    the blocks that meet across the columns.  Two pairs therefore share a
+    key exactly when they share a doubled partition, so
+    ``doubled_induced_partition`` runs once per class, on its first pair.
+    """
+    members: dict[int, list[int]] = {}
+    for x, label in enumerate(labels):
+        members.setdefault(label, []).append(x)
+    if len(members) == len(labels):
+        return {}
+    ids, firsts = occurrence_keys(df.base)
+    values = list(zip(*df.base.maps))
+    misses = (-1,) * df.base.size
+    keyed: dict[tuple, list[Pair]] = {}
+    for x1, label in enumerate(labels):
+        head = ids[x1]
+        v1 = values[x1]
+        for x2 in members[label]:
+            if x2 != x1:
+                key = (head, ids[x2], tuple(map(firsts[x2].get, v1, misses)))
+                keyed.setdefault(key, []).append((x1, x2))
+    return {doubled_induced_partition(df, pairs[0]): pairs for pairs in keyed.values()}
+
+
 def _run_family_blocks(
     state: _BaireState,
     fam: MapFamily,
@@ -539,8 +569,9 @@ def _run_family_blocks(
     a pair whose labels differ is already separated and joins the ledger
     through the start labels, without being listed or classified.  Points
     are grouped by label, and only the colliding pairs inside a group are
-    enumerated (in row-major order) and grouped by their doubled
-    partition, so the work grows with n plus the colliding pairs.  Classes
+    enumerated (in row-major order) and grouped by their doubled partition
+    (``colliding_pair_classes``), so the work grows with n plus the
+    colliding pairs, and one ``Partition`` is built per class.  Classes
     are taken with more label blocks first, and each class is filtered
     again against the current observable, since earlier perturbations
     separate most of its pairs: those join the ledger.  The rest are packed
@@ -561,15 +592,7 @@ def _run_family_blocks(
     processed: list[Pair] = []
     state.groups.append((fam, labels, processed))
 
-    members: dict[int, list[int]] = {}
-    for x, label in enumerate(labels):
-        members.setdefault(label, []).append(x)
-    classes: dict[Partition, list[Pair]] = {}
-    for x1, label in enumerate(labels):
-        for x2 in members[label]:
-            if x2 != x1:
-                p_hat = doubled_induced_partition(df, (x1, x2))
-                classes.setdefault(p_hat, []).append((x1, x2))
+    classes = colliding_pair_classes(df, labels)
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
 
     # labels always describe the current observable: they are recomputed

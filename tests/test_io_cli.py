@@ -339,10 +339,13 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
         ("family", _set("format", "other"), "format: expected 'menger-certificate', got 'other'"),
         ("family", _set("stages", 0, "maps", 1, 0, 1.5), "stage 0: map 1: expected an integer, got 1.5"),
         ("action", _set("stages", 0, "points", 1, True), "stage 0: points: expected an integer, got True"),
+        # int(...) would read these as r = 1, which the rest of the certificate fits
+        ("action", _set("r", 1.5), "certificate is missing required data: r: expected an integer, got 1.5"),
+        ("action", _set("r", True), "certificate is missing required data: r: expected an integer, got True"),
     ],
     ids=[
         "map-past-end", "map-negative", "stages-not-list", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
-        "value-not-rational", "format-changed", "map-value-float", "point-bool",
+        "value-not-rational", "format-changed", "map-value-float", "point-bool", "r-float", "r-bool",
     ],
 )
 def test_cli_verify_rehashed_malformed_certificate_exits_four(tmp_path, capsys, kind, edit, message):
@@ -644,6 +647,26 @@ def test_cli_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
     assert err.startswith(f"error: {space_path}: invalid JSON: ")
 
 
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_cli_deeply_nested_json_exits_one(tmp_path, capsys, command):
+    """A nesting deeper than the parser's recursion limit is one input error."""
+    deep = "[" * 100000 + "]" * 100000
+    fam_path = str(tmp_path / "family.json")
+    save_family(MapFamily.create(path_space(2), path_space(2), [[0, 1]]), fam_path)
+    if command == "check":
+        path = tmp_path / "space.json"
+        path.write_text('{"metric": ' + deep + "}")
+        args = ["check", "--space", str(path), "--family", fam_path, "--r", "1"]
+    else:
+        path = tmp_path / "cert.json"
+        path.write_text(deep)
+        args = ["verify", "--cert", str(path)]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+
 _FULL_WIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x0660 + d) for d in range(10)))
 
@@ -748,6 +771,9 @@ def antipodal_cli_run(tmp_path_factory):
     [
         (_set("config", 5), "config: expected an object of settings"),
         (_set("config", "group_cap", "abc"), "config: group_cap must be an integer, got 'abc'"),
+        # int(...) would truncate or replace these
+        (_set("config", "group_cap", 10000.7), "config: group_cap must be an integer, got 10000.7"),
+        (_set("config", "exact_cap", False), "config: exact_cap must be an integer, got False"),
     ],
 )
 def test_cli_verify_rehashed_malformed_config_exits_four(

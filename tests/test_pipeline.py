@@ -32,12 +32,15 @@ from menger.partitions import (
     DoubledFamily,
     coherent_decomposition,
     doubled_induced_partition,
+    induced_classes,
+    induced_partition,
 )
 from menger.perturb import Observable, sample_observable, sup_distance
 from menger.pipeline import (
     BRANCH_SKIPPED,
     check_hypotheses_action,
     check_hypotheses_family,
+    colliding_pair_classes,
     default_stage_n,
     embed_equivariant,
     embed_family,
@@ -369,6 +372,40 @@ def _count_classifications(monkeypatch):
     return calls
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_keyed_classes_match_grouping_by_partition(data):
+    """Flat keys group pairs and points as their partitions do, in the same order.
+
+    Maps go into a target of at most eight points, so they often agree.
+    Each is a rotation of the circle (restricted to the source) or any
+    injective map; rotations make one value meet different maps across a
+    pair.  A source smaller than the target is a stage-like family."""
+    n = data.draw(st.integers(3, 8), label="target size")
+    target = circle_space(n)
+    pts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="source")
+    source, pts = target.subspace(pts)
+    m = len(pts)
+    rotation = st.integers(0, n - 1).map(lambda s: [(p + s) % n for p in pts])
+    injective = st.permutations(range(n)).map(lambda perm: perm[:m])
+    maps = data.draw(st.lists(st.one_of(rotation, injective), min_size=1, max_size=5), label="maps")
+    fam = MapFamily.create(source, target, maps)
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m), label="labels")
+
+    df = DoubledFamily(fam)
+    pairs: dict = {}
+    for x1 in range(m):
+        for x2 in range(m):
+            if x1 != x2 and labels[x1] == labels[x2]:
+                pairs.setdefault(doubled_induced_partition(df, (x1, x2)), []).append((x1, x2))
+    assert list(colliding_pair_classes(df, labels).items()) == list(pairs.items())
+
+    points: dict = {}
+    for x in range(m):
+        points.setdefault(induced_partition(fam, x), []).append(x)
+    assert list(induced_classes(fam).items()) == list(points.items())
+
+
 def test_embed_family_generic_start_skips_every_block(circle9, monkeypatch):
     fam = MapFamily.create(
         circle9, circle9, [rotation_perm(9, s) for s in (0, 3, 6)]
@@ -403,7 +440,11 @@ def test_embed_family_mixed_start_works_only_on_colliding_pairs(circle9, monkeyp
     calls = _count_classifications(monkeypatch)
     eps = Fraction(1, 10)
     cert = embed_family(fam, r=1, eps=eps, f0=f0)
-    assert sorted(calls) == sorted(colliding)
+    # only colliding pairs are classified, one pair per doubled partition
+    df = DoubledFamily(fam)
+    assert set(calls) <= colliding
+    assert len(calls) == len({doubled_induced_partition(df, p) for p in calls})
+    assert len(calls) == len({doubled_induced_partition(df, p) for p in colliding})
     assert cert.blocks
     for log in cert.blocks:
         assert set(log.pairs) <= colliding
