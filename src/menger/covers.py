@@ -12,7 +12,6 @@ dimension obstruction, and the diagnostic says so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence

@@ -38,7 +38,6 @@ from .errors import InputError, VerificationError
 from .perturb import Observable
 from .pipeline import (
     EmbeddingCertificate,
-    HypothesisCheck,
     HypothesisReport,
     StageRecord,
     check_hypotheses_action,
@@ -198,13 +197,6 @@ def load_coords(path: str) -> Coords:
             _list(p, f"points[{k}]") for k, p in enumerate(_list(_require(doc, "points"), "points"))
         ]
         return Coords.create(as_index(_require(doc, "dim"), "dim"), points)
-
-
-def save_coords(coords: Coords, path: str) -> None:
-    _write_json(
-        path,
-        {"dim": coords.dim, "points": [[float(v) for v in p] for p in coords.points]},
-    )
 
 
 def load_family(path: str, space: FiniteSpace) -> MapFamily:
@@ -473,8 +465,8 @@ def verify_certificate(
 
     Returns the list of mismatches (empty means the certificate is sound).
     The content hash is checked first; then every recomputed quantity, the
-    margins and the displacement, must match the stored strings exactly.
-    When the original input objects are supplied, the hypothesis report,
+    margins and the displacement, must match the stored strings exactly,
+    and every stage margin must be positive.  When the original input objects are supplied, the hypothesis report,
     the recorded input hashes and each stage's points and maps are
     recomputed too: an action's stages come from ``stages`` (as
     ``load_action`` returns them) with ``exact_cap``, as ``embed`` made them.
@@ -579,6 +571,8 @@ def verify_certificate(
                 f"{where}: margin mismatch: recomputed {_margin_str(stage_margin)}, "
                 f"stored {st.get('margin')}"
             )
+        if stage_margin == 0:
+            issues.append(f"{where}: margin is 0: two stage points share an orbit tuple")
     total = min(stage_margins) if stage_margins else math.inf
     if complete and _margin_str(total) != cert.get("margin"):
         issues.append(

@@ -13,13 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BudgetError, InputError, InternalCheckError
 from .space import FiniteSpace
-
-# Diagnostics only: collapse sub-1e-12 float artifacts when pretty printing.
-DIAG_TOL = 1e-12
 
 Families = tuple[tuple[frozenset[int], ...], ...]
 
@@ -71,9 +68,6 @@ class Observable:
             )
             object.__setattr__(self, "_numerators", (den, rows))
         return self._numerators
-
-    def replace_values(self, values: Sequence[Sequence[Fraction]]) -> "Observable":
-        return Observable.create(self.space, values)
 
 
 def sample_observable(space: FiniteSpace, r: int, seed: int) -> Observable:

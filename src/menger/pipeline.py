@@ -8,10 +8,14 @@ construction here follows the density argument step by step at finite scale:
 pairs of points are grouped by their doubled partition, each class is carved
 into coherent blocks, and every block is separated by one locally constant
 perturbation whose size is controlled by a geometrically shrinking budget.
-Progress is certified, never assumed: each block run re-verifies separation
-pair by pair through an explicit witness.  The certificate states the claim
-itself, the final observable with each stage's points and maps, so a
-verifier re-checks injectivity and displacement without replaying the run.
+The budget also stays below a quarter of the least gap between distinct
+orbit tuples, so every pair the observable already separates, in every
+family run so far, stays separated.  Progress is certified, never assumed:
+each block run re-verifies separation pair by pair through an explicit
+witness, and the orbit labels must refine after every block.  The
+certificate states the claim itself, the final observable with each stage's
+points and maps, so a verifier re-checks injectivity and displacement
+without replaying the run.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .errors import (
     InternalCheckError,
 )
 from .partitions import (
-    INTERSECTIVE,
     NON_INTERSECTIVE,
     CoherentBlock,
     DoubledFamily,
@@ -194,35 +197,26 @@ def margin(f: Observable, fam: MapFamily, pairs: Iterable[Pair]) -> Fraction | f
     return math.inf if best is None else Fraction(best, den)
 
 
-def _closest_gap(
-    points: list[tuple[int, ...]], labels: Sequence[int] | None = None
-) -> int | None:
+def _closest_gap(points: Iterable[tuple[int, ...]]) -> int | None:
     """Least L-infinity distance between two of the points; None for fewer than two.
 
-    With ``labels``, only points whose labels differ are compared, and None
-    means no two labels differ; without them every pair counts.  Sort, then
-    sweep (Hinrichs, Nievergelt and Schorn 1988): each point is compared
-    with its predecessors, nearest first, until their first coordinates
-    differ by at least the best distance so far; every earlier point is at
-    least that far away in that coordinate alone.
+    Sort, then sweep (Hinrichs, Nievergelt and Schorn 1988): each point is
+    compared with its predecessors, nearest first, until their first
+    coordinates differ by at least the best distance so far; every earlier
+    point is at least that far away in that coordinate alone.
     """
-    if labels is None:
-        labels = range(len(points))
-    elif len(set(labels)) < 2:
-        return None
-    pts = sorted(zip(points, labels))
+    pts = sorted(points)
     best = math.inf
     for j in range(1, len(pts)):
-        q, lq = pts[j]
+        q = pts[j]
         head = q[0]
         for i in range(j - 1, -1, -1):
-            p, lp = pts[i]
+            p = pts[i]
             if head - p[0] >= best:
                 break
-            if lp != lq:
-                d = max(map(abs, map(sub, p, q)))
-                if d < best:
-                    best = d
+            d = max(map(abs, map(sub, p, q)))
+            if d < best:
+                best = d
     return None if best == math.inf else best
 
 
@@ -478,35 +472,47 @@ class EmbeddingCertificate:
 class _BaireState:
     """Shared budget schedule and separation ledger across blocks and stages.
 
-    Each ``groups`` entry ``(fam, start_labels, processed_pairs)`` stands for
-    one family's ledger: every pair whose orbit labels differed when the
-    family's run started, plus ``processed_pairs``, the pairs that collided
-    at the start and whose class has been handled since.
+    The ledger is every pair whose orbit tuples currently differ, in every
+    family run so far.  Each ``groups`` entry ``(fam, labels)`` holds one
+    family and its current orbit labels, which ``relabel`` keeps up to date.
     """
 
     def __init__(self, f: Observable, eps: Fraction):
         self.f = f
         self.eps = eps
         self.geom = eps / 2
-        self.groups: list[tuple[MapFamily, list[int], list[Pair]]] = []
+        self.groups: list[tuple[MapFamily, list[int]]] = []
         self.logs: list[BlockLog] = []
 
     def ledger_margin(self) -> Fraction | float:
-        """Least sup-distance between orbit tuples over every ledger pair.
+        """Least sup-distance between distinct orbit tuples over every family.
 
-        The pairs separated at the start are not listed: one closest-pair
-        sweep over the current orbit tuples, restricted to points whose
-        start labels differ, finds their least distance.
+        One closest-pair sweep per family over its distinct orbit tuples:
+        equal tuples are merged first, so a large group of colliding points
+        costs one entry.
         """
         den, _ = self.f.numerators()
-        best: Fraction | float = math.inf
-        for fam, start_labels, processed in self.groups:
-            gap = _closest_gap(_orbit_tuples(self.f, fam), start_labels)
-            if gap is not None:
-                best = min(best, Fraction(gap, den))
-            if processed:
-                best = min(best, margin(self.f, fam, processed))
-        return best
+        gaps = [_closest_gap(set(_orbit_tuples(self.f, fam))) for fam, _ in self.groups]
+        best = min((g for g in gaps if g is not None), default=None)
+        return math.inf if best is None else Fraction(best, den)
+
+    def relabel(self) -> list[int]:
+        """Recompute every family's orbit labels; return the last family's.
+
+        Monotone progress: the new labels must refine the old ones, so a
+        pair separated before stays separated.  Each new label then meets
+        exactly one old label.
+        """
+        fresh = []
+        for fam, old in self.groups:
+            new = _orbit_labels(self.f, fam)
+            if len(set(zip(new, old))) != len(set(new)):
+                raise InternalCheckError(
+                    "monotone progress violated: a previously separated pair collided"
+                )
+            fresh.append((fam, new))
+        self.groups = fresh
+        return fresh[-1][1]
 
 
 def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
@@ -566,67 +572,78 @@ def _run_family_blocks(
     """Separate every pair of one family that still collides, block by block.
 
     The orbit labels under the current observable say which pairs collide:
-    a pair whose labels differ is already separated and joins the ledger
-    through the start labels, without being listed or classified.  Points
-    are grouped by label, and only the colliding pairs inside a group are
-    enumerated (in row-major order) and grouped by their doubled partition
-    (``colliding_pair_classes``), so the work grows with n plus the
-    colliding pairs, and one ``Partition`` is built per class.  Classes
-    are taken with more label blocks first, and each class is filtered
-    again against the current observable, since earlier perturbations
-    separate most of its pairs: those join the ledger.  The rest are packed
-    lazily, one first-fit block at a time: a block whose pairs are all
-    separated joins the ledger, any other block is perturbed, and once no
-    leftover pair of the class collides, the leftovers join the ledger
-    unpacked.  Peeling reproduces the whole-class first-fit packing, so the
-    perturbed blocks are the same as when every block is packed.  Budgets
-    shrink geometrically from eps/2 and are additionally capped by a
-    quarter of the running ledger margin; a perturbation within half the
-    margin keeps every ledger pair separated, the pairs separated at the
-    start included, and staying strictly inside that radius keeps the
-    inequality strict.  Monotone progress is asserted after every perturbed
-    block, and only perturbed blocks are logged.
+    a pair whose labels differ is already separated, so it is neither
+    listed nor classified.  Points are grouped by label, and only the
+    colliding pairs inside a group are enumerated (in row-major order) and
+    grouped by their doubled partition (``colliding_pair_classes``), so the
+    work grows with n plus the colliding pairs, and one ``Partition`` is
+    built per class.  Classes are taken with more label blocks first, and
+    each class keeps only the pairs that still collide, since earlier
+    perturbations separate most of them.  The rest are packed lazily, one
+    first-fit block at a time: a block whose pairs are all separated is
+    skipped, any other block is perturbed, and the class ends once no
+    leftover pair collides.  Peeling reproduces the whole-class first-fit
+    packing, so the perturbed blocks are the same as when every block is
+    packed.  Budgets shrink geometrically from eps/2 and are additionally
+    capped by a quarter of the ledger margin, the least gap between
+    distinct orbit tuples of every family run so far; a perturbation within
+    half that gap keeps every separated pair separated, and staying
+    strictly inside it keeps the inequality strict.  After every perturbed
+    block the labels of every family must refine their old labels
+    (monotone progress), and only perturbed blocks are logged.
     """
     df = DoubledFamily(fam)
     labels = _orbit_labels(state.f, fam)
-    processed: list[Pair] = []
-    state.groups.append((fam, labels, processed))
+    state.groups.append((fam, labels))
 
     classes = colliding_pair_classes(df, labels)
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
 
-    # labels always describe the current observable: they are recomputed
-    # after every perturbation, while the ledger keeps the start labels
     for p_hat in ordered:
-        live: list[Pair] = []
-        for pair in classes[p_hat]:
-            if labels[pair[0]] != labels[pair[1]]:
-                processed.append(pair)
-            else:
-                live.append(pair)
+        live = [(x1, x2) for x1, x2 in classes[p_hat] if labels[x1] == labels[x2]]
         while live:
             blk, live = first_fit_block(df, p_hat, live)
             if all(labels[x1] != labels[x2] for x1, x2 in blk.pairs):
-                processed.extend(blk.pairs)
                 continue
-            cap = state.ledger_margin()
-            budget = state.geom
-            if cap != math.inf and cap / 4 < budget:
-                budget = cap / 4
+            budget = min(state.geom, state.ledger_margin() / 4)
             f_new, blog = separate_on_block(df, blk, state.f, budget, backend, coords)
             state.f = f_new
             state.geom = state.geom / 2
-            processed.extend(blk.pairs)
-            after = state.ledger_margin()
-            if not after > 0:
-                raise InternalCheckError(
-                    "monotone progress violated: a previously separated pair collided"
-                )
-            state.logs.append(replace(blog, margin_after=after))
-            labels = _orbit_labels(state.f, fam)
+            labels = state.relabel()
+            state.logs.append(replace(blog, margin_after=state.ledger_margin()))
             if all(labels[x1] != labels[x2] for x1, x2 in live):
-                processed.extend(live)
                 break
+
+
+def _start(
+    target: FiniteSpace, r: int, eps: Fraction | float, f0: Observable | None, seed: int | None
+) -> tuple[Fraction, Observable, int | None]:
+    """The checked budget, the start observable on ``target`` and the seed used.
+
+    Without ``f0`` the start is sampled with ``seed`` (0 by default), and
+    that seed is returned; a given ``f0`` returns None.
+    """
+    eps_f = Fraction(eps)
+    if eps_f <= 0:
+        raise InputError("eps must be positive")
+    used_seed = None
+    if f0 is None:
+        used_seed = 0 if seed is None else seed
+        f0 = sample_observable(target, r, used_seed)
+    if f0.r != r:
+        raise InputError(f"observable has r={f0.r}, requested r={r}")
+    if f0.space.n_points != target.n_points:
+        raise InputError("observable lives on the wrong space")
+    return eps_f, f0, used_seed
+
+
+def _passed(report: HypothesisReport, what: str) -> HypothesisReport:
+    """The report itself; HypothesisError naming its first failure otherwise."""
+    if not report.passed:
+        raise HypothesisError(
+            f"{what} hypothesis fails: {report.failures()[0].describe()}", report
+        )
+    return report
 
 
 def embed_family(
@@ -645,25 +662,8 @@ def embed_family(
     whose margin is strictly positive and whose displacement stays within
     eps, both exact.
     """
-    eps_f = Fraction(eps)
-    if eps_f <= 0:
-        raise InputError("eps must be positive")
-    used_seed = None
-    if f0 is None:
-        used_seed = 0 if seed is None else seed
-        f0 = sample_observable(fam.target, r, used_seed)
-    if f0.r != r:
-        raise InputError(f"observable has r={f0.r}, requested r={r}")
-    if f0.space.n_points != fam.target.n_points:
-        raise InputError("observable lives on the wrong space")
-
-    report = check_hypotheses_family(fam, r)
-    if not report.passed:
-        first = report.failures()[0]
-        raise HypothesisError(
-            f"dimension hypothesis fails: {first.describe()}", report
-        )
-
+    eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed)
+    report = _passed(check_hypotheses_family(fam, r), "dimension")
     state = _BaireState(f0, eps_f)
     _run_family_blocks(state, fam, backend, coords)
 
@@ -776,27 +776,9 @@ def embed_equivariant(
     subspace of points whose F-orbit either equals the full orbit or spreads
     into at least r*n points pairwise eps_sep-apart.
     """
-    eps_f = Fraction(eps)
-    if eps_f <= 0:
-        raise InputError("eps must be positive")
+    eps_f, f0, used_seed = _start(action.space, r, eps, f0, seed)
     specs = stage_specs(action, stages)
-
-    used_seed = None
-    if f0 is None:
-        used_seed = 0 if seed is None else seed
-        f0 = sample_observable(action.space, r, used_seed)
-    if f0.r != r:
-        raise InputError(f"observable has r={f0.r}, requested r={r}")
-    if f0.space.n_points != action.space.n_points:
-        raise InputError("observable lives on the wrong space")
-
-    report = check_hypotheses_action(action, r)
-    if not report.passed:
-        first = report.failures()[0]
-        raise HypothesisError(
-            f"dimension hypothesis fails: {first.describe()}", report
-        )
-
+    report = _passed(check_hypotheses_action(action, r), "dimension")
     state = _BaireState(f0, eps_f)
     stage_fams: list[tuple[MapFamily, tuple[int, ...], tuple[Perm, ...], Fraction | None]] = []
     for (f_perms, eps_sep), pts in zip(specs, stage_points(action, specs, r, exact_cap)):
@@ -808,12 +790,7 @@ def embed_equivariant(
         fam = MapFamily.create(
             sub, action.space, local_maps, labels=[f"e{k}" for k in range(len(f_perms))]
         )
-        fam_report = check_hypotheses_family(fam, r)
-        if not fam_report.passed:
-            first = fam_report.failures()[0]
-            raise HypothesisError(
-                f"stage hypothesis fails: {first.describe()}", fam_report
-            )
+        _passed(check_hypotheses_family(fam, r), "stage")
         _run_family_blocks(state, fam, backend, coords)
         stage_fams.append((fam, pts, f_perms, eps_sep))
 

@@ -8,7 +8,6 @@ caller-supplied oracle.  The convention dim(empty) = -1 is used throughout.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction

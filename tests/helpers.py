@@ -181,13 +181,13 @@ def naive_closest_gap(points) -> int | None:
     return min(gaps, default=None)
 
 
-def naive_labelled_gap(points, labels) -> int | None:
-    """Least L-infinity distance over the pairs of tuples whose labels differ;
-    None when no two labels differ."""
+def naive_distinct_gap(points) -> int | None:
+    """Least L-infinity distance over the pairs of distinct tuples; None when
+    fewer than two tuples are distinct."""
     gaps = [
-        max((abs(a - b) for a, b in zip(p, q)), default=0)
-        for (p, lp), (q, lq) in itertools.combinations(zip(points, labels), 2)
-        if lp != lq
+        max(abs(a - b) for a, b in zip(p, q))
+        for p, q in itertools.combinations(points, 2)
+        if p != q
     ]
     return min(gaps, default=None)
 
@@ -441,47 +441,56 @@ def naive_certify_eta(fam: MapFamily, eta: Fraction, delta) -> bool:
     )
 
 
-def reference_block_loop(fam: MapFamily, f0: Observable, eps: Fraction) -> _BaireState:
-    """The block loop of ``embed_family`` with every class packed whole.
+def reference_block_loop(fams, f0: Observable, eps: Fraction) -> _BaireState:
+    """The block loop of ``embed_family`` (one family) or of
+    ``embed_equivariant`` (one family per stage) with every class packed whole.
 
     Each class's colliding pairs are packed into all their first-fit blocks
     at once (``naive_coherent_blocks``), and a block is skipped when ``margin``
     finds its pairs already separated; only perturbed blocks are logged.  The
-    ledger is an explicit list of ordered pairs, every pair separated at the
-    start included, and its margin is a Fraction loop over that list.
-    Returns the final state: observable and logs.
+    ledger is an explicit list of the ordered pairs whose current orbit
+    tuples differ, in every family run so far, and its margin is a Fraction
+    loop over that list.  Returns the final state: observable and logs.
     """
     state = _BaireState(f0, eps)
-    df = DoubledFamily(fam)
-    n = fam.source.n_points
-    ledger: list[tuple[int, int]] = []
-    labels = _orbit_labels(state.f, fam)
-    classes: dict[Partition, list[tuple[int, int]]] = {}
-    for x1 in range(n):
-        for x2 in range(n):
-            if x1 == x2:
-                continue
-            if labels[x1] != labels[x2]:
-                ledger.append((x1, x2))
-            else:
-                p_hat = doubled_induced_partition(df, (x1, x2))
-                classes.setdefault(p_hat, []).append((x1, x2))
-    for p_hat in sorted(classes, key=lambda p: (-len(p.blocks), p.blocks)):
+    started: list[MapFamily] = []
+
+    def ledger_margin():
+        best = math.inf
+        for fam in started:
+            rows = [orbit_row(state.f, fam, x) for x in range(fam.source.n_points)]
+            ledger = [
+                (x1, x2)
+                for x1 in range(len(rows))
+                for x2 in range(len(rows))
+                if rows[x1] != rows[x2]
+            ]
+            best = min(best, naive_margin(state.f, fam, ledger))
+        return best
+
+    for fam in fams:
+        started.append(fam)
+        df = DoubledFamily(fam)
+        n = fam.source.n_points
         labels = _orbit_labels(state.f, fam)
-        live = []
-        for x1, x2 in classes[p_hat]:
-            (ledger if labels[x1] != labels[x2] else live).append((x1, x2))
-        for pairs in naive_coherent_blocks(df, p_hat, live):
-            blk = CoherentBlock.build(df, p_hat, pairs)
-            if margin(state.f, fam, blk.pairs) > 0:
-                ledger.extend(blk.pairs)
-                continue
-            cap = naive_margin(state.f, fam, ledger)
-            budget = state.geom if cap == math.inf else min(state.geom, cap / 4)
-            state.f, log = separate_on_block(df, blk, state.f, budget)
-            state.geom /= 2
-            ledger.extend(blk.pairs)
-            state.logs.append(replace(log, margin_after=naive_margin(state.f, fam, ledger)))
+        classes: dict[Partition, list[tuple[int, int]]] = {}
+        for x1 in range(n):
+            for x2 in range(n):
+                if x1 != x2 and labels[x1] == labels[x2]:
+                    p_hat = doubled_induced_partition(df, (x1, x2))
+                    classes.setdefault(p_hat, []).append((x1, x2))
+        for p_hat in sorted(classes, key=lambda p: (-len(p.blocks), p.blocks)):
+            labels = _orbit_labels(state.f, fam)
+            live = [(x1, x2) for x1, x2 in classes[p_hat] if labels[x1] == labels[x2]]
+            for pairs in naive_coherent_blocks(df, p_hat, live):
+                blk = CoherentBlock.build(df, p_hat, pairs)
+                if margin(state.f, fam, blk.pairs) > 0:
+                    continue
+                cap = ledger_margin()
+                budget = state.geom if cap == math.inf else min(state.geom, cap / 4)
+                state.f, log = separate_on_block(df, blk, state.f, budget)
+                state.geom /= 2
+                state.logs.append(replace(log, margin_after=ledger_margin()))
     return state
 
 
@@ -558,6 +567,8 @@ def reference_value_issues(cert) -> list[str]:
                 f"stage {s_idx}: margin mismatch: recomputed {_margin_text(margins[-1])}, "
                 f"stored {st['margin']}"
             )
+        if margins[-1] == 0:
+            issues.append(f"stage {s_idx}: margin is 0: two stage points share an orbit tuple")
     total = min(margins, default=math.inf)
     if _margin_text(total) != cert["margin"]:
         issues.append(

@@ -519,6 +519,36 @@ def test_cli_verify_rejects_a_certificate_without_stages(tmp_path, capsys):
     assert err == "error: stages: the certificate holds no stage record, so it claims nothing\n"
 
 
+def _collapse_values(doc):
+    """Every value 1/2, so every orbit tuple is equal, with stored margins to match."""
+    for key in ("f0_values", "observable_values"):
+        doc[key] = [["1/2"] * len(row) for row in doc[key]]
+    doc["displacement"] = "0"
+    for st in doc["stages"]:
+        st["margin"] = "0"
+    doc["margin"] = "0"
+
+
+def test_cli_verify_refuses_a_zero_margin_certificate(tmp_path, capsys):
+    """Stored margins that match a recomputed 0 still claim nothing: the orbit
+    map is not injective, so verify exits 4 with one line naming the stage."""
+    space_path = str(tmp_path / "space.json")
+    family_path = str(tmp_path / "family.json")
+    space = circle_space(9)
+    save_space(space, space_path)
+    save_family(MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]), family_path)
+    inputs = ["--space", space_path, "--family", family_path]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "1", "--eps", "1/10", "--out", cert_path]) == 0
+    _write_rehashed(cert_path, load_certificate(cert_path), _collapse_values)
+    capsys.readouterr()
+    code = main(["verify", "--cert", cert_path, *inputs])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "error: stage 0: margin is 0: two stage points share an orbit tuple\n"
+    assert "certificate OK" not in captured.out
+
+
 def test_cli_verify_reports_every_issue(tmp_path, capsys):
     _, _, cert = _small_family_cert()
     path = str(tmp_path / "cert.json")
@@ -548,7 +578,9 @@ def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
     """Stored margins from a Fraction pair loop pass the verifier's sweep.
 
     Values repeat often and carry mixed denominators; stages have 0, 1 or
-    more points and 0 to 3 maps, which need not be injective.
+    more points and 0 to 3 maps, which need not be injective.  A stage whose
+    margin is 0 matches its stored margin but is not injective, so it is the
+    one issue left.
     """
     n = data.draw(st.integers(1, 8))
     tied = st.sampled_from(["0", "1/3", "1/2", "2/3", "5/7", "1"])
@@ -580,7 +612,11 @@ def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
         "margin": _text(min(margins)),
     }
     doc["cert_sha256"] = hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
-    assert verify_certificate(doc) == []
+    assert verify_certificate(doc) == [
+        f"stage {s_idx}: margin is 0: two stage points share an orbit tuple"
+        for s_idx, m in enumerate(margins)
+        if m == 0
+    ]
 
 
 def _zero_and_half_cert():

@@ -9,7 +9,7 @@ from helpers import (
     growth_strings,
     naive_certify_eta,
     naive_closest_gap,
-    naive_labelled_gap,
+    naive_distinct_gap,
     naive_margin,
     orbit_row,
     random_endo_family,
@@ -23,7 +23,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from menger.errors import GroupCapError, HypothesisError, InputError
+from menger.errors import GroupCapError, HypothesisError, InputError, InternalCheckError
 from menger.fixtures import antipodal_perm, circle_space, rotation_perm
 from menger import io, pipeline
 from menger.io import hypothesis_doc, verify_certificate, write_certificate
@@ -258,19 +258,17 @@ def test_closest_gap_sweeps_match_pair_loop(closest_gap, data):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_labelled_closest_gap_matches_labelled_pair_loop(data):
-    """Only pairs with different labels count: few labels give many skipped
-    pairs and ties, one label gives None, distinct labels the plain sweep."""
+def test_closest_gap_of_distinct_points_matches_distinct_pair_loop(data):
+    """The ledger's sweep runs on the distinct orbit tuples: narrow value
+    ranges give many equal points and ties, and None when at most one point
+    is distinct."""
     width = data.draw(st.integers(1, 4))
-    hi = data.draw(st.sampled_from([2, 20, 1000]))
+    hi = data.draw(st.sampled_from([0, 2, 20, 1000]))
     points = data.draw(st.lists(st.tuples(*[st.integers(-hi, hi)] * width), max_size=30))
-    n_labels = data.draw(st.sampled_from([1, 2, 3, max(1, len(points))]))
-    labels = [data.draw(st.integers(0, n_labels - 1)) for _ in points]
-    got = pipeline._closest_gap(points, labels)
-    assert got == naive_labelled_gap(points, labels)
-    if len(set(labels)) < 2:
+    got = pipeline._closest_gap(list(set(points)))
+    assert got == naive_distinct_gap(points)
+    if len(set(points)) < 2:
         assert got is None
-    assert pipeline._closest_gap(points, list(range(len(points)))) == pipeline._closest_gap(points)
 
 
 # Few values with mixed denominators: equal orbit tuples, equal gaps and a
@@ -614,7 +612,7 @@ def test_embed_equivariant_explicit_stages(circle9):
         (
             [Fraction(1, 2), 1, 1, 1, 1, Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)],
             [Fraction(1, 20), Fraction(1, 1280)],
-            [Fraction(1, 240), Fraction(17, 51200)],
+            [Fraction(1, 320), Fraction(17, 51200)],
             [Fraction(76589, 153600), Fraction(17, 51200)],
         ),
     ],
@@ -622,9 +620,9 @@ def test_embed_equivariant_explicit_stages(circle9):
 def test_embed_equivariant_two_stages_from_a_mixed_start(
     circle9, start, budgets, afters, stage_margins
 ):
-    """Budgets and margins of a two-stage run whose ledger holds pairs
-    separated at the start and processed pairs of both stages; the values
-    are those of the explicit ordered-pair ledger."""
+    """Budgets and margins of a two-stage run whose ledger holds the pairs
+    separated in both stages; the values are those of the explicit
+    ordered-pair ledger of ``reference_block_loop``."""
     action = GroupAction.from_generators(
         circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
     )
@@ -636,6 +634,11 @@ def test_embed_equivariant_two_stages_from_a_mixed_start(
     cert = embed_equivariant(action, r=2, eps=Fraction(1, 10), f0=f0, stages=stages)
     assert [b.budget for b in cert.blocks] == budgets
     assert [b.margin_after for b in cert.blocks] == afters
+    ref = reference_block_loop(
+        [MapFamily.create(circle9, circle9, perms) for perms, _ in stages], f0, Fraction(1, 10)
+    )
+    assert [(b.budget, b.margin_after) for b in ref.logs] == list(zip(budgets, afters))
+    assert cert.observable.values == ref.f.values
     assert [record.margin for record in cert.stages] == stage_margins
     assert cert.margin == min(stage_margins)
     assert cert.displacement == Fraction(1, 40)
@@ -665,6 +668,24 @@ def test_embed_family_seeded_start_lists_no_pair(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_a_block_that_merges_a_separated_pair_breaks_monotone_progress(monkeypatch):
+    """Points 0, 3 and 6 are separated at the start; a block whose
+    perturbation makes every orbit tuple equal again must be refused."""
+    space = circle_space(9)
+    fam = MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)])
+    f0 = Observable.create(space, [[Fraction(0)]] + [[Fraction(1, 2)]] * 8)
+    merged = Observable.create(space, [[Fraction(1, 2)]] * 9)
+    real = pipeline.separate_on_block
+
+    def merging(*args, **kwargs):
+        _, log = real(*args, **kwargs)
+        return merged, log
+
+    monkeypatch.setattr("menger.pipeline.separate_on_block", merging)
+    with pytest.raises(InternalCheckError, match="monotone progress violated"):
+        embed_family(fam, r=1, eps=Fraction(1, 10), f0=f0)
+
+
 def test_default_stage_n(circle9):
     assert default_stage_n(circle9, 1) == 3
     assert default_stage_n(circle9, 2) == 2
@@ -687,7 +708,7 @@ def test_lazy_block_loop_matches_whole_class_packing(data, r, eps):
         rows = [[data.draw(coarse) for _ in range(r)] for _ in range(n)]
     f0 = Observable.create(space, rows)
     cert = embed_family(fam, r=r, eps=eps, f0=f0)
-    ref = reference_block_loop(fam, f0, eps)
+    ref = reference_block_loop([fam], f0, eps)
     assert cert.observable.values == ref.f.values
     assert cert.margin == orbit_margin(ref.f, fam)
     assert [(b.partition, b.pairs, b.budget, b.eta, b.margin_after) for b in cert.blocks] == [
@@ -727,7 +748,7 @@ def test_lazy_block_loop_matches_whole_class_packing_on_fixed_runs(make):
     fam, r, f0 = make()
     eps = Fraction(1, 10)
     cert = embed_family(fam, r=r, eps=eps, f0=f0)
-    ref = reference_block_loop(fam, f0, eps)
+    ref = reference_block_loop([fam], f0, eps)
     assert cert.observable.values == ref.f.values
     assert [(b.pairs, b.budget) for b in cert.blocks] == [(b.pairs, b.budget) for b in ref.logs]
     if make is _one_class_twice:
