@@ -47,7 +47,7 @@ from .pipeline import (
     embed_equivariant,
     embed_family,
 )
-from .space import DEFAULT_EXACT_CAP, DEFAULT_GROUP_CAP, as_index
+from .space import DEFAULT_GROUP_CAP, as_index
 from .witness import run_witness_oracle
 
 
@@ -107,7 +107,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
             stages=stages,
             backend=args.backend,
             coords=coords,
-            exact_cap=args.exact_cap,
         )
     else:
         input_hashes["family"] = hash_file(args.family)
@@ -122,7 +121,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
             coords=coords,
         )
 
-    config = {"exact_cap": args.exact_cap, "group_cap": args.group_cap}
+    config = {"group_cap": args.group_cap}
     out = args.out or "certificate.json"
     payload = write_certificate(out, cert, config, input_hashes)
     csv_files = write_orbit_csv(os.path.splitext(out)[0] + ".csv", payload)
@@ -136,18 +135,18 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.margin > 0 else 3
 
 
-def _recorded_cap(cert: dict[str, Any], key: str, default: int) -> int:
-    """A cap the certificate was made with; a malformed record fails verification."""
+def _recorded_cap(cert: dict[str, Any]) -> int:
+    """The group cap the certificate was made with; a malformed record fails verification."""
     config = cert.get("config", {})
     if not isinstance(config, dict):
         raise VerificationError("config: expected an object of settings")
-    raw = config.get(key)
+    raw = config.get("group_cap")
     if raw is None:
-        return default
+        return DEFAULT_GROUP_CAP
     try:
-        return as_index(raw, key)
+        return as_index(raw, "group_cap")
     except InputError:
-        raise VerificationError(f"config: {key} must be an integer, got {raw!r}") from None
+        raise VerificationError(f"config: group_cap must be an integer, got {raw!r}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -155,7 +154,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     space = load_space(args.space) if args.space else None
     action = None
     stages = None
-    exact_cap = DEFAULT_EXACT_CAP
     family = None
     input_hashes: dict[str, str] = {}
     if args.space:
@@ -163,9 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.action:
         input_hashes["action"] = hash_file(args.action)
         if space is not None:
-            group_cap = _recorded_cap(cert, "group_cap", DEFAULT_GROUP_CAP)
-            exact_cap = _recorded_cap(cert, "exact_cap", DEFAULT_EXACT_CAP)
-            action, stages = load_action(args.action, space, group_cap)
+            action, stages = load_action(args.action, space, _recorded_cap(cert))
     if args.family:
         input_hashes["family"] = hash_file(args.family)
         if space is not None:
@@ -178,7 +174,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         family=family,
         input_hashes=input_hashes,
         stages=stages,
-        exact_cap=exact_cap,
     )
     if issues:
         for issue in issues:
@@ -253,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=[BACKEND_CELLS, BACKEND_BRICKS], default=BACKEND_CELLS
     )
     embed.add_argument("--coords", help="declared coordinates JSON (bricks backend)")
-    embed.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP)
     embed.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     embed.add_argument("--out", help="certificate path (default certificate.json)")
     embed.set_defaults(func=cmd_embed)

@@ -46,7 +46,6 @@ from .pipeline import (
     stage_specs,
 )
 from .space import (
-    DEFAULT_EXACT_CAP,
     FiniteSpace,
     GroupAction,
     MapFamily,
@@ -241,12 +240,11 @@ def load_action(
                 if sorted(p) != list(range(space.n_points)):
                     raise InputError(f"stage {k} element is not a permutation")
             eps_sep = st.get("eps_sep")
-            stages.append(
-                (
-                    tuple(perms),
-                    None if eps_sep is None else parse_fraction(eps_sep, f"stage {k} eps_sep"),
-                )
-            )
+            if eps_sep is not None:
+                eps_sep = parse_fraction(eps_sep, f"stage {k} eps_sep")
+                if eps_sep <= 0:
+                    raise InputError(f"stage {k} eps_sep: must be positive, got {fr_str(eps_sep)}")
+            stages.append((tuple(perms), eps_sep))
     return action, stages
 
 
@@ -459,7 +457,6 @@ def verify_certificate(
     family: MapFamily | None = None,
     input_hashes: dict[str, str] | None = None,
     stages: list[tuple[tuple[Perm, ...], Fraction | None]] | None = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> list[str]:
     """Re-derive everything checkable from a certificate document.
 
@@ -469,7 +466,7 @@ def verify_certificate(
     and every stage margin must be positive.  When the original input objects are supplied, the hypothesis report,
     the recorded input hashes and each stage's points and maps are
     recomputed too: an action's stages come from ``stages`` (as
-    ``load_action`` returns them) with ``exact_cap``, as ``embed`` made them.
+    ``load_action`` returns them), as ``embed`` made them.
     """
     issues: list[str] = []
 
@@ -604,9 +601,7 @@ def verify_certificate(
                         "f_perms": [list(p) for p in f_perms],
                         "eps_sep": None if eps_sep is None else fr_str(eps_sep),
                     }
-                    for (f_perms, eps_sep), pts in zip(
-                        specs, stage_points(action, specs, r, exact_cap)
-                    )
+                    for (f_perms, eps_sep), pts in zip(specs, stage_points(action, specs, r))
                 ]
             elif family is not None:
                 report = check_hypotheses_family(family, r)

@@ -58,11 +58,11 @@ from .partitions import (
 )
 from .perturb import Observable, ValueAssignment, assign_values, modulus, perturb, sample_observable, sup_distance
 from .space import (
-    DEFAULT_EXACT_CAP,
     FiniteSpace,
     GroupAction,
     MapFamily,
     Perm,
+    least_float_at_least,
     orbit,
     periodic_set,  # noqa: F401  bench/spans.py patches this name here
     restricted_space,
@@ -227,8 +227,13 @@ def orbit_margin(f: Observable, fam: MapFamily) -> Fraction | float:
     of the flattened orbit tuples on integer numerators; infinity when the
     source has fewer than two points.
     """
+    return _gap(f, _orbit_tuples(f, fam))
+
+
+def _gap(f: Observable, points: Iterable[tuple[int, ...]]) -> Fraction | float:
+    """``_closest_gap`` of numerator tuples as a value; infinity for fewer than two."""
     den, _ = f.numerators()
-    best = _closest_gap(_orbit_tuples(f, fam))
+    best = _closest_gap(points)
     return math.inf if best is None else Fraction(best, den)
 
 
@@ -257,15 +262,12 @@ def _eta_threshold(fam: MapFamily, delta: Fraction | float) -> float:
 
     The exhaustive guard "source pairs closer than eta map within delta
     under every map" holds exactly when eta is at most this threshold;
-    infinity when no pair reaches delta.  A float distance is at least
-    delta exactly when it is at least ``reach``, the least float not below
-    delta, so the scan compares floats only.
+    infinity when no pair reaches delta.  The scan compares floats only,
+    against the least float not below delta.
     """
     if delta == math.inf:
         return math.inf
-    reach = float(delta)
-    if reach < delta:
-        reach = math.nextafter(reach, math.inf)
+    reach = least_float_at_least(delta)
     src = fam.source.rows()
     tgt = fam.target.rows()
     maps = fam.maps
@@ -474,43 +476,42 @@ class _BaireState:
 
     The ledger is every pair whose orbit tuples currently differ, in every
     family run so far.  Each ``groups`` entry ``(fam, labels)`` holds one
-    family and its current orbit labels, which ``relabel`` keeps up to date.
+    family and its current orbit labels.  ``margin`` is the least gap
+    between distinct orbit tuples over every family: ``start`` folds in the
+    new family's, and ``relabel`` recomputes it after a perturbation.
     """
 
     def __init__(self, f: Observable, eps: Fraction):
         self.f = f
-        self.eps = eps
         self.geom = eps / 2
         self.groups: list[tuple[MapFamily, list[int]]] = []
+        self.margin: Fraction | float = math.inf
         self.logs: list[BlockLog] = []
 
-    def ledger_margin(self) -> Fraction | float:
-        """Least sup-distance between distinct orbit tuples over every family.
-
-        One closest-pair sweep per family over its distinct orbit tuples:
-        equal tuples are merged first, so a large group of colliding points
-        costs one entry.
-        """
-        den, _ = self.f.numerators()
-        gaps = [_closest_gap(set(_orbit_tuples(self.f, fam))) for fam, _ in self.groups]
-        best = min((g for g in gaps if g is not None), default=None)
-        return math.inf if best is None else Fraction(best, den)
+    def start(self, fam: MapFamily) -> list[int]:
+        """Add a family to the ledger; return its orbit labels."""
+        labels, distinct = _labelled(self.f, fam)
+        self.groups.append((fam, labels))
+        self.margin = min(self.margin, _gap(self.f, distinct))
+        return labels
 
     def relabel(self) -> list[int]:
-        """Recompute every family's orbit labels; return the last family's.
+        """Recompute every family's labels and the margin; return the last family's.
 
         Monotone progress: the new labels must refine the old ones, so a
         pair separated before stays separated.  Each new label then meets
         exactly one old label.
         """
         fresh = []
+        self.margin = math.inf
         for fam, old in self.groups:
-            new = _orbit_labels(self.f, fam)
+            new, distinct = _labelled(self.f, fam)
             if len(set(zip(new, old))) != len(set(new)):
                 raise InternalCheckError(
                     "monotone progress violated: a previously separated pair collided"
                 )
             fresh.append((fam, new))
+            self.margin = min(self.margin, _gap(self.f, distinct))
         self.groups = fresh
         return fresh[-1][1]
 
@@ -527,10 +528,14 @@ def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
     ]
 
 
-def _orbit_labels(f: Observable, fam: MapFamily) -> list[int]:
-    """One label per source point; two points collide iff their labels agree."""
-    seen: dict[tuple, int] = {}
-    return [seen.setdefault(t, len(seen)) for t in _orbit_tuples(f, fam)]
+def _labelled(f: Observable, fam: MapFamily) -> tuple[list[int], dict[tuple[int, ...], int]]:
+    """One label per source point, and the distinct orbit tuples with their labels.
+
+    Two points collide iff their labels agree.  A closest-pair sweep over
+    the distinct tuples costs one entry per group of colliding points.
+    """
+    seen: dict[tuple[int, ...], int] = {}
+    return [seen.setdefault(t, len(seen)) for t in _orbit_tuples(f, fam)], seen
 
 
 def colliding_pair_classes(df: DoubledFamily, labels: Sequence[int]) -> dict[Partition, list[Pair]]:
@@ -593,8 +598,7 @@ def _run_family_blocks(
     (monotone progress), and only perturbed blocks are logged.
     """
     df = DoubledFamily(fam)
-    labels = _orbit_labels(state.f, fam)
-    state.groups.append((fam, labels))
+    labels = state.start(fam)
 
     classes = colliding_pair_classes(df, labels)
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
@@ -605,12 +609,12 @@ def _run_family_blocks(
             blk, live = first_fit_block(df, p_hat, live)
             if all(labels[x1] != labels[x2] for x1, x2 in blk.pairs):
                 continue
-            budget = min(state.geom, state.ledger_margin() / 4)
+            budget = min(state.geom, state.margin / 4)
             f_new, blog = separate_on_block(df, blk, state.f, budget, backend, coords)
             state.f = f_new
             state.geom = state.geom / 2
             labels = state.relabel()
-            state.logs.append(replace(blog, margin_after=state.ledger_margin()))
+            state.logs.append(replace(blog, margin_after=state.margin))
             if all(labels[x1] != labels[x2] for x1, x2 in live):
                 break
 
@@ -738,7 +742,6 @@ def stage_points(
     action: GroupAction,
     specs: Sequence[tuple[Sequence[Perm], Fraction | None]],
     r: int,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> list[tuple[int, ...]]:
     """The sorted ambient points each stage is embedded on.
 
@@ -751,7 +754,7 @@ def stage_points(
     return [
         tuple(range(action.space.n_points))
         if eps_sep is None
-        else tuple(sorted(restricted_space(action, f_perms, eps_sep, r, n, exact_cap)))
+        else tuple(sorted(restricted_space(action, f_perms, eps_sep, r, n)))
         for f_perms, eps_sep in specs
     ]
 
@@ -765,7 +768,6 @@ def embed_equivariant(
     stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None = None,
     backend: str = BACKEND_CELLS,
     coords: Coords | None = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> EmbeddingCertificate:
     """Make one observable's orbit map injective for a group action.
 
@@ -781,7 +783,7 @@ def embed_equivariant(
     report = _passed(check_hypotheses_action(action, r), "dimension")
     state = _BaireState(f0, eps_f)
     stage_fams: list[tuple[MapFamily, tuple[int, ...], tuple[Perm, ...], Fraction | None]] = []
-    for (f_perms, eps_sep), pts in zip(specs, stage_points(action, specs, r, exact_cap)):
+    for (f_perms, eps_sep), pts in zip(specs, stage_points(action, specs, r)):
         if not pts:
             stage_fams.append((None, (), f_perms, eps_sep))
             continue

@@ -8,11 +8,12 @@ caller-supplied oracle.  The convention dim(empty) = -1 is used throughout.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,8 +21,11 @@ from .errors import GroupCapError, InputError
 
 Perm = tuple[int, ...]
 
-DEFAULT_EXACT_CAP = 24
+# Largest F-orbit whose separation is decided exactly; greedy above it.
+EXACT_CAP = 24
 DEFAULT_GROUP_CAP = 10_000
+# Seeded random nested pairs on which validate_space probes a dimension oracle.
+MONOTONE_SAMPLES = 200
 
 
 def as_index(value: Any, where: str) -> int:
@@ -249,7 +253,7 @@ def _triangle_issues(m: np.ndarray) -> list[str]:
     return issues
 
 
-def validate_space(space: FiniteSpace, monotone_samples: int = 200) -> ValidationReport:
+def validate_space(space: FiniteSpace) -> ValidationReport:
     """Check the metric axioms exhaustively and a supplied dimension oracle by sampling.
 
     Metric checks cover symmetry, zero diagonal, positivity off the diagonal
@@ -279,7 +283,7 @@ def validate_space(space: FiniteSpace, monotone_samples: int = 200) -> Validatio
         if i + 1 < n:
             chains.append((frozenset([i]), frozenset([i, i + 1])))
     rng = random.Random(0x5EED ^ n)
-    for _ in range(monotone_samples):
+    for _ in range(MONOTONE_SAMPLES):
         big = frozenset(p for p in range(n) if rng.random() < 0.5)
         small = frozenset(p for p in big if rng.random() < 0.5)
         chains.append((small, big))
@@ -454,61 +458,51 @@ def periodic_set(action: GroupAction, n_max: int) -> frozenset[int]:
     )
 
 
-class SepResult(NamedTuple):
-    size: int
-    exact: bool
+def least_float_at_least(x: Fraction) -> float:
+    """The least float not below ``x``: a float d has d >= x exactly when d >= this."""
+    try:
+        reach = float(x)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(reach, math.inf) if reach < x else reach
 
 
-def sep(
-    space: FiniteSpace,
-    points: Iterable[int],
-    eps: float | Fraction,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-) -> SepResult:
-    """Size of a largest eps-separated subset of ``points``.
+def _spreads(rows: list[list[float]], pts: Sequence[int], reach: float, target: int) -> bool:
+    """Whether at least ``target`` of the sorted ``pts`` lie pairwise ``reach`` apart.
 
-    Exact branch and bound for at most ``exact_cap`` points; above the cap a
-    greedy maximal separated set gives a certified lower bound, flagged as
-    inexact in the result.
+    A greedy pass in point order answers yes as soon as it keeps ``target``
+    points.  Otherwise, for at most ``EXACT_CAP`` points, a bitmask branch and
+    bound decides exactly, stopping at the first set of ``target`` mutually
+    far points; above the cap the greedy answer stands, which can only say
+    no where an exact search would say yes.
     """
-    pts = sorted(set(int(p) for p in points))
-    if not pts:
-        raise InputError("sep needs a nonempty point set")
-    if not all(0 <= p < space.n_points for p in pts):
-        raise InputError("sep point out of range")
-    eps_f = Fraction(eps)
-    if eps_f <= 0:
-        raise InputError("eps must be positive")
+    kept: list[int] = []
+    for p in pts:
+        row = rows[p]
+        if all(row[q] >= reach for q in kept):
+            kept.append(p)
+            if len(kept) >= target:
+                return True
     k = len(pts)
+    if k > EXACT_CAP:
+        return False
     far = [0] * k
     for a in range(k):
+        row = rows[pts[a]]
         for b in range(a + 1, k):
-            if Fraction(space.distance(pts[a], pts[b])) >= eps_f:
+            if row[pts[b]] >= reach:
                 far[a] |= 1 << b
                 far[b] |= 1 << a
 
-    if k > exact_cap:
-        kept: list[int] = []
-        for a in range(k):
-            if all(far[a] >> b & 1 for b in kept):
-                kept.append(a)
-        return SepResult(len(kept), False)
-
-    best = 0
-
-    def expand(candidates: int, size: int) -> None:
-        nonlocal best
-        while candidates:
-            if size + candidates.bit_count() <= best:
-                return
+    def found(candidates: int, size: int) -> bool:
+        while size + candidates.bit_count() >= target:
             v = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            if size + 1 > best:
-                best = size + 1
-            expand(far[v] & candidates, size + 1)
+            if size + 1 >= target or found(far[v] & candidates, size + 1):
+                return True
+        return False
 
-    expand((1 << k) - 1, 0)
-    return SepResult(best, True)
+    return found((1 << k) - 1, 0)
 
 
 def restricted_space(
@@ -517,27 +511,35 @@ def restricted_space(
     eps: float | Fraction,
     r: int,
     n: int,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> frozenset[int]:
     """Points where the finite stage F already tells the whole story.
 
     A point x qualifies when the full orbit equals the F-orbit, or when the
-    F-orbit contains at least r*n points pairwise eps-apart.  A flagged
-    inexact separation count is used as is, which can only shrink the result.
+    F-orbit contains at least r*n points pairwise eps-apart (``_spreads``).
     """
     if r < 1 or n < 1:
         raise InputError("r and n must be at least 1")
+    eps_f = Fraction(eps)
+    if eps_f <= 0:
+        raise InputError("eps must be positive")
     fams = [tuple(int(v) for v in p) for p in subset_f]
+    if not fams:
+        raise InputError("subset_f: a stage needs at least one element")
     npts = action.space.n_points
     for k, p in enumerate(fams):
         if len(p) != npts or sorted(p) != list(range(npts)):
             raise InputError(f"subset_f[{k}]: not a permutation")
+    orbits: list[frozenset[int] | None] = [None] * npts
+    for x in range(npts):
+        if orbits[x] is None:
+            orb = orbit(action, x)
+            for y in orb:
+                orbits[y] = orb
+    rows = action.space.rows()
+    reach = least_float_at_least(eps_f)
     out = []
     for x in range(npts):
-        f_orbit = frozenset(p[x] for p in fams)
-        if orbit(action, x) == f_orbit:
-            out.append(x)
-            continue
-        if sep(action.space, f_orbit, eps, exact_cap).size >= r * n:
+        f_orbit = {p[x] for p in fams}
+        if orbits[x] == f_orbit or _spreads(rows, sorted(f_orbit), reach, r * n):
             out.append(x)
     return frozenset(out)

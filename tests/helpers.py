@@ -29,11 +29,11 @@ from menger.pipeline import (
     HypothesisCheck,
     HypothesisReport,
     _BaireState,
-    _orbit_labels,
     margin,
     separate_on_block,
 )
 from menger.space import (
+    MONOTONE_SAMPLES,
     FiniteSpace,
     GroupAction,
     MapFamily,
@@ -86,6 +86,15 @@ def naive_sep(space: FiniteSpace, points: list[int], eps: Fraction) -> int:
             ):
                 return k
     return best
+
+
+def greedy_sep(space: FiniteSpace, points: list[int], eps: Fraction) -> int:
+    """Size of the eps-separated set one greedy pass keeps, in sorted point order."""
+    kept: list[int] = []
+    for p in sorted(points):
+        if all(Fraction(space.distance(p, q)) >= eps for q in kept):
+            kept.append(p)
+    return len(kept)
 
 
 def naive_induced_blocks(fam: MapFamily, x: int) -> set[frozenset[int]]:
@@ -266,7 +275,7 @@ def per_row_triangle_issues(m: np.ndarray) -> list[str]:
     return issues
 
 
-def reference_validate_space(space: FiniteSpace, monotone_samples: int = 200) -> list[str]:
+def reference_validate_space(space: FiniteSpace) -> list[str]:
     """The metric axioms plus the dimension probe, run on every space.
 
     Declared dimension is probed as well: ``dim(empty)`` and monotonicity on
@@ -283,7 +292,7 @@ def reference_validate_space(space: FiniteSpace, monotone_samples: int = 200) ->
         if i + 1 < n:
             chains.append((frozenset([i]), frozenset([i, i + 1])))
     rng = random.Random(0x5EED ^ n)
-    for _ in range(monotone_samples):
+    for _ in range(MONOTONE_SAMPLES):
         big = frozenset(p for p in range(n) if rng.random() < 0.5)
         small = frozenset(p for p in big if rng.random() < 0.5)
         chains.append((small, big))
@@ -441,6 +450,12 @@ def naive_certify_eta(fam: MapFamily, eta: Fraction, delta) -> bool:
     )
 
 
+def naive_orbit_labels(f: Observable, fam: MapFamily) -> list[int]:
+    """One label per source point, the index of its orbit row's first holder."""
+    rows = [orbit_row(f, fam, x) for x in range(fam.source.n_points)]
+    return [rows.index(row) for row in rows]
+
+
 def reference_block_loop(fams, f0: Observable, eps: Fraction) -> _BaireState:
     """The block loop of ``embed_family`` (one family) or of
     ``embed_equivariant`` (one family per stage) with every class packed whole.
@@ -472,7 +487,7 @@ def reference_block_loop(fams, f0: Observable, eps: Fraction) -> _BaireState:
         started.append(fam)
         df = DoubledFamily(fam)
         n = fam.source.n_points
-        labels = _orbit_labels(state.f, fam)
+        labels = naive_orbit_labels(state.f, fam)
         classes: dict[Partition, list[tuple[int, int]]] = {}
         for x1 in range(n):
             for x2 in range(n):
@@ -480,7 +495,7 @@ def reference_block_loop(fams, f0: Observable, eps: Fraction) -> _BaireState:
                     p_hat = doubled_induced_partition(df, (x1, x2))
                     classes.setdefault(p_hat, []).append((x1, x2))
         for p_hat in sorted(classes, key=lambda p: (-len(p.blocks), p.blocks)):
-            labels = _orbit_labels(state.f, fam)
+            labels = naive_orbit_labels(state.f, fam)
             live = [(x1, x2) for x1, x2 in classes[p_hat] if labels[x1] == labels[x2]]
             for pairs in naive_coherent_blocks(df, p_hat, live):
                 blk = CoherentBlock.build(df, p_hat, pairs)

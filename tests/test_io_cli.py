@@ -809,7 +809,6 @@ def antipodal_cli_run(tmp_path_factory):
         (_set("config", "group_cap", "abc"), "config: group_cap must be an integer, got 'abc'"),
         # int(...) would truncate or replace these
         (_set("config", "group_cap", 10000.7), "config: group_cap must be an integer, got 10000.7"),
-        (_set("config", "exact_cap", False), "config: exact_cap must be an integer, got False"),
     ],
 )
 def test_cli_verify_rehashed_malformed_config_exits_four(
@@ -1010,7 +1009,7 @@ def test_cli_certificate_config_holds_only_the_caps(tmp_path, capsys, monkeypatc
     embed = ["embed", "--space", space_path, "--action", action_path, "--r", "1", "--eps", "0.05"]
     first = str(tmp_path / "first.json")
     assert main(embed + ["--out", first]) == 0
-    assert load_certificate(first)["config"].keys() == {"exact_cap", "group_cap"}
+    assert load_certificate(first)["config"].keys() == {"group_cap"}
 
     # no environment variable reaches the run or the certificate
     monkeypatch.setenv("MENGER_THREADS", "zero")
@@ -1075,7 +1074,13 @@ def test_cli_argparse_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 1
-    capsys.readouterr()
+    # the exact separation solver has no knob any more
+    space_path, action_path = _write_inputs(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--space", space_path, "--action", action_path,
+              "--r", "1", "--eps", "1/20", "--exact-cap", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --exact-cap 5" in capsys.readouterr().err
 
 
 def test_cli_repeated_calls_do_not_leak_defaults(tmp_path, capsys, monkeypatch):

@@ -136,6 +136,34 @@ def test_cli_index_that_is_not_an_integer_exits_one(tmp_path, capsys, kind, path
     assert err.startswith(f"error: {tmp_path / kind}.json: {field}")
 
 
+@pytest.mark.parametrize("eps_sep", ["-1", "0"])
+@pytest.mark.parametrize(
+    "step, steps",
+    [
+        # every F-orbit is a full orbit, so no separation is ever asked for
+        (4, (0, 4, 8)),
+        # F-orbits of 5 points out of 12, so every point asks for one
+        (1, (0, 1, 2, 3, 4)),
+    ],
+)
+def test_cli_nonpositive_eps_sep_exits_one_naming_the_file(tmp_path, capsys, eps_sep, step, steps):
+    space_path = tmp_path / "space.json"
+    action_path = tmp_path / "action.json"
+    save_space(circle_space(12), str(space_path))
+    stage = {"elements": [list(rotation_perm(12, s)) for s in steps], "eps_sep": eps_sep}
+    action_path.write_text(
+        json.dumps({"generators": [list(rotation_perm(12, step))], "stages": [stage]})
+    )
+    code = main([
+        "embed", "--space", str(space_path), "--action", str(action_path),
+        "--group-cap", "5", "--r", "1", "--eps", "1/20",
+        "--out", str(tmp_path / "cert.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {action_path}: stage 0 eps_sep: must be positive, got {eps_sep}\n"
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -644,6 +644,30 @@ def test_embed_equivariant_two_stages_from_a_mixed_start(
     assert cert.displacement == Fraction(1, 40)
 
 
+def test_embed_equivariant_injective_first_stage_still_caps_the_next(circle9):
+    """Stage 1 starts injective with a gap of 1/1000 and perturbs no block;
+    stage 2's first budget must still be a quarter of that gap, as in the
+    explicit ordered-pair ledger of ``reference_block_loop``."""
+    action = GroupAction.from_generators(
+        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
+    )
+    stages = [([rotation_perm(9, s) for s in shift], None) for shift in [(0, 1), (0, 3, 6)]]
+    start = [Fraction(v, 1000) for v in (0, 1, 500, 0, 2, 1000, 0, 3, 250)]
+    f0 = Observable.create(circle9, [[v, 1 - v] for v in start])
+    cert = embed_equivariant(action, r=2, eps=Fraction(1, 10), f0=f0, stages=stages)
+    assert [(b.budget, b.margin_after) for b in cert.blocks] == [
+        (Fraction(1, 4000), Fraction(3, 25600))
+    ]
+    ref = reference_block_loop(
+        [MapFamily.create(circle9, circle9, perms) for perms, _ in stages], f0, Fraction(1, 10)
+    )
+    assert [(b.budget, b.margin_after) for b in ref.logs] == [
+        (b.budget, b.margin_after) for b in cert.blocks
+    ]
+    assert cert.observable.values == ref.f.values
+    assert [record.margin for record in cert.stages] == [Fraction(1, 1000), Fraction(3, 25600)]
+
+
 def test_embed_family_seeded_start_lists_no_pair(monkeypatch):
     """An injective start classifies no pair, computes no pair margin and
     lists no pair: a list of the 39800 ordered pairs alone would take about

@@ -6,10 +6,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (
+    euclidean_space,
+    greedy_sep,
     naive_sep,
     naive_triangle_issues,
     per_row_triangle_issues,
-    random_euclidean_space,
     reference_validate_space,
 )
 from hypothesis import given, settings
@@ -27,8 +28,9 @@ from menger.space import (
     invert_perm,
     orbit,
     periodic_set,
+    _spreads,
+    least_float_at_least,
     restricted_space,
-    sep,
     validate_space,
 )
 
@@ -290,31 +292,70 @@ def test_orbits_and_periodic_sets(rot3_action):
     assert periodic_set(rot3_action, 3) == frozenset(range(9))
 
 
-def test_sep_matches_naive_enumeration():
-    rng = random.Random(90125)
-    for trial in range(12):
-        n = rng.randint(2, 9)
-        space = random_euclidean_space(rng, n)
-        pts = sorted(rng.sample(range(n), rng.randint(1, n)))
-        eps = Fraction(rng.randint(1, 50), 10)
-        got = sep(space, pts, eps)
-        assert got.exact
-        assert got.size == naive_sep(space, pts, eps)
+def _separation_reference(space, pts, eps, cap):
+    """Largest eps-separated subset of ``pts`` up to ``cap`` points, the greedy count above."""
+    return naive_sep(space, pts, eps) if len(pts) <= cap else greedy_sep(space, pts, eps)
 
 
-def test_sep_equilateral_triangle():
-    metric = [[0.0, 1.5, 1.5], [1.5, 0.0, 1.5], [1.5, 1.5, 0.0]]
-    space = FiniteSpace.create(metric)
-    assert sep(space, [0, 1, 2], Fraction(1)).size == 3
-    assert sep(space, [0, 1, 2], Fraction(2)).size == 1
+def _planar_space(data, max_points):
+    coords = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            min_size=2, max_size=max_points, unique=True,
+        ),
+        label="points",
+    )
+    return euclidean_space(coords)
 
 
-def test_sep_above_cap_is_flagged_lower_bound():
-    space = circle_space(10)
-    exact = sep(space, range(10), Fraction(1, 2))
-    greedy = sep(space, range(10), Fraction(1, 2), exact_cap=4)
-    assert exact.exact and not greedy.exact
-    assert greedy.size <= exact.size
+def _eps(data, space):
+    """Either a distance the space realises, exactly, or a small rational."""
+    n = space.n_points
+    a, b = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="pair")
+    if a != b and data.draw(st.booleans(), label="realised"):
+        return Fraction(space.distance(a, b))
+    return Fraction(data.draw(st.integers(1, 80), label="eps_num"), 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_spreads_decides_like_the_largest_separated_set(data):
+    space = _planar_space(data, 30)
+    pts = sorted(
+        data.draw(
+            st.sets(st.integers(0, space.n_points - 1), min_size=1, max_size=10), label="pts"
+        )
+    )
+    eps = _eps(data, space)
+    target = data.draw(st.integers(1, 8), label="target")
+    cap = data.draw(st.sampled_from([space_module.EXACT_CAP, 3]), label="cap")
+    with mock.patch.object(space_module, "EXACT_CAP", cap):
+        got = _spreads(space.rows(), pts, least_float_at_least(eps), target)
+    assert got == (_separation_reference(space, pts, eps, cap) >= target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_restricted_space_matches_definition_on_random_stages(data):
+    m = data.draw(st.integers(3, 12), label="m")
+    space = circle_space(m)
+    action = GroupAction.from_generators(space, [rotation_perm(m, data.draw(st.integers(1, m - 1)))])
+    f_perms = data.draw(
+        st.lists(st.permutations(range(m)), min_size=1, max_size=6), label="f_perms"
+    )
+    eps = _eps(data, space)
+    r, n = data.draw(st.integers(1, 2), label="r"), data.draw(st.integers(1, 3), label="n")
+    cap = data.draw(st.sampled_from([space_module.EXACT_CAP, 2]), label="cap")
+    with mock.patch.object(space_module, "EXACT_CAP", cap):
+        got = restricted_space(action, f_perms, eps, r=r, n=n)
+    expected = set()
+    for x in range(m):
+        f_orbit = sorted({p[x] for p in f_perms})
+        if frozenset(f_orbit) == orbit(action, x):
+            expected.add(x)
+        elif _separation_reference(space, f_orbit, eps, cap) >= r * n:
+            expected.add(x)
+    assert got == frozenset(expected)
 
 
 def test_restricted_space_matches_definition():
@@ -328,9 +369,51 @@ def test_restricted_space_matches_definition():
         f_orbit = sorted({p[x] for p in f_perms})
         if frozenset(f_orbit) == orbit(action, x):
             expected.add(x)
-        elif sep(space, f_orbit, eps).size >= 1 * 3:
+        elif naive_sep(space, f_orbit, eps) >= 1 * 3:
             expected.add(x)
     assert got == frozenset(expected)
     # chord distances on a 12-gon comfortably exceed 1/10, so the separation
     # route admits every point even though F-orbits are strict subsets
     assert got == frozenset(range(12))
+
+
+def test_restricted_space_above_the_cap_keeps_the_greedy_answer():
+    # 26 rotations of a 30-gon: every F-orbit has 26 > EXACT_CAP points
+    space = circle_space(30)
+    action = GroupAction.from_generators(space, [rotation_perm(30, 1)])
+    f_perms = [rotation_perm(30, k) for k in range(26)]
+    for k in (1, 2, 3, 5, 10, 15):
+        eps = Fraction(space.distance(0, k))
+        for target in (2, 3, 5, 10, 13):
+            got = restricted_space(action, f_perms, eps, r=1, n=target)
+            expected = {
+                x for x in range(30)
+                if greedy_sep(space, [p[x] for p in f_perms], eps) >= target
+            }
+            assert got == frozenset(expected)
+    # an exact search would admit four more points here, so the cap decides
+    eps = Fraction(space.distance(0, 15))
+    with mock.patch.object(space_module, "EXACT_CAP", 30):
+        exact = restricted_space(action, f_perms, eps, r=1, n=2)
+    assert exact - restricted_space(action, f_perms, eps, r=1, n=2) == {16, 17, 18, 19}
+
+
+def test_restricted_space_compares_distances_exactly():
+    # an equilateral triangle of side binary 0.3, which lies just below 3/10
+    space = FiniteSpace.create([[0.0, 0.3, 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]])
+    action = GroupAction.from_generators(space, [(1, 2, 0)])
+    f_perms = [(0, 1, 2), (1, 2, 0)]
+    assert Fraction(0.3) < Fraction(3, 10)
+    assert restricted_space(action, f_perms, Fraction(3, 10), r=1, n=2) == frozenset()
+    assert restricted_space(action, f_perms, Fraction(0.3), r=1, n=2) == {0, 1, 2}
+    assert naive_sep(space, [0, 1], Fraction(3, 10)) == 1
+
+
+@pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 2)])
+def test_restricted_space_refuses_a_nonpositive_eps_before_any_point(eps):
+    space = circle_space(12)
+    action = GroupAction.from_generators(space, [rotation_perm(12, 4)])
+    # every F-orbit is a full orbit, so no point would ever ask for a separation
+    f_perms = [rotation_perm(12, k) for k in (0, 4, 8)]
+    with pytest.raises(InputError, match="eps must be positive"):
+        restricted_space(action, f_perms, eps, r=1, n=1)
