@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CoverInfeasibleError, InputError, InternalCheckError
 from .space import FiniteSpace
@@ -45,16 +45,16 @@ class Coords:
 
 @dataclass(frozen=True)
 class ColoredCover:
-    """Families of pairwise disjoint subsets with a recorded diameter bound.
+    """Families of pairwise disjoint subsets with a promised diameter bound.
 
-    ``eps`` is stored tight: it equals the largest subset diameter actually
-    present, so transporting a cover back and forth reproduces it exactly.
+    ``eps`` is the bound the cover was built for, and ``verify_cover`` checks
+    every subset against it; a pulled cover carries its source's bound.
     ``mu`` is the promised covering multiplicity, counted in families.
     """
 
     ambient: tuple[int, ...]
     families: tuple[tuple[frozenset[int], ...], ...]
-    eps: float
+    eps: Fraction
     mu: int
 
 
@@ -141,16 +141,6 @@ def diameter_clusters(
     return clusters
 
 
-def _tight_eps(space: FiniteSpace, families: Iterable[Iterable[frozenset[int]]]) -> float:
-    best = 0.0
-    for fam in families:
-        for sub in fam:
-            d = space.diameter(sub)
-            if d > best:
-                best = d
-    return best
-
-
 def build_cover(
     space: FiniteSpace,
     points: Sequence[int],
@@ -170,7 +160,7 @@ def build_cover(
     if not all(0 <= p < space.n_points for p in pts):
         raise InputError("cover point out of range")
     if not pts:
-        return ColoredCover((), tuple(() for _ in range(m)), 0.0, mu)
+        return ColoredCover((), tuple(() for _ in range(m)), eps_f, mu)
 
     if backend == BACKEND_CELLS:
         clusters = diameter_clusters(space, pts, eps_f)
@@ -182,7 +172,7 @@ def build_cover(
     else:
         raise InputError(f"unknown cover backend {backend!r}")
 
-    cover = ColoredCover(pts, families, _tight_eps(space, families), mu)
+    cover = ColoredCover(pts, families, eps_f, mu)
     report = verify_cover(cover, space)
     if not report.ok:
         raise InternalCheckError("freshly built cover failed verification: " + report.violations[0])
@@ -254,8 +244,12 @@ def _as_map(mapping) -> dict[int, int]:
     return {i: int(v) for i, v in enumerate(mapping)}
 
 
-def pull_cover(cover: ColoredCover, t, source: FiniteSpace) -> ColoredCover:
-    """Preimage of a cover under a bijection onto its ambient set."""
+def pull_cover(cover: ColoredCover, t) -> ColoredCover:
+    """Preimage of a cover under a bijection onto its ambient set.
+
+    The diameter bound is carried over unchanged; it holds for the preimage
+    wherever the bijection is an isometry.
+    """
     tm = _as_map(t)
     if len(set(tm.values())) != len(tm):
         raise InputError("pull map is not injective")
@@ -266,4 +260,4 @@ def pull_cover(cover: ColoredCover, t, source: FiniteSpace) -> ColoredCover:
         tuple(frozenset(inverse[p] for p in sub) for sub in fam) for fam in cover.families
     )
     ambient = tuple(sorted(inverse[p] for p in cover.ambient))
-    return ColoredCover(ambient, families, _tight_eps(source, families), cover.mu)
+    return ColoredCover(ambient, families, cover.eps, cover.mu)

@@ -40,10 +40,9 @@ from .pipeline import (
     EmbeddingCertificate,
     HypothesisReport,
     StageRecord,
+    action_stages,
     check_hypotheses_action,
     check_hypotheses_family,
-    stage_points,
-    stage_specs,
 )
 from .space import (
     FiniteSpace,
@@ -232,6 +231,8 @@ def load_action(
         stages = []
         for k, st in enumerate(doc["stages"]):
             elements = _list(_require(st, "elements", f"stage {k}: "), f"stage {k} elements")
+            if not elements:
+                raise InputError(f"stage {k} elements: the list is empty")
             perms = []
             for e, raw in enumerate(elements):
                 where = f"stage {k} element {e}"
@@ -463,10 +464,11 @@ def verify_certificate(
     Returns the list of mismatches (empty means the certificate is sound).
     The content hash is checked first; then every recomputed quantity, the
     margins and the displacement, must match the stored strings exactly,
-    and every stage margin must be positive.  When the original input objects are supplied, the hypothesis report,
-    the recorded input hashes and each stage's points and maps are
-    recomputed too: an action's stages come from ``stages`` (as
-    ``load_action`` returns them), as ``embed`` made them.
+    and every stage margin must be positive.  When the original input
+    objects are supplied, the hypothesis report, the recorded input hashes
+    and each stage's points and maps are recomputed too: an action's stages
+    are rebuilt from ``stages`` (as ``load_action`` returns them) by the
+    embedder's own plan, ``action_stages``.
     """
     issues: list[str] = []
 
@@ -594,14 +596,13 @@ def verify_certificate(
             if cert.get("kind") == "action" and action is not None:
                 # embed_equivariant always checks up to the largest orbit
                 report = check_hypotheses_action(action, r)
-                specs = stage_specs(action, stages)
                 expected = [
                     {
                         "points": list(pts),
                         "f_perms": [list(p) for p in f_perms],
                         "eps_sep": None if eps_sep is None else fr_str(eps_sep),
                     }
-                    for (f_perms, eps_sep), pts in zip(specs, stage_points(action, specs, r))
+                    for f_perms, eps_sep, pts in action_stages(action, stages, r)
                 ]
             elif family is not None:
                 report = check_hypotheses_family(family, r)

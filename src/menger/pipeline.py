@@ -348,7 +348,7 @@ def separate_on_block(
         tr = intersective_transport(df, work)
         transport_log = tuple(sorted(tr.transport.items()))
         zeta_log = tuple(sorted(tr.zeta.items()))
-        pulled = pull_cover(cover2, tr.transport, fam.source)
+        pulled = pull_cover(cover2, tr.transport)
         fresh = diameter_clusters(fam.source, red1.points, bound)
         fams1 = [fresh for _ in range(m1 * r)]
         for t2 in sorted(tr.intersecting):
@@ -650,6 +650,58 @@ def _passed(report: HypothesisReport, what: str) -> HypothesisReport:
     return report
 
 
+def _certify(
+    kind: str,
+    r: int,
+    eps: Fraction,
+    seed: int | None,
+    backend: str,
+    report: HypothesisReport,
+    f0: Observable,
+    state: _BaireState,
+    runs: Iterable[
+        tuple[MapFamily | None, Sequence[int], tuple[Perm, ...] | None, Fraction | None]
+    ],
+) -> EmbeddingCertificate:
+    """The certificate of a finished run, one stage record per run.
+
+    A run is (family, points, elements, eps_sep); a stage without points has
+    no family and still records one (empty) map per element.  Every stage
+    margin must be positive and the total displacement within eps.
+    """
+    records = []
+    for fam, pts, f_perms, eps_sep in runs:
+        if fam is None:
+            labels = tuple(f"e{k}" for k in range(len(f_perms)))
+            records.append(
+                StageRecord((), ((),) * len(f_perms), labels, f_perms, eps_sep, math.inf)
+            )
+            continue
+        stage_margin = orbit_margin(state.f, fam)
+        if not stage_margin > 0:
+            raise InternalCheckError("stage margin is zero; some pair was never separated")
+        records.append(
+            StageRecord(tuple(pts), fam.maps, fam.labels, f_perms, eps_sep, stage_margin)
+        )
+    displacement = sup_distance(state.f, f0)
+    if displacement > eps:
+        raise InternalCheckError(f"total displacement {displacement} exceeds eps {eps}")
+    return EmbeddingCertificate(
+        kind=kind,
+        r=r,
+        eps=eps,
+        seed=seed,
+        backend=backend,
+        hypothesis=report,
+        f0=f0,
+        observable=state.f,
+        blocks=tuple(state.logs),
+        stages=tuple(records),
+        margin=min((s.margin for s in records), default=math.inf),
+        displacement=displacement,
+    )
+
+
 def embed_family(
     fam: MapFamily,
     r: int,
@@ -664,45 +716,14 @@ def embed_family(
     Raises HypothesisError when some partition class has declared dimension
     at least (r/2) times its block count; otherwise returns a certificate
     whose margin is strictly positive and whose displacement stays within
-    eps, both exact.
+    eps, both exact.  The family is the one stage, over every source point.
     """
     eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed)
     report = _passed(check_hypotheses_family(fam, r), "dimension")
     state = _BaireState(f0, eps_f)
     _run_family_blocks(state, fam, backend, coords)
-
-    n = fam.source.n_points
-    final_margin = orbit_margin(state.f, fam)
-    if not final_margin > 0:
-        raise InternalCheckError("final margin is zero; some pair was never separated")
-    displacement = sup_distance(state.f, f0)
-    if displacement > eps_f:
-        raise InternalCheckError(
-            f"total displacement {displacement} exceeds eps {eps_f}"
-        )
-
-    stage = StageRecord(
-        points=tuple(range(n)),
-        maps=fam.maps,
-        labels=fam.labels,
-        f_perms=None,
-        eps_sep=None,
-        margin=final_margin,
-    )
-    return EmbeddingCertificate(
-        kind="family",
-        r=r,
-        eps=eps_f,
-        seed=used_seed,
-        backend=backend,
-        hypothesis=report,
-        f0=f0,
-        observable=state.f,
-        blocks=tuple(state.logs),
-        stages=(stage,),
-        margin=final_margin,
-        displacement=displacement,
-    )
+    run = (fam, range(fam.source.n_points), None, None)
+    return _certify("family", r, eps_f, used_seed, backend, report, f0, state, [run])
 
 
 def default_stage_n(space: FiniteSpace, r: int) -> int:
@@ -711,52 +732,41 @@ def default_stage_n(space: FiniteSpace, r: int) -> int:
     return (2 * d) // r + 1
 
 
-def stage_specs(
+def action_stages(
     action: GroupAction,
-    stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None = None,
-) -> list[tuple[tuple[Perm, ...], Fraction | None]]:
-    """Each stage of an action as (element permutations, eps_sep or None).
+    stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None,
+    r: int,
+) -> list[tuple[tuple[Perm, ...], Fraction | None, tuple[int, ...]]]:
+    """Each stage of an action as (element permutations, eps_sep or None, sorted points).
 
     Without explicit stages the whole enumerated group is the one stage; a
     group whose closure was capped needs them.  An empty stage list would
-    certify nothing, so it is an input error.
+    certify nothing, so it is an input error.  A stage without eps_sep
+    covers the whole space; one with eps_sep covers the points whose
+    F-orbit equals the full orbit or spreads into at least r*n points
+    pairwise eps_sep-apart, n being ``default_stage_n``, which asks the
+    dimension oracle only when some stage has an eps_sep.
     """
     if stages is not None and not stages:
         raise InputError("stages: the list is empty; pass None to use the whole group")
+    everything = tuple(range(action.space.n_points))
     if stages is None:
         if action.elements is None:
             raise GroupCapError(
                 "group closure was capped; pass finite stages (F, eps_sep) explicitly"
             )
-        return [(action.elements, None)]
-    return [
-        (
-            tuple(tuple(int(v) for v in p) for p in f_perms),
-            None if eps_sep is None else Fraction(eps_sep),
-        )
-        for f_perms, eps_sep in stages
-    ]
-
-
-def stage_points(
-    action: GroupAction,
-    specs: Sequence[tuple[Sequence[Perm], Fraction | None]],
-    r: int,
-) -> list[tuple[int, ...]]:
-    """The sorted ambient points each stage is embedded on.
-
-    A stage without eps_sep covers the whole space; one with eps_sep covers
-    the points whose F-orbit equals the full orbit or spreads into at least
-    r*n points pairwise eps_sep-apart, n being ``default_stage_n``, which
-    asks the dimension oracle only when some stage has an eps_sep.
-    """
-    n = default_stage_n(action.space, r) if any(e is not None for _, e in specs) else 0
-    return [
-        tuple(range(action.space.n_points))
-        if eps_sep is None
-        else tuple(sorted(restricted_space(action, f_perms, eps_sep, r, n)))
-        for f_perms, eps_sep in specs
-    ]
+        return [(action.elements, None, everything)]
+    n = default_stage_n(action.space, r) if any(e is not None for _, e in stages) else 0
+    plan = []
+    for f_perms, eps_sep in stages:
+        elements = tuple(tuple(int(v) for v in p) for p in f_perms)
+        if eps_sep is None:
+            plan.append((elements, None, everything))
+        else:
+            eps_sep = Fraction(eps_sep)
+            pts = tuple(sorted(restricted_space(action, elements, eps_sep, r, n)))
+            plan.append((elements, eps_sep, pts))
+    return plan
 
 
 def embed_equivariant(
@@ -776,68 +786,22 @@ def embed_equivariant(
     pass finite stages explicitly: each stage is a pair (F, eps_sep) of
     element permutations and a separation scale, and is embedded on the
     subspace of points whose F-orbit either equals the full orbit or spreads
-    into at least r*n points pairwise eps_sep-apart.
+    into at least r*n points pairwise eps_sep-apart (``action_stages``).
     """
     eps_f, f0, used_seed = _start(action.space, r, eps, f0, seed)
-    specs = stage_specs(action, stages)
+    plan = action_stages(action, stages, r)
     report = _passed(check_hypotheses_action(action, r), "dimension")
     state = _BaireState(f0, eps_f)
-    stage_fams: list[tuple[MapFamily, tuple[int, ...], tuple[Perm, ...], Fraction | None]] = []
-    for (f_perms, eps_sep), pts in zip(specs, stage_points(action, specs, r)):
-        if not pts:
-            stage_fams.append((None, (), f_perms, eps_sep))
-            continue
-        sub, pts = action.space.subspace(pts)
-        local_maps = [tuple(p[x] for x in pts) for p in f_perms]
-        fam = MapFamily.create(
-            sub, action.space, local_maps, labels=[f"e{k}" for k in range(len(f_perms))]
-        )
-        _passed(check_hypotheses_family(fam, r), "stage")
-        _run_family_blocks(state, fam, backend, coords)
-        stage_fams.append((fam, pts, f_perms, eps_sep))
-
-    records = []
-    margins: list[Fraction | float] = []
-    for fam, pts, f_perms, eps_sep in stage_fams:
-        if fam is None:
-            # a stage without points still has one (empty) map per element
-            labels = tuple(f"e{k}" for k in range(len(f_perms)))
-            records.append(
-                StageRecord((), ((),) * len(f_perms), labels, f_perms, eps_sep, math.inf)
+    runs = []
+    for f_perms, eps_sep, pts in plan:
+        fam = None
+        if pts:
+            sub, _ = action.space.subspace(pts)
+            local_maps = [tuple(p[x] for x in pts) for p in f_perms]
+            fam = MapFamily.create(
+                sub, action.space, local_maps, labels=[f"e{k}" for k in range(len(f_perms))]
             )
-            continue
-        stage_margin = orbit_margin(state.f, fam)
-        if not stage_margin > 0:
-            raise InternalCheckError("stage margin is zero after all blocks")
-        margins.append(stage_margin)
-        records.append(
-            StageRecord(
-                points=pts,
-                maps=fam.maps,
-                labels=fam.labels,
-                f_perms=f_perms,
-                eps_sep=eps_sep,
-                margin=stage_margin,
-            )
-        )
-
-    displacement = sup_distance(state.f, f0)
-    if displacement > eps_f:
-        raise InternalCheckError(
-            f"total displacement {displacement} exceeds eps {eps_f}"
-        )
-    total_margin = min(margins) if margins else math.inf
-    return EmbeddingCertificate(
-        kind="action",
-        r=r,
-        eps=eps_f,
-        seed=used_seed,
-        backend=backend,
-        hypothesis=report,
-        f0=f0,
-        observable=state.f,
-        blocks=tuple(state.logs),
-        stages=tuple(records),
-        margin=total_margin,
-        displacement=displacement,
-    )
+            _passed(check_hypotheses_family(fam, r), "stage")
+            _run_family_blocks(state, fam, backend, coords)
+        runs.append((fam, pts, f_perms, eps_sep))
+    return _certify("action", r, eps_f, used_seed, backend, report, f0, state, runs)

@@ -358,7 +358,6 @@ class GroupAction:
     space: FiniteSpace
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...] | None
-    isometry_flag: bool
 
     @staticmethod
     def from_generators(
@@ -384,15 +383,7 @@ class GroupAction:
             if require_closure:
                 raise
             elements = None
-
-        iso = True
-        m = space.metric
-        for p in gens:
-            perm = np.array(p)
-            if not np.array_equal(m[np.ix_(perm, perm)], m):
-                iso = False
-                break
-        return GroupAction(space, gens, elements, iso)
+        return GroupAction(space, gens, elements)
 
     @property
     def order(self) -> int:

@@ -6,6 +6,7 @@ from helpers import naive_diameter_clusters, random_euclidean_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from menger import covers
 from menger.covers import (
     BACKEND_BRICKS,
     BACKEND_CELLS,
@@ -16,7 +17,7 @@ from menger.covers import (
     pull_cover,
     verify_cover,
 )
-from menger.errors import CoverInfeasibleError, InputError
+from menger.errors import CoverInfeasibleError, InputError, InternalCheckError
 from menger.fixtures import (
     circle_coords,
     circle_space,
@@ -106,6 +107,14 @@ def test_verify_cover_catches_violations_from_scratch():
     assert any("diameter" in v for v in report.violations)
 
 
+def test_build_cover_checks_diameters_against_the_requested_bound(monkeypatch):
+    """A backend that ignores the bound is caught: one 9-point cluster for
+    eps = 1/10 has diameter about 1.97 and must not pass as a cover."""
+    monkeypatch.setattr(covers, "diameter_clusters", lambda space, points, eps: (frozenset(points),))
+    with pytest.raises(InternalCheckError, match=r"has diameter .* > 1/10"):
+        build_cover(circle_space(9), range(9), 2, 1, Fraction(1, 10))
+
+
 def test_pull_of_an_image_cover_is_the_cover():
     space = circle_space(8)
     cover = build_cover(space, range(8), m=4, mu=2, eps=Fraction(3, 4))
@@ -117,7 +126,7 @@ def test_pull_of_an_image_cover_is_the_cover():
         cover.mu,
     )
     assert verify_cover(image, space).ok
-    back = pull_cover(image, {x: g[x] for x in range(8)}, space)
+    back = pull_cover(image, {x: g[x] for x in range(8)})
     assert back == cover
 
 
@@ -125,7 +134,7 @@ def test_pull_requires_exact_bijection_onto_ambient():
     space = path_space(3)
     cover = build_cover(space, [0, 1], m=1, mu=1, eps=Fraction(2))
     with pytest.raises(InputError):
-        pull_cover(cover, {0: 0, 1: 2}, space)   # lands on {0,2}, not {0,1}
+        pull_cover(cover, {0: 0, 1: 2})   # lands on {0,2}, not {0,1}
 
 
 def test_seeded_sweep_cells_and_bricks():

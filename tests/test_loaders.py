@@ -164,6 +164,35 @@ def test_cli_nonpositive_eps_sep_exits_one_naming_the_file(tmp_path, capsys, eps
     assert err == f"error: {action_path}: stage 0 eps_sep: must be positive, got {eps_sep}\n"
 
 
+@pytest.mark.parametrize("eps_sep", [None, "1/1000"])
+@pytest.mark.parametrize("command", ["check", "embed", "verify"])
+def test_cli_empty_stage_elements_exit_one_naming_the_file(tmp_path, capsys, eps_sep, command):
+    """A stage without elements embeds nothing: every command refuses its file."""
+    space_path = str(tmp_path / "space.json")
+    save_space(circle_space(12), space_path)
+    generators = [list(rotation_perm(12, 4))]
+    whole_path = tmp_path / "whole.json"
+    whole_path.write_text(json.dumps({"generators": generators}))
+    action_path = tmp_path / "action.json"
+    stage = {"elements": [], "eps_sep": eps_sep}
+    action_path.write_text(json.dumps({"generators": generators, "stages": [stage]}))
+    cert_path = str(tmp_path / "cert.json")
+    embed = ["embed", "--space", space_path, "--r", "1", "--eps", "1/20"]
+    assert main([*embed, "--action", str(whole_path), "--out", cert_path]) == 0
+    argv = {
+        "check": ["check", "--space", space_path, "--r", "1"],
+        "embed": [*embed, "--out", str(tmp_path / "never.json")],
+        "verify": ["verify", "--cert", cert_path, "--space", space_path],
+    }[command]
+    capsys.readouterr()
+    code = main([*argv, "--action", str(action_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {action_path}: stage 0 elements: the list is empty\n"
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "never.json").exists()
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -38,6 +39,7 @@ from menger.partitions import (
 from menger.perturb import Observable, sample_observable, sup_distance
 from menger.pipeline import (
     BRANCH_SKIPPED,
+    action_stages,
     check_hypotheses_action,
     check_hypotheses_family,
     colliding_pair_classes,
@@ -596,6 +598,42 @@ def test_embed_equivariant_explicit_stages(circle9):
     assert cert.stages[0].points == tuple(range(9))
     for record in cert.stages:
         assert record.margin > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_staged_embed_round_trips_through_the_verifier(data):
+    """embed_equivariant -> certificate_payload -> verify_certificate on a
+    random small staged rotation action, its closure capped or not: the
+    verifier finds no issue, and every stage holds the ``action_stages``
+    points, some of them none."""
+    n = data.draw(st.integers(4, 10), label="n")
+    space = circle_space(n)
+    step = data.draw(st.integers(1, n - 1), label="step")
+    cap = data.draw(st.sampled_from([2, 64]), label="cap")
+    action = GroupAction.from_generators(
+        space, [rotation_perm(n, step)], cap=cap, require_closure=False
+    )
+    shifts = list(range(0, n, math.gcd(n, step)))
+    element_lists = st.lists(st.sampled_from(shifts), min_size=2, max_size=4, unique=True)
+    eps_seps = st.none() | st.integers(1, n - 1).map(lambda j: space.distance(0, j))
+    stages = data.draw(
+        st.lists(
+            st.tuples(element_lists.map(lambda ks: [rotation_perm(n, k) for k in ks]), eps_seps),
+            min_size=1,
+            max_size=3,
+        ),
+        label="stages",
+    )
+    r = data.draw(st.integers(2, 3), label="r")
+    cert = embed_equivariant(
+        action, r, Fraction(1, 20), seed=data.draw(st.integers(0, 99)), stages=stages
+    )
+    payload = io.certificate_payload(cert)
+    payload["cert_sha256"] = hashlib.sha256(io.canonical_json(payload).encode("ascii")).hexdigest()
+    assert verify_certificate(payload, space=space, action=action, stages=stages) == []
+    plan = action_stages(action, stages, r)
+    assert [record["points"] for record in payload["stages"]] == [list(pts) for *_, pts in plan]
 
 
 @pytest.mark.parametrize(

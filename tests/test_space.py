@@ -271,7 +271,6 @@ def test_map_family_validation(circle9):
 def test_group_closure_and_order(circle9):
     action = GroupAction.from_generators(circle9, [rotation_perm(9, 3)])
     assert action.order == 3
-    assert action.isometry_flag
     assert identity_perm(9) in action.elements
 
 
