@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Any
@@ -38,6 +37,7 @@ from .io import (
     parse_fraction,
     verify_certificate,
     write_certificate,
+    write_json,
     write_orbit_csv,
 )
 from .fixtures import run_cover_oracle
@@ -76,28 +76,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(f"hypotheses: {verdict} ({len(report.checks)} checks, r={args.r})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(hypothesis_doc(report), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(args.out, hypothesis_doc(report))
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    space = load_space(args.space)
+    # each loader reads its file once and records the hash of those bytes
+    input_hashes: dict[str, str] = {}
+    space = load_space(args.space, record=input_hashes)
     eps = parse_fraction(args.eps, "--eps")
-    coords = load_coords(args.coords) if args.coords else None
-    f0 = load_observable(args.f0, space) if args.f0 else None
+    coords = load_coords(args.coords, record=input_hashes) if args.coords else None
+    f0 = load_observable(args.f0, space, record=input_hashes) if args.f0 else None
     seed = args.seed if args.seed is not None else 0
 
-    input_hashes: dict[str, str] = {"space": hash_file(args.space)}
-    if args.coords:
-        input_hashes["coords"] = hash_file(args.coords)
-    if args.f0:
-        input_hashes["f0"] = hash_file(args.f0)
-
     if args.action:
-        input_hashes["action"] = hash_file(args.action)
-        action, stages = load_action(args.action, space, args.group_cap)
+        action, stages = load_action(args.action, space, args.group_cap, record=input_hashes)
         cert = embed_equivariant(
             action,
             args.r,
@@ -109,8 +102,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
             coords=coords,
         )
     else:
-        input_hashes["family"] = hash_file(args.family)
-        family = load_family(args.family, space)
+        family = load_family(args.family, space, record=input_hashes)
         cert = embed_family(
             family,
             args.r,
@@ -151,21 +143,24 @@ def _recorded_cap(cert: dict[str, Any]) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = load_certificate(args.cert)
-    space = load_space(args.space) if args.space else None
+    # a loaded input records the hash of the bytes it parsed; without a
+    # space an action or family cannot be loaded, so only its hash is taken
+    input_hashes: dict[str, str] = {}
+    space = load_space(args.space, record=input_hashes) if args.space else None
     action = None
     stages = None
     family = None
-    input_hashes: dict[str, str] = {}
-    if args.space:
-        input_hashes["space"] = hash_file(args.space)
     if args.action:
-        input_hashes["action"] = hash_file(args.action)
-        if space is not None:
-            action, stages = load_action(args.action, space, _recorded_cap(cert))
+        if space is None:
+            input_hashes["action"] = hash_file(args.action)
+        else:
+            cap = _recorded_cap(cert)
+            action, stages = load_action(args.action, space, cap, record=input_hashes)
     if args.family:
-        input_hashes["family"] = hash_file(args.family)
-        if space is not None:
-            family = load_family(args.family, space)
+        if space is None:
+            input_hashes["family"] = hash_file(args.family)
+        else:
+            family = load_family(args.family, space, record=input_hashes)
 
     issues = verify_certificate(
         cert,
@@ -210,9 +205,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "details": list(res.details),
         }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(args.out, summary)
     return EXIT_OK if failures == 0 else 3
 
 

@@ -31,7 +31,7 @@ import os
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import sub
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 from .covers import Coords
 from .errors import InputError, VerificationError
@@ -50,7 +50,9 @@ from .space import (
     MapFamily,
     Perm,
     as_index,
+    as_indices,
     validate_space,
+    within,
 )
 
 CERT_FORMAT = "menger-certificate"
@@ -105,16 +107,42 @@ def _margin_str(x: Fraction | float) -> str:
     return "inf" if x == math.inf else fr_str(x)
 
 
-def _read_json(path: str) -> Any:
-    if not os.path.exists(path):
-        raise InputError(f"{path}: no such file")
+def _read_bytes(path: str) -> bytes:
+    """The whole file at ``path``; a failure to read it is one input error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def _read_json(path: str, record: dict[str, str] | None = None, role: str = "") -> Any:
+    """The JSON document at ``path``, read once.
+
+    With ``record``, the SHA-256 of exactly the bytes parsed is stored
+    there under ``role``.
+    """
+    data = _read_bytes(path)
+    if record is not None:
+        record[role] = hashlib.sha256(data).hexdigest()
+    try:
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:   # bad JSON or UTF-8, or an integer past int's digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError:      # json.load recurses once per nesting level
+    except RecursionError:      # json.loads recurses once per nesting level
         raise InputError(f"{path}: invalid JSON: nested too deeply") from None
+
+
+@contextmanager
+def _output(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened for writing text; a failure to open or write it is one input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _require(obj: Any, key: str, where: str = "") -> Any:
@@ -173,8 +201,9 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
     return space
 
 
-def load_space(path: str) -> FiniteSpace:
-    doc = _read_json(path)
+def load_space(path: str, record: dict[str, str] | None = None) -> FiniteSpace:
+    """The validated space at ``path``; ``record`` receives its hash as ``"space"``."""
+    doc = _read_json(path, record, "space")
     with _reading(path):
         return _space_from_doc(doc)
 
@@ -185,11 +214,12 @@ def save_space(space: FiniteSpace, path: str) -> None:
         doc["simplices"] = [sorted(s) for s in space.simplices]
     if space.dim_labels is not None:
         doc["dim_labels"] = [[sorted(s), d] for s, d in space.dim_labels]
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
-def load_coords(path: str) -> Coords:
-    doc = _read_json(path)
+def load_coords(path: str, record: dict[str, str] | None = None) -> Coords:
+    """The declared coordinates at ``path``; ``record`` receives their hash as ``"coords"``."""
+    doc = _read_json(path, record, "coords")
     with _reading(path):
         points = [
             _list(p, f"points[{k}]") for k, p in enumerate(_list(_require(doc, "points"), "points"))
@@ -197,8 +227,11 @@ def load_coords(path: str) -> Coords:
         return Coords.create(as_index(_require(doc, "dim"), "dim"), points)
 
 
-def load_family(path: str, space: FiniteSpace) -> MapFamily:
-    doc = _read_json(path)
+def load_family(
+    path: str, space: FiniteSpace, record: dict[str, str] | None = None
+) -> MapFamily:
+    """The map family at ``path`` into ``space``; ``record`` receives its hash as ``"family"``."""
+    doc = _read_json(path, record, "family")
     with _reading(path):
         maps = [_list(m, f"maps[{k}]") for k, m in enumerate(_list(_require(doc, "maps"), "maps"))]
         labels = doc.get("labels")
@@ -209,13 +242,15 @@ def load_family(path: str, space: FiniteSpace) -> MapFamily:
 
 
 def save_family(fam: MapFamily, path: str) -> None:
-    _write_json(path, {"maps": [list(m) for m in fam.maps], "labels": list(fam.labels)})
+    write_json(path, {"maps": [list(m) for m in fam.maps], "labels": list(fam.labels)})
 
 
 def load_action(
-    path: str, space: FiniteSpace, group_cap: int
+    path: str, space: FiniteSpace, group_cap: int, record: dict[str, str] | None = None
 ) -> tuple[GroupAction, list[tuple[tuple[Perm, ...], Fraction | None]] | None]:
-    doc = _read_json(path)
+    """The action at ``path`` and its stages (None without a ``stages`` key);
+    ``record`` receives the file's hash as ``"action"``."""
+    doc = _read_json(path, record, "action")
     with _reading(path):
         generators = [
             _list(g, f"generators[{k}]")
@@ -236,7 +271,7 @@ def load_action(
             perms = []
             for e, raw in enumerate(elements):
                 where = f"stage {k} element {e}"
-                perms.append(tuple(as_index(v, where) for v in _list(raw, where)))
+                perms.append(as_indices(_list(raw, where), where))
             for p in perms:
                 if sorted(p) != list(range(space.n_points)):
                     raise InputError(f"stage {k} element is not a permutation")
@@ -250,47 +285,47 @@ def load_action(
 
 
 def save_action(generators: Sequence[Perm], path: str) -> None:
-    _write_json(path, {"generators": [list(g) for g in generators]})
+    write_json(path, {"generators": [list(g) for g in generators]})
 
 
-def load_observable(path: str, space: FiniteSpace) -> Observable:
-    doc = _read_json(path)
+def load_observable(
+    path: str, space: FiniteSpace, record: dict[str, str] | None = None
+) -> Observable:
+    """The observable at ``path``; ``record`` receives its hash as ``"f0"``.
+
+    The values go from ``parse_ratio`` straight into the observable's
+    integer table, with no Fraction in between.
+    """
+    doc = _read_json(path, record, "f0")
     with _reading(path):
         r = as_index(_require(doc, "r"), "r")
         rows = [
             [
-                parse_fraction(v, f"values[{y}][{ell}]")
+                parse_ratio(v, f"values[{y}][{ell}]")
                 for ell, v in enumerate(_list(row, f"values[{y}]"))
             ]
             for y, row in enumerate(_list(_require(doc, "values"), "values"))
         ]
-        obs = Observable.create(space, rows)
+        obs = Observable.from_ratios(space, rows)
         if obs.r != r:
             raise InputError(f"declared r={r} but rows have {obs.r} values")
     return obs
 
 
 def save_observable(obs: Observable, path: str) -> None:
-    _write_json(
-        path,
-        {"r": obs.r, "values": [[fr_str(v) for v in row] for row in obs.values]},
-    )
+    write_json(path, {"r": obs.r, "values": _values_doc(obs)})
 
 
-def _write_json(path: str, doc: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+def write_json(path: str, doc: Any) -> None:
+    """``doc`` as indented JSON with sorted keys, and a final newline."""
+    with _output(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
         fh.write("\n")
 
 
 def hash_file(path: str) -> str:
-    if not os.path.exists(path):
-        raise InputError(f"{path}: no such file")
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    """SHA-256 of the file at ``path``, for an input that is not loaded."""
+    return hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
 def canonical_json(doc: Any) -> str:
@@ -300,7 +335,17 @@ def canonical_json(doc: Any) -> str:
 
 
 def _values_doc(obs: Observable) -> list[list[str]]:
-    return [[fr_str(v) for v in row] for row in obs.values]
+    """Each value of the observable in ``fr_str``'s spelling, reduced by one gcd."""
+    den = obs.den
+    out = []
+    for row in obs.rows:
+        cells = []
+        for a in row:
+            g = math.gcd(a, den)
+            q = den // g
+            cells.append(str(a // g) if q == 1 else f"{a // g}/{q}")
+        out.append(cells)
+    return out
 
 
 def hypothesis_doc(report: HypothesisReport) -> dict[str, Any]:
@@ -369,7 +414,7 @@ def write_certificate(
     payload["cert_sha256"] = hashlib.sha256(
         canonical_json(payload).encode("ascii")
     ).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write(canonical_json(payload))
         fh.write("\n")
     return payload
@@ -428,7 +473,7 @@ def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
 
 
 def _stage_shape_issues(
-    pts: list[int], maps: list[list[int]], f_perms: Any, n: int
+    pts: tuple[int, ...], maps: list[tuple[int, ...]], f_perms: Any, n: int
 ) -> list[str]:
     """Reasons a stage's indices cannot be followed into the observable.
 
@@ -439,14 +484,14 @@ def _stage_shape_issues(
     for k, m in enumerate(maps):
         if len(m) != len(pts):
             issues.append(f"map {k} has {len(m)} values for {len(pts)} points")
-        if not all(0 <= v < n for v in m):
+        if not within(m, n):
             issues.append(f"map {k} has a value outside 0..{n - 1}")
     if f_perms is not None:
         if not isinstance(f_perms, list) or len(f_perms) != len(maps):
             issues.append("f_perms does not hold one element per map")
         elif not all(isinstance(perm, list) and len(perm) == n for perm in f_perms):
             issues.append(f"f_perms holds an element that is not a list of {n} points")
-        if not all(0 <= p < n for p in pts):
+        if not within(pts, n):
             issues.append(f"a point lies outside 0..{n - 1}")
     return issues
 
@@ -536,11 +581,8 @@ def verify_certificate(
     for s_idx, st in enumerate(stages_doc):
         where = f"stage {s_idx}"
         try:
-            pts = [as_index(p, "points") for p in st["points"]]
-            maps = []
-            for k, m in enumerate(st["maps"]):
-                at = f"map {k}"
-                maps.append([as_index(v, at) for v in m])
+            pts = as_indices(st["points"], "points")
+            maps = [as_indices(m, f"map {k}") for k, m in enumerate(st["maps"])]
             f_perms = st.get("f_perms")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             issues.append(f"{where} is missing required data: {exc}")
@@ -557,8 +599,7 @@ def verify_certificate(
             continue
         if f_perms is not None:
             for k, perm in enumerate(f_perms):
-                derived = [perm[p] for p in pts]
-                if derived != maps[k]:
+                if tuple(perm[p] for p in pts) != maps[k]:
                     issues.append(f"{where}: map {k} disagrees with its element")
         best = _closest_gap(
             [tuple(v for m in maps for v in num_rows[m[u]]) for u in range(len(pts))]
@@ -657,7 +698,7 @@ def write_orbit_csv(path: str, payload: dict[str, Any]) -> list[str]:
         for label in st["labels"]:
             for ell in range(r):
                 header.append(f"{label}[{ell}]")
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+        with _output(target, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for u, point in enumerate(st["points"]):

@@ -1,18 +1,23 @@
 """Observables and locally constant perturbations with exact arithmetic.
 
-Values live in [0, 1]^r as exact rationals.  Perturbing an observable means
-freezing one rational value per covered subset and leaving every uncovered
-point alone, so closeness to the original, injectivity across the subsets of
-one coordinate, and disjointness of ranges across coordinates can all be
-checked exhaustively with no tolerance at all.  The float tolerance below is
-used only when summarizing for humans.
+An observable is one integer table: a common denominator and one row of
+numerators per point, the value at point y and coordinate ell being
+``rows[y][ell] / den`` in [0, 1].  The table is built once from the exact
+ratios a file or a caller gives, and every later step, the modulus scan,
+value assignment, perturbation, margins and the written certificate, reads
+those integers.  Perturbing an observable means freezing one rational
+value per covered subset and leaving every uncovered point alone, so
+closeness to the original, injectivity across the subsets of one
+coordinate, and disjointness of ranges across coordinates can all be
+checked exhaustively with no tolerance at all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import BudgetError, InputError, InternalCheckError
@@ -23,51 +28,70 @@ Families = tuple[tuple[frozenset[int], ...], ...]
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A map from the points of a space into [0, 1]^r, held as Fractions."""
+    """A map from the points of a space into [0, 1]^r as one integer table.
+
+    ``rows[y][ell] / den`` is the value at point y, coordinate ell, and
+    ``den`` is the least common denominator of all values, so two
+    observables with the same values have the same table.  ``values`` is a
+    read-only view of the same values as Fractions.
+    """
 
     space: FiniteSpace
     r: int
-    values: tuple[tuple[Fraction, ...], ...]
-    _numerators: tuple[int, tuple[tuple[int, ...], ...]] | None = field(
-        default=None, init=False, repr=False
-    )
+    den: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def from_ratios(
+        space: FiniteSpace, ratios: Sequence[Sequence[tuple[int, int]]]
+    ) -> "Observable":
+        """The observable with value p/q at each (p, q) of ``ratios``.
+
+        Denominators must be positive and need not be reduced; every value
+        is checked to lie in [0, 1].
+        """
+        if len(ratios) != space.n_points:
+            raise InputError(
+                f"observable has {len(ratios)} rows for {space.n_points} points"
+            )
+        if not ratios or not len(ratios[0]):
+            raise InputError("observable needs at least one coordinate")
+        r = len(ratios[0])
+        for x, row in enumerate(ratios):
+            if len(row) != r:
+                raise InputError(f"values[{x}]: ragged row")
+            for ell, (p, q) in enumerate(row):
+                if not 0 <= p <= q:
+                    raise InputError(f"values[{x}][{ell}]: {Fraction(p, q)} outside [0, 1]")
+        den = math.lcm(*(q for row in ratios for _, q in row))
+        rows = [tuple(p * (den // q) for p, q in row) for row in ratios]
+        return Observable.from_numerators(space, den, rows)
+
+    @staticmethod
+    def from_numerators(
+        space: FiniteSpace, den: int, rows: Sequence[Sequence[int]]
+    ) -> "Observable":
+        """The observable with values ``rows[y][ell] / den``, already known to lie in [0, 1].
+
+        One gcd reduces the table to the least common denominator.
+        """
+        g = math.gcd(den, *(a for row in rows for a in row))
+        if g > 1:
+            den //= g
+            rows = [[a // g for a in row] for row in rows]
+        return Observable(space, len(rows[0]), den, tuple(map(tuple, rows)))
 
     @staticmethod
     def create(space: FiniteSpace, values: Sequence[Sequence]) -> "Observable":
-        if len(values) != space.n_points:
-            raise InputError(
-                f"observable has {len(values)} rows for {space.n_points} points"
-            )
-        if not values or not len(values[0]):
-            raise InputError("observable needs at least one coordinate")
-        r = len(values[0])
-        rows = []
-        for x, raw in enumerate(values):
-            if len(raw) != r:
-                raise InputError(f"values[{x}]: ragged row")
-            row = []
-            for ell, v in enumerate(raw):
-                f = Fraction(v)
-                if not 0 <= f <= 1:
-                    raise InputError(f"values[{x}][{ell}]: {v} outside [0, 1]")
-                row.append(f)
-            rows.append(tuple(row))
-        return Observable(space, r, tuple(rows))
+        """The observable with the given values, each read by ``Fraction``."""
+        ratios = [[(f.numerator, f.denominator) for f in map(Fraction, row)] for row in values]
+        return Observable.from_ratios(space, ratios)
 
-    def numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The values as integer numerators over one common denominator.
-
-        Returns ``(den, rows)`` with ``rows[y][ell] / den == values[y][ell]``;
-        computed on first use and kept, since the values never change.
-        """
-        if self._numerators is None:
-            den = math.lcm(*(v.denominator for row in self.values for v in row))
-            rows = tuple(
-                tuple(v.numerator * (den // v.denominator) for v in row)
-                for row in self.values
-            )
-            object.__setattr__(self, "_numerators", (den, rows))
-        return self._numerators
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The values as Fractions, built on first use."""
+        den = self.den
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.rows)
 
 
 def sample_observable(space: FiniteSpace, r: int, seed: int) -> Observable:
@@ -77,12 +101,8 @@ def sample_observable(space: FiniteSpace, r: int, seed: int) -> Observable:
     if r < 1:
         raise InputError("r must be at least 1")
     rng = random.Random(seed)
-    grid = 1 << 30
-    values = [
-        [Fraction(rng.getrandbits(30), grid) for _ in range(r)]
-        for _ in range(space.n_points)
-    ]
-    return Observable.create(space, values)
+    rows = [[rng.getrandbits(30) for _ in range(r)] for _ in range(space.n_points)]
+    return Observable.from_numerators(space, 1 << 30, rows)
 
 
 def sup_distance(f: Observable, g: Observable) -> Fraction:
@@ -91,12 +111,11 @@ def sup_distance(f: Observable, g: Observable) -> Fraction:
     Exact on integer numerators: with f = a / df and g = b / dg, the gap
     |a/df - b/dg| is |a*dg - b*df| over the common denominator df*dg.
     """
-    if f.r != g.r or len(f.values) != len(g.values):
+    if f.r != g.r or len(f.rows) != len(g.rows):
         raise InputError("observables have different shapes")
-    df, rows_f = f.numerators()
-    dg, rows_g = g.numerators()
+    df, dg = f.den, g.den
     best = 0
-    for row_f, row_g in zip(rows_f, rows_g):
+    for row_f, row_g in zip(f.rows, g.rows):
         for a, b in zip(row_f, row_g):
             d = abs(a * dg - b * df)
             if d > best:
@@ -116,10 +135,9 @@ def modulus(f: Observable, ell: int, eps: Fraction | float) -> float:
     if not 0 <= ell < f.r:
         raise InputError(f"coordinate {ell} out of range")
     eps_f = Fraction(eps)
-    den, rows = f.numerators()
     scale = eps_f.denominator
-    bound = eps_f.numerator * den
-    vals = [row[ell] for row in rows]
+    bound = eps_f.numerator * f.den
+    vals = [row[ell] for row in f.rows]
     dist = f.space.rows()
     best = math.inf
     for y1, a in enumerate(vals):
@@ -181,7 +199,7 @@ def assign_values(fams: Families, f: Observable, eps: Fraction | float) -> Value
     half = eps_f / 2
     # Values, windows and lattice points are integer numerators over one
     # denominator L: h = step / L and eps/2 = radius / L.
-    den, rows = f.numerators()
+    den, rows = f.den, f.rows
     L = math.lcm(den, h.denominator, half.denominator)
     scale = L // den
     step = h.numerator * (L // h.denominator)
@@ -263,12 +281,14 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
     subset's value, so the last two compare one value per nonempty subset:
     a value-to-subset map per coordinate, then the intersections of the
     coordinates' value sets.  Untouched values of f are already valid; only
-    the assigned ones are checked to lie in [0, 1].
+    the assigned ones are checked to lie in [0, 1].  The result is f's
+    table over a denominator that also holds every assigned value.
     """
     if len(fams) != f.r:
         raise InputError(f"expected {f.r} families, got {len(fams)}")
-    new_rows = [list(row) for row in f.values]
+    # per coordinate: covered point -> its subset, and each subset's value
     covered: list[dict[int, int]] = [dict() for _ in range(f.r)]
+    assigned: list[list[Fraction]] = [[] for _ in range(f.r)]
     # per coordinate: assigned value -> the first nonempty subset holding it
     owner: list[dict[Fraction, int]] = [dict() for _ in range(f.r)]
     for ell, fam in enumerate(fams):
@@ -281,6 +301,7 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
             v = Fraction(raw)
             if not 0 <= v <= 1:
                 raise InputError(f"coordinate {ell}: assigned value {raw} outside [0, 1]")
+            assigned[ell].append(v)
             for y in sub:
                 if y in covered[ell]:
                     raise InputError(
@@ -288,7 +309,6 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
                         f"(subsets {covered[ell][y]} and {k})"
                     )
                 covered[ell][y] = k
-                new_rows[y][ell] = v
             if not sub:
                 continue
             first = owner[ell].setdefault(v, k)
@@ -297,7 +317,14 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
                     f"coordinate {ell}: points {min(fam[first])}, {min(sub)} in distinct "
                     f"subsets share value {v}"
                 )
-    result = Observable(f.space, f.r, tuple(map(tuple, new_rows)))
+    den = math.lcm(f.den, *(v.denominator for values in assigned for v in values))
+    scale = den // f.den
+    new_rows = [[a * scale for a in row] for row in f.rows]
+    for ell in range(f.r):
+        nums = [v.numerator * (den // v.denominator) for v in assigned[ell]]
+        for y, k in covered[ell].items():
+            new_rows[y][ell] = nums[k]
+    result = Observable.from_numerators(f.space, den, new_rows)
 
     drift = sup_distance(result, f)
     if drift > assignment.eps:

@@ -182,7 +182,7 @@ def margin(f: Observable, fam: MapFamily, pairs: Iterable[Pair]) -> Fraction | f
     exactly when some pair's tuples coincide.  An empty pair collection
     yields infinity.
     """
-    den, rows = f.numerators()
+    rows = f.rows
     maps = fam.maps
     best: int | None = None
     for x1, x2 in pairs:
@@ -194,7 +194,7 @@ def margin(f: Observable, fam: MapFamily, pairs: Iterable[Pair]) -> Fraction | f
                     worst = d
         if best is None or worst < best:
             best = worst
-    return math.inf if best is None else Fraction(best, den)
+    return math.inf if best is None else Fraction(best, f.den)
 
 
 def _closest_gap(points: Iterable[tuple[int, ...]]) -> int | None:
@@ -220,21 +220,10 @@ def _closest_gap(points: Iterable[tuple[int, ...]]) -> int | None:
     return None if best == math.inf else best
 
 
-def orbit_margin(f: Observable, fam: MapFamily) -> Fraction | float:
-    """Least sup-distance between the orbit tuples of distinct source points.
-
-    Equal to ``margin`` over all unordered pairs, found as one closest pair
-    of the flattened orbit tuples on integer numerators; infinity when the
-    source has fewer than two points.
-    """
-    return _gap(f, _orbit_tuples(f, fam))
-
-
 def _gap(f: Observable, points: Iterable[tuple[int, ...]]) -> Fraction | float:
     """``_closest_gap`` of numerator tuples as a value; infinity for fewer than two."""
-    den, _ = f.numerators()
     best = _closest_gap(points)
-    return math.inf if best is None else Fraction(best, den)
+    return math.inf if best is None else Fraction(best, f.den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,6 +382,9 @@ def separate_on_block(
     f1_map = {(i, ell): (bidx1[i], ell) for (i, ell) in w_labels}
     f2_map = {(i, ell): (bidx2[i], ell) for (i, ell) in w_labels}
 
+    # Witness valuations are numerators over one denominator, equal exactly
+    # when the values are.
+    new_rows = f_new.rows
     kinds = []
     for x1, x2 in work.pairs:
         v1_star = frozenset(
@@ -401,8 +393,8 @@ def separate_on_block(
         v2_star = frozenset(
             (t, ell) for (t, ell) in v2_labels if x2 in union2[t * r + ell]
         )
-        phi1 = {(t, ell): f_new.values[red1.reps[t][x1]][ell] for (t, ell) in v1_labels}
-        phi2 = {(t, ell): f_new.values[red2.reps[t][x2]][ell] for (t, ell) in v2_labels}
+        phi1 = {(t, ell): new_rows[red1.reps[t][x1]][ell] for (t, ell) in v1_labels}
+        phi2 = {(t, ell): new_rows[red2.reps[t][x2]][ell] for (t, ell) in v2_labels}
         try:
             inst = BipartiteInstance.create(
                 w_labels, v1_labels, v2_labels, f1_map, f2_map, v1_star, v2_star
@@ -413,7 +405,7 @@ def separate_on_block(
                 f"separation self-check failed for pair ({x1}, {x2}): {exc}"
             ) from exc
         i, ell = proof.w
-        if f_new.values[fam.maps[i][x1]][ell] == f_new.values[fam.maps[i][x2]][ell]:
+        if new_rows[fam.maps[i][x1]][ell] == new_rows[fam.maps[i][x2]][ell]:
             raise InternalCheckError(
                 f"witness map {i}, coordinate {ell} does not separate pair ({x1}, {x2})"
             )
@@ -475,24 +467,26 @@ class _BaireState:
     """Shared budget schedule and separation ledger across blocks and stages.
 
     The ledger is every pair whose orbit tuples currently differ, in every
-    family run so far.  Each ``groups`` entry ``(fam, labels)`` holds one
-    family and its current orbit labels.  ``margin`` is the least gap
-    between distinct orbit tuples over every family: ``start`` folds in the
-    new family's, and ``relabel`` recomputes it after a perturbation.
+    family run so far.  Each ``groups`` entry ``(fam, labels, gap)`` holds
+    one family, its current orbit labels and the least gap between its
+    distinct orbit tuples.  ``margin`` is the least of those gaps: ``start``
+    folds in the new family's, and ``relabel`` recomputes every family's
+    after a perturbation, so each entry always describes the current ``f``.
     """
 
     def __init__(self, f: Observable, eps: Fraction):
         self.f = f
         self.geom = eps / 2
-        self.groups: list[tuple[MapFamily, list[int]]] = []
+        self.groups: list[tuple[MapFamily, list[int], Fraction | float]] = []
         self.margin: Fraction | float = math.inf
         self.logs: list[BlockLog] = []
 
     def start(self, fam: MapFamily) -> list[int]:
         """Add a family to the ledger; return its orbit labels."""
         labels, distinct = _labelled(self.f, fam)
-        self.groups.append((fam, labels))
-        self.margin = min(self.margin, _gap(self.f, distinct))
+        gap = _gap(self.f, distinct)
+        self.groups.append((fam, labels, gap))
+        self.margin = min(self.margin, gap)
         return labels
 
     def relabel(self) -> list[int]:
@@ -504,14 +498,15 @@ class _BaireState:
         """
         fresh = []
         self.margin = math.inf
-        for fam, old in self.groups:
+        for fam, old, _ in self.groups:
             new, distinct = _labelled(self.f, fam)
             if len(set(zip(new, old))) != len(set(new)):
                 raise InternalCheckError(
                     "monotone progress violated: a previously separated pair collided"
                 )
-            fresh.append((fam, new))
-            self.margin = min(self.margin, _gap(self.f, distinct))
+            gap = _gap(self.f, distinct)
+            fresh.append((fam, new, gap))
+            self.margin = min(self.margin, gap)
         self.groups = fresh
         return fresh[-1][1]
 
@@ -521,7 +516,7 @@ def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
 
     Entries are integer numerators over the observable's common denominator.
     """
-    _, rows = f.numerators()
+    rows = f.rows
     maps = fam.maps
     return [
         tuple(v for g in maps for v in rows[g[x]]) for x in range(fam.source.n_points)
@@ -666,10 +661,14 @@ def _certify(
     """The certificate of a finished run, one stage record per run.
 
     A run is (family, points, elements, eps_sep); a stage without points has
-    no family and still records one (empty) map per element.  Every stage
-    margin must be positive and the total displacement within eps.
+    no family and still records one (empty) map per element.  The runs with
+    a family are the ledger's groups, in order, and each stage margin is its
+    group's gap under the final observable; it is the stage's orbit margin
+    once every source point has its own label, which is checked here.  The
+    total displacement must stay within eps.
     """
     records = []
+    ledger = iter(state.groups)
     for fam, pts, f_perms, eps_sep in runs:
         if fam is None:
             labels = tuple(f"e{k}" for k in range(len(f_perms)))
@@ -677,8 +676,10 @@ def _certify(
                 StageRecord((), ((),) * len(f_perms), labels, f_perms, eps_sep, math.inf)
             )
             continue
-        stage_margin = orbit_margin(state.f, fam)
-        if not stage_margin > 0:
+        started, labels, stage_margin = next(ledger)
+        if started is not fam:
+            raise InternalCheckError("the stages and the ledger list different families")
+        if len(set(labels)) < len(labels):
             raise InternalCheckError("stage margin is zero; some pair was never separated")
         records.append(
             StageRecord(tuple(pts), fam.maps, fam.labels, f_perms, eps_sep, stage_margin)
@@ -728,6 +729,8 @@ def embed_family(
 
 def default_stage_n(space: FiniteSpace, r: int) -> int:
     """Smallest n with 2 dim(X) < r n, used for the separation threshold."""
+    if r < 1:
+        raise InputError("r must be at least 1")
     d = space.dim(range(space.n_points))
     return (2 * d) // r + 1
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,24 @@ def as_index(value: Any, where: str) -> int:
         except TypeError:
             pass
     raise InputError(f"{where}: expected an integer, got {value!r}")
+
+
+def as_indices(values: Iterable[Any], where: str) -> tuple[int, ...]:
+    """Each entry of ``values`` read by ``as_index``, as a tuple.
+
+    When every entry is a plain ``int``, one C-level pass over their types
+    settles it; any other entry sends the list through ``as_index`` entry
+    by entry, which refuses what it must.
+    """
+    t = tuple(values)
+    if set(map(type, t)) <= {int}:
+        return t
+    return tuple(as_index(v, where) for v in t)
+
+
+def within(indices: Collection[int], n: int) -> bool:
+    """Whether every index lies in 0..n-1; true for no indices."""
+    return not indices or (min(indices) >= 0 and max(indices) < n)
 
 
 def identity_perm(n: int) -> Perm:
@@ -101,10 +119,10 @@ class FiniteSpace:
             simp = []
             for k, raw in enumerate(simplices):
                 where = f"simplices[{k}]"
-                face = frozenset(as_index(v, where) for v in raw)
+                face = frozenset(as_indices(raw, where))
                 if not face:
                     raise InputError(f"simplices[{k}]: empty simplex")
-                if not all(0 <= v < n for v in face):
+                if not within(face, n):
                     raise InputError(f"simplices[{k}]: vertex out of range")
                 simp.append(face)
             simp = tuple(simp)
@@ -114,8 +132,8 @@ class FiniteSpace:
             labels = []
             for k, (raw, d) in enumerate(dim_labels):
                 where = f"dim_labels[{k}].subset"
-                sub = frozenset(as_index(v, where) for v in raw)
-                if not all(0 <= v < n for v in sub):
+                sub = frozenset(as_indices(raw, where))
+                if not within(sub, n):
                     raise InputError(f"dim_labels[{k}].subset: index out of range")
                 d = as_index(d, f"dim_labels[{k}].dim")
                 if d < 0:
@@ -321,10 +339,10 @@ class MapFamily:
         fixed = []
         for k, raw in enumerate(maps):
             where = f"maps[{k}]"
-            g = tuple(as_index(v, where) for v in raw)
+            g = as_indices(raw, where)
             if len(g) != source.n_points:
                 raise InputError(f"maps[{k}]: length {len(g)} != {source.n_points} source points")
-            if not all(0 <= v < target.n_points for v in g):
+            if not within(g, target.n_points):
                 raise InputError(f"maps[{k}]: value out of target range")
             if len(set(g)) != len(g):
                 raise InputError(f"maps[{k}]: not injective")
@@ -370,7 +388,7 @@ class GroupAction:
         gens = []
         for k, raw in enumerate(generators):
             where = f"generators[{k}]"
-            p = tuple(as_index(v, where) for v in raw)
+            p = as_indices(raw, where)
             if len(p) != n or sorted(p) != list(range(n)):
                 raise InputError(f"generators[{k}]: not a permutation of 0..{n - 1}")
             gens.append(p)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from menger import pipeline
 from menger.errors import InputError, VerificationError
 from menger.partitions import (
     CoherentBlock,
@@ -179,6 +180,18 @@ def naive_margin(f: Observable, fam: MapFamily, pairs) -> Fraction | float:
         )
         best = min(best, worst)
     return best
+
+
+def orbit_margin(f: Observable, fam: MapFamily) -> Fraction | float:
+    """Least sup-distance between the orbit tuples of distinct source points.
+
+    One closest-pair sweep over every orbit tuple, colliding ones included,
+    so it is 0 when two points share a tuple; infinity when the source has
+    fewer than two points.  The ledger keeps the gap between distinct tuples
+    only; the two agree once the orbit map is injective.
+    """
+    best = pipeline._closest_gap(pipeline._orbit_tuples(f, fam))
+    return math.inf if best is None else Fraction(best, f.den)
 
 
 def naive_closest_gap(points) -> int | None:

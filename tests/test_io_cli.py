@@ -36,7 +36,7 @@ from menger.io import (
 )
 from menger.perturb import Observable
 from menger.pipeline import embed_equivariant, embed_family
-from menger.space import GroupAction, MapFamily, identity_perm
+from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm
 
 
 def test_parse_fraction_semantics():
@@ -1135,3 +1135,156 @@ def test_cli_oracle_covers(tmp_path, capsys):
     assert "cover oracle: 0 violations / 100 builds" in text
     summary = json.loads(open(out).read())
     assert summary["covers"]["violations"] == 0
+
+
+def _unusable_path_cases(tmp_path):
+    """(command line, path the one error line names) for each command, with
+    an input that is a directory or an output in a missing directory."""
+    space_path, action_path = _write_inputs(tmp_path)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", "--space", space_path, "--action", action_path,
+                 "--r", "1", "--eps", "1/20", "--seed", "1", "--out", cert_path]) == 0
+    folder = str(tmp_path / "folder")
+    Path(folder).mkdir()
+    missing = str(tmp_path / "missing" / "out.json")
+    embed = ["embed", "--space", space_path, "--action", action_path, "--r", "1", "--eps", "1/20"]
+    return {
+        "check-input-dir": (
+            ["check", "--space", folder, "--action", action_path, "--r", "1"], folder
+        ),
+        "check-out-missing-dir": (
+            ["check", "--space", space_path, "--action", action_path, "--r", "1", "--out", missing],
+            missing,
+        ),
+        "embed-input-dir": ([*embed, "--f0", folder], folder),
+        "embed-out-missing-dir": ([*embed, "--out", missing], missing),
+        "verify-cert-dir": (["verify", "--cert", folder], folder),
+        "verify-input-dir": (["verify", "--cert", cert_path, "--space", space_path,
+                              "--action", folder], folder),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["check-input-dir", "check-out-missing-dir", "embed-input-dir", "embed-out-missing-dir",
+     "verify-cert-dir", "verify-input-dir"],
+)
+def test_cli_unusable_path_exits_one_with_one_line(tmp_path, capsys, case):
+    argv, path = _unusable_path_cases(tmp_path)[case]
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    verb = "write" if "missing" in path else "read"
+    assert captured.err.startswith(f"error: {path}: cannot {verb}: ")
+    assert captured.err.count("\n") == 1
+
+
+_IN_RANGE = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+@st.composite
+def _spelling(draw):
+    """A value as a file may spell it: every form ``parse_ratio`` accepts,
+    mostly in [0, 1], sometimes above it."""
+    v = draw(st.one_of(_IN_RANGE, _IN_RANGE.map(lambda x: x + 1 + Fraction(1, 7))))
+    k = draw(st.integers(1, 5))
+    form = draw(st.sampled_from(["canonical", "unreduced", "plus", "json-int", "float", "decimal"]))
+    if form == "unreduced":
+        return f"{v.numerator * k}/{v.denominator * k}"
+    if form == "plus":
+        return f"+{v.numerator}/{v.denominator}"
+    if form == "json-int":
+        return draw(st.integers(0, 2))
+    if form == "float":
+        return draw(st.floats(0, 1.5, allow_nan=False))
+    if form == "decimal":
+        return f"{draw(st.integers(0, 150))}.{draw(st.integers(0, 99)):02d}"
+    return str(v)
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(spellings=st.lists(_spelling(), min_size=3, max_size=3))
+def test_value_spellings_are_written_back_canonically(tmp_path, spellings):
+    """Every spelling the loader accepts is written back, by ``save_observable``
+    and into the certificate's ``f0_values``, as ``str(Fraction(v))`` of the
+    value the Fraction reference reads; a value above 1 is refused with its
+    reduced value in the message."""
+    space = FiniteSpace.create([[float(a != b) for b in range(3)] for a in range(3)])
+    path = tmp_path / "f0.json"
+    path.write_text(json.dumps({"r": 1, "values": [[v] for v in spellings]}))
+    exact = [reference_parse_fraction(v) for v in spellings]
+    above = [y for y, v in enumerate(exact) if v > 1]
+    if above:
+        with pytest.raises(InputError) as got:
+            load_observable(str(path), space)
+        y = above[0]
+        assert str(got.value) == f"{path}: values[{y}][0]: {exact[y]} outside [0, 1]"
+        return
+    obs = load_observable(str(path), space)
+    assert obs.den == math.lcm(*(v.denominator for v in exact))
+    assert obs.values == tuple((v,) for v in exact)
+    expected = [[str(v)] for v in exact]
+    out = tmp_path / "again.json"
+    save_observable(obs, str(out))
+    assert json.loads(out.read_text())["values"] == expected
+    fam = MapFamily.create(space, space, [identity_perm(3)])
+    cert = embed_family(fam, r=1, eps=Fraction(1, 10), f0=obs)
+    assert certificate_payload(cert)["f0_values"] == expected
+
+
+def test_observable_range_error_names_the_reduced_value(tmp_path):
+    path = tmp_path / "f0.json"
+    path.write_text(json.dumps({"r": 1, "values": [["0"], ["6/4"], ["1"]]}))
+    with pytest.raises(InputError) as got:
+        load_observable(str(path), path_space(3))
+    assert str(got.value) == f"{path}: values[1][0]: 3/2 outside [0, 1]"
+
+
+@pytest.mark.parametrize("kind", ["family", "action"])
+def test_cli_reads_each_input_once_and_records_its_bytes(tmp_path, capsys, monkeypatch, kind):
+    """embed and verify open every input file once, and the recorded hash is
+    the SHA-256 of that file's bytes."""
+    space = circle_space(9)
+    paths = {"space": str(tmp_path / "space.json"), "f0": str(tmp_path / "f0.json"),
+             "coords": str(tmp_path / "coords.json"), kind: str(tmp_path / f"{kind}.json")}
+    save_space(space, paths["space"])
+    save_observable(Observable.create(space, [[Fraction(x, 9)] for x in range(9)]), paths["f0"])
+    Path(paths["coords"]).write_text(json.dumps({"dim": 1, "points": [[x] for x in range(9)]}))
+    steps = [0, 3, 6]
+    if kind == "family":
+        maps = [rotation_perm(9, s) for s in steps]
+        save_family(MapFamily.create(space, space, maps), paths[kind])
+    else:
+        save_action([rotation_perm(9, 3)], paths[kind])
+    cert_path = str(tmp_path / "cert.json")
+
+    opened: dict[str, int] = {}
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, str):
+            opened[file] = opened.get(file, 0) + 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code = main(["embed", "--space", paths["space"], f"--{kind}", paths[kind], "--r", "1",
+                 "--eps", "1/20", "--f0", paths["f0"], "--coords", paths["coords"],
+                 "--out", cert_path])
+    assert code == 0
+    assert {p: opened.get(p) for p in paths.values()} == {p: 1 for p in paths.values()}
+
+    opened.clear()
+    code = main(["verify", "--cert", cert_path, "--space", paths["space"],
+                 f"--{kind}", paths[kind]])
+    assert code == 0, capsys.readouterr().err
+    assert opened[cert_path] == 1
+    assert opened[paths["space"]] == opened[paths[kind]] == 1
+    monkeypatch.undo()
+
+    recorded = load_certificate(cert_path)["inputs"]
+    assert recorded == {
+        role: hashlib.sha256(Path(p).read_bytes()).hexdigest() for role, p in paths.items()
+    }

@@ -12,6 +12,7 @@ from helpers import (
     naive_closest_gap,
     naive_distinct_gap,
     naive_margin,
+    orbit_margin,
     orbit_row,
     random_endo_family,
     random_euclidean_space,
@@ -48,7 +49,6 @@ from menger.pipeline import (
     embed_family,
     _eta_threshold,
     margin,
-    orbit_margin,
     separate_on_block,
 )
 from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm, orbit
@@ -297,6 +297,15 @@ def test_orbit_margin_matches_pair_loop(data, r):
     assert orbit_margin(f, fam) == naive_margin(f, fam, unordered)
     if n_src < 2:
         assert orbit_margin(f, fam) == math.inf
+    # the ledger's gap, which certificates take as the stage margin, is the
+    # margin over the separated pairs; it is the orbit margin when no pair collides
+    state = pipeline._BaireState(f, Fraction(1))
+    labels = state.start(fam)
+    separated = [(a, b) for a, b in unordered if orbit_row(f, fam, a) != orbit_row(f, fam, b)]
+    assert state.margin == state.groups[0][2] == naive_margin(f, fam, separated)
+    assert (len(set(labels)) == n_src) == (orbit_margin(f, fam) > 0)
+    if len(set(labels)) == n_src:
+        assert state.margin == orbit_margin(f, fam)
 
 
 def test_separate_on_block_non_intersective_rotations():
@@ -752,6 +761,35 @@ def test_default_stage_n(circle9):
     assert default_stage_n(circle9, 1) == 3
     assert default_stage_n(circle9, 2) == 2
     assert default_stage_n(circle9, 3) == 1
+
+
+def test_action_stages_refuses_r_zero_before_dividing(circle9):
+    action = GroupAction.from_generators(
+        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
+    )
+    rotations = tuple(rotation_perm(9, s) for s in range(3))
+    with pytest.raises(InputError, match="r must be at least 1"):
+        action_stages(action, [(rotations, Fraction(1, 2))], 0)
+
+
+@pytest.mark.parametrize("kind", ["family", "action"])
+def test_certify_refuses_a_stage_whose_labels_collide(circle9, monkeypatch, kind):
+    """The stage margin comes from the ledger, which keeps the gap between
+    distinct orbit tuples only; a stage where two points still share a
+    tuple must fail the certificate's own check."""
+    def start_only(state, fam, backend, coords):
+        state.start(fam)
+
+    monkeypatch.setattr("menger.pipeline._run_family_blocks", start_only)
+    f0 = Observable.create(circle9, [[Fraction(1, 2)]] * 9)
+    rotations = [rotation_perm(9, s) for s in (0, 3, 6)]
+    with pytest.raises(InternalCheckError, match="stage margin is zero"):
+        if kind == "family":
+            fam = MapFamily.create(circle9, circle9, rotations)
+            embed_family(fam, r=1, eps=Fraction(1, 10), f0=f0)
+        else:
+            action = GroupAction.from_generators(circle9, [rotation_perm(9, 3)])
+            embed_equivariant(action, r=1, eps=Fraction(1, 10), f0=f0)
 
 
 @settings(max_examples=40, deadline=None)
