@@ -411,12 +411,14 @@ def write_certificate(
     input_hashes: dict[str, str] | None = None,
 ) -> dict[str, Any]:
     payload = certificate_payload(cert, config, input_hashes)
-    payload["cert_sha256"] = hashlib.sha256(
-        canonical_json(payload).encode("ascii")
-    ).hexdigest()
+    body = canonical_json(payload)
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    payload["cert_sha256"] = digest
+    # "cert_sha256" sorts between "backend", whose value is a string, and
+    # "config", so splicing it in gives canonical_json of the whole payload.
+    at = body.index(',"config":')
     with _output(path) as fh:
-        fh.write(canonical_json(payload))
-        fh.write("\n")
+        fh.write(f'{body[:at]},"cert_sha256":"{digest}"{body[at:]}\n')
     return payload
 
 

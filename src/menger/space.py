@@ -116,16 +116,23 @@ class FiniteSpace:
 
         simp = None
         if simplices is not None:
-            simp = []
-            for k, raw in enumerate(simplices):
-                where = f"simplices[{k}]"
-                face = frozenset(as_indices(raw, where))
-                if not face:
-                    raise InputError(f"simplices[{k}]: empty simplex")
-                if not within(face, n):
-                    raise InputError(f"simplices[{k}]: vertex out of range")
-                simp.append(face)
-            simp = tuple(simp)
+            faces = [tuple(raw) for raw in simplices]
+            vertices = [v for face in faces for v in face]
+            # One pass over all vertices settles a valid complex; the loop
+            # below finds the first bad simplex and names it.
+            if all(faces) and set(map(type, vertices)) <= {int} and within(vertices, n):
+                simp = tuple(map(frozenset, faces))
+            else:
+                simp = []
+                for k, raw in enumerate(faces):
+                    where = f"simplices[{k}]"
+                    face = frozenset(as_indices(raw, where))
+                    if not face:
+                        raise InputError(f"simplices[{k}]: empty simplex")
+                    if not within(face, n):
+                        raise InputError(f"simplices[{k}]: vertex out of range")
+                    simp.append(face)
+                simp = tuple(simp)
 
         labels = None
         if dim_labels is not None:
@@ -218,57 +225,92 @@ class ValidationReport:
 
 
 def _metric_issues(m: np.ndarray) -> list[str]:
-    """Axiom violations of a distance matrix, each naming its entries."""
-    issues = [
-        f"metric[{i}][{j}]: not a finite number" for i, j in zip(*np.nonzero(~np.isfinite(m)))
-    ]
+    """Axiom violations of a distance matrix, each naming its entries.
+
+    A valid matrix passes one test over whole arrays: symmetric, finite,
+    zero diagonal and exactly ``n`` entries at or below zero.  Only a matrix
+    that fails it is walked entry by entry for the issue list.  Finiteness
+    is tested on its own, since a symmetric ``inf`` equals its transpose.
+    """
+    n = m.shape[0]
+    symmetric = np.array_equal(m, m.T)
+    finite = np.isfinite(m)
+    nonpositive = m <= 0.0
+    if (
+        symmetric
+        and finite.all()
+        and not np.diagonal(m).any()
+        and np.count_nonzero(nonpositive) == n
+    ):
+        return _triangle_issues(m, symmetric)
+    issues = [f"metric[{i}][{j}]: not a finite number" for i, j in zip(*np.nonzero(~finite))]
     if issues:
         # The axioms compare entries, which means nothing for NaN or inf.
         return issues
     for i in np.flatnonzero(np.diagonal(m) != 0.0):
         issues.append(f"metric[{i}][{i}]: diagonal entry {m[i, i]} is not zero")
     asymmetric = m != m.T
-    nonpositive = m <= 0.0
     # np.nonzero walks the upper triangle row by row, the order of the report.
     for i, j in zip(*np.nonzero(np.triu(asymmetric | nonpositive, 1))):
         if asymmetric[i, j]:
             issues.append(f"metric[{i}][{j}]: asymmetric ({m[i, j]} vs {m[j, i]})")
         if nonpositive[i, j]:
             issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
-    return issues + _triangle_issues(m)
+    return issues + _triangle_issues(m, symmetric)
 
 
 # Largest temporary of the triangle scan, in elements.
 _TILE = 1 << 16
 
 
-def _triangle_issues(m: np.ndarray) -> list[str]:
+def _triangle_issues(m: np.ndarray, symmetric: bool | None = None) -> list[str]:
     """Every triangle violation m[i, k] > m[i, j] + m[j, k], ordered by (i, j, k).
 
     Exhaustive over all triples.  Rows i are tested a block at a time
     against a band of middle points j, each comparison an array of at most
-    ``_TILE`` elements.
+    about ``_TILE`` elements.  A symmetric matrix (``symmetric``, computed
+    when not given) is scanned over ``k >= i`` only: a violation (i, j, k)
+    with ``k > i`` stands for its mirror (k, j, i) as well, which holds
+    exactly, since float addition commutes and each of the three entries
+    equals its transpose.  A matrix with an asymmetric entry is scanned over
+    all triples, the only scan that can list its issues.
     """
     n = m.shape[0]
+    if symmetric is None:
+        symmetric = np.array_equal(m, m.T)
     band = max(1, min(n, _TILE // n))
-    rows = max(1, _TILE // (band * n))
-    # A band narrower than n leaves room for one row only, so np.nonzero of
-    # each tile, blocks outer and bands inner, lists triples in (i, j, k) order.
-    issues: list[str] = []
-    for a in range(0, n, rows):
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    a = 0
+    while a < n:
+        lo = a if symmetric else 0      # the first column k scanned
+        rows = max(1, _TILE // (band * (n - lo)))
         blk = m[a : a + rows]
         for b in range(0, n, band):
-            # violated[r, j - b, k] is m[a + r, k] > m[a + r, j] + m[j, k]
-            violated = blk[:, None, :] > blk[:, b : b + band, None] + m[b : b + band]
-            if not violated.any():
-                continue
-            for r, j, k in zip(*np.nonzero(violated)):
-                i, j = a + r, b + j
-                issues.append(
-                    f"metric[{i}][{k}]: triangle violation via {j} "
-                    f"({m[i, k]} > {m[i, j]} + {m[j, k]})"
-                )
-    return issues
+            # violated[r, j - b, k - lo] is m[a + r, k] > m[a + r, j] + m[j, k]
+            violated = blk[:, None, lo:] > blk[:, b : b + band, None] + m[b : b + band, lo:]
+            if violated.any():
+                r, j, k = np.nonzero(violated)
+                found.append((a + r, b + j, lo + k))
+        a += rows
+    if not found:
+        return []
+    i, j, k = (np.concatenate(c) for c in zip(*found))
+    if symmetric:
+        # A block also meets some k < i, each the mirror of a scanned hit; a
+        # hit with k == i is its own mirror and is kept once.
+        keep = k >= i
+        i, j, k = i[keep], j[keep], k[keep]
+        mirror = k > i
+        i, j, k = (
+            np.concatenate([i, k[mirror]]),
+            np.concatenate([j, j[mirror]]),
+            np.concatenate([k, i[mirror]]),
+        )
+    order = np.lexsort((k, j, i))
+    return [
+        f"metric[{i}][{k}]: triangle violation via {j} ({m[i, k]} > {m[i, j]} + {m[j, k]})"
+        for i, j, k in zip(i[order].tolist(), j[order].tolist(), k[order].tolist())
+    ]
 
 
 def validate_space(space: FiniteSpace) -> ValidationReport:
@@ -276,7 +318,9 @@ def validate_space(space: FiniteSpace) -> ValidationReport:
 
     Metric checks cover symmetry, zero diagonal, positivity off the diagonal
     and the triangle inequality over all triples; a matrix with NaN or
-    infinite entries reports only those.
+    infinite entries reports only those.  A symmetric matrix has its
+    triangle violations found over ``k >= i`` and mirrored, in the same
+    ``(i, j, k)`` order; one with an asymmetric entry is scanned in full.
 
     Only a caller-supplied ``dim_fn`` (which includes the translated oracle
     that ``FiniteSpace.subspace`` creates) is probed: ``dim(empty)`` must be

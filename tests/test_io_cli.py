@@ -10,6 +10,8 @@ from helpers import naive_stage_margin, reference_parse_fraction, reference_valu
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from menger import cli as cli_module
+from menger import io as io_module
 from menger.cli import main
 from menger.errors import InputError
 from menger.fixtures import antipodal_perm, circle_space, path_space, rotation_perm
@@ -970,6 +972,42 @@ def test_cli_embed_verify_round_trip(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "cert_sha256 mismatch" in err
+
+
+@pytest.mark.parametrize("kind", ["family", "action"])
+def test_cli_embed_serializes_the_certificate_once(tmp_path, capsys, monkeypatch, kind):
+    """The file is canonical_json of the returned payload, hash included, and
+    that hash is of the payload without it; one embed serializes once."""
+    space_path, action_path = _write_inputs(tmp_path)
+    if kind == "family":
+        space = circle_space(9)
+        save_family(MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]),
+                    str(tmp_path / "family.json"))
+    calls = []
+
+    def counting_canonical_json(doc):
+        calls.append(doc)
+        return canonical_json(doc)
+
+    written = []
+
+    def keeping_write_certificate(*args):
+        written.append(write_certificate(*args))
+        return written[-1]
+
+    monkeypatch.setattr(io_module, "canonical_json", counting_canonical_json)
+    monkeypatch.setattr(cli_module, "write_certificate", keeping_write_certificate)
+    cert_path = tmp_path / "cert.json"
+    code = main(["embed", "--space", space_path, f"--{kind}", str(tmp_path / f"{kind}.json"),
+                 "--r", "1", "--eps", "1/20", "--seed", "7", "--out", str(cert_path)])
+    assert code == 0, capsys.readouterr().err
+    assert len(calls) == 1
+    monkeypatch.undo()
+    (payload,) = written
+    assert cert_path.read_text() == canonical_json(payload) + "\n"
+    body = {k: v for k, v in payload.items() if k != "cert_sha256"}
+    assert payload["cert_sha256"] == hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
+    assert main(["verify", "--cert", str(cert_path)]) == 0
 
 
 def test_cli_verify_flags_swapped_inputs(tmp_path, capsys):

@@ -11,9 +11,10 @@ from helpers import (
     naive_sep,
     naive_triangle_issues,
     per_row_triangle_issues,
+    reference_metric_issues,
     reference_validate_space,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menger import space as space_module
@@ -98,7 +99,9 @@ def test_validate_reports_axioms_in_row_major_order():
 def _defective_metric(rng: np.random.Generator, n: int, defects) -> np.ndarray:
     """The L1 metric of n random planar points with the defects written in:
     ("far", i, j) stretches one distance into triangle violations, ("asym",
-    i, j) changes one entry alone, ("zero", i, j) and ("nan", i, j) set both."""
+    i, j) changes one entry alone, ("zero", i, j) and ("nan", i, j) set both,
+    ("inf", i, j) sets both to inf or -inf by the parity of i + j, and
+    ("diag", i, j) writes j - 10 on the diagonal at i."""
     pts = rng.integers(0, 50, size=(n, 2)).astype(float)
     m = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
     m[m == 0] = 0.5
@@ -113,17 +116,22 @@ def _defective_metric(rng: np.random.Generator, n: int, defects) -> np.ndarray:
             m[i, j] = m[j, i] = 0.0
         elif kind == "nan":
             m[i, j] = m[j, i] = math.nan
+        elif kind == "inf":
+            m[i, j] = m[j, i] = math.inf if (i + j) % 2 else -math.inf
+        elif kind == "diag":
+            m[i, i] = j - 10.0
     return m
 
 
-_DEFECTS = st.lists(
-    st.tuples(
-        st.sampled_from(["far", "far", "asym", "zero", "nan"]),
-        st.integers(0, 69),
-        st.integers(0, 69),
-    ),
-    max_size=5,
-)
+def _defects(kinds):
+    return st.lists(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 69), st.integers(0, 69)), max_size=5
+    )
+
+
+# Every kind but "asym" keeps the matrix symmetric.
+_SYMMETRIC_KINDS = ["far", "far", "zero", "nan", "inf", "diag"]
+_DEFECTS = _defects(_SYMMETRIC_KINDS + ["asym"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,6 +149,26 @@ def test_blocked_triangle_check_matches_per_row_reference(n, seed, defects, tile
     with mock.patch.object(space_module, "_TILE", tile):
         got = space_module._triangle_issues(m)
     assert got == per_row_triangle_issues(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    defects=_defects(_SYMMETRIC_KINDS),
+    tile=st.sampled_from([1, 64, 1000, 1 << 16]),
+)
+# a symmetric inf, which equals its transpose, and a diagonal entry of 59
+@example(n=20, seed=1, defects=[("inf", 3, 8)], tile=1 << 16)
+@example(n=20, seed=1, defects=[("diag", 3, 69)], tile=64)
+def test_metric_issues_of_symmetric_matrices_match_the_entry_loop(n, seed, defects, tile):
+    """A symmetric matrix takes the one-test acceptance and the half scan
+    over k >= i; its issues are still the entry loop's, text and order,
+    including the k == i hits of a nonzero diagonal and a symmetric inf."""
+    m = _defective_metric(np.random.default_rng(seed), n, defects)
+    with mock.patch.object(space_module, "_TILE", tile):
+        got = space_module._metric_issues(m)
+    assert got == reference_metric_issues(FiniteSpace.create(m))
 
 
 def test_blocked_triangle_check_on_banded_middle_points():
@@ -217,6 +245,35 @@ def test_validate_declared_space_matches_probing_reference(space):
 
 def test_dim_of_empty_set_is_minus_one(circle9):
     assert circle9.dim(frozenset()) == -1
+
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ([[0, 1], []], "simplices[1]: empty simplex"),
+        ([[0, 1], [1, 3]], "simplices[1]: vertex out of range"),
+        ([[0, 1], [-1]], "simplices[1]: vertex out of range"),
+        ([[0, True]], "simplices[0]: expected an integer, got True"),
+        ([[0, 1.0]], "simplices[0]: expected an integer, got 1.0"),
+        # the first bad simplex is named, whatever the later ones hold
+        ([[0, 3], [1.5]], "simplices[0]: vertex out of range"),
+        ([[2], [0, 3]], "simplices[1]: vertex out of range"),
+    ],
+)
+def test_simplex_errors_name_the_first_bad_simplex(simplices, message):
+    metric = [[float(a != b) for b in range(3)] for a in range(3)]
+    with pytest.raises(InputError) as got:
+        FiniteSpace.create(metric, simplices=simplices)
+    assert str(got.value) == message
+
+
+def test_simplices_of_numpy_or_plain_integers_read_alike():
+    metric = [[float(a != b) for b in range(3)] for a in range(3)]
+    plain = FiniteSpace.create(metric, simplices=[[0, 1], (1, 2), [2]])
+    numpy = FiniteSpace.create(metric, simplices=[np.array([0, 1]), [np.int64(1), 2], [2]])
+    assert plain.simplices == numpy.simplices == (frozenset({0, 1}), frozenset({1, 2}), {2})
+    assert {type(v) for face in numpy.simplices for v in face} == {int}
+    assert FiniteSpace.create(metric, simplices=[]).simplices == ()
 
 
 def test_dim_from_simplices(circle9):
