@@ -178,9 +178,23 @@ def _reading(path: str) -> Iterator[None]:
         raise InputError(f"{path}: malformed document: {exc}") from exc
 
 
+def _numbers(rows: Any, name: str) -> None:
+    """Refuse an entry of a list of lists that is not a JSON int or float.
+
+    ``float`` and numpy would read the strings "1.0" and " 1e0 " and the
+    bool true as 1.0.  One C-level pass over each row's entry types settles
+    a clean row.  Rows that are not lists are left to the caller's shape checks.
+    """
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
+            j, v = next((j, v) for j, v in enumerate(row) if type(v) not in (int, float))
+            raise InputError(f"{name} must be a matrix of numbers: {name}[{i}][{j}] is {v!r}")
+
+
 def _space_from_doc(doc: Any) -> FiniteSpace:
     """A validated space from its JSON object (a space file or a family's source)."""
     metric = _require(doc, "metric")
+    _numbers(metric, "metric")
     simplices = doc.get("simplices")
     dim_labels = doc.get("dim_labels")
     # FiniteSpace.create reads the point indices and dimensions themselves
@@ -224,6 +238,7 @@ def load_coords(path: str, record: dict[str, str] | None = None) -> Coords:
         points = [
             _list(p, f"points[{k}]") for k, p in enumerate(_list(_require(doc, "points"), "points"))
         ]
+        _numbers(points, "points")
         return Coords.create(as_index(_require(doc, "dim"), "dim"), points)
 
 

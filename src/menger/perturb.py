@@ -179,7 +179,8 @@ def assign_values(fams: Families, f: Observable, eps: Fraction | float) -> Value
     Values come from an exact rational lattice of spacing min(eps, 2) / (4*S*r)
     where S counts all subsets; coordinate ell only uses lattice points whose
     index is ell modulo r.  That makes values inside one coordinate pairwise
-    distinct by choice and ranges across coordinates disjoint by congruence.
+    distinct by choice and ranges across coordinates disjoint by congruence;
+    ``perturb`` checks both on the values it freezes.
     Subsets are served earliest deadline first, smallest unused grid point
     that fits; each window holds at least 2S candidates, so the greedy pass
     cannot run out.
@@ -254,18 +255,6 @@ def assign_values(fams: Families, f: Observable, eps: Fraction | float) -> Value
                     )
             entries.append((sub, Fraction(v, L)))
         per_coord.append(tuple(entries))
-
-    # Cross-coordinate ranges must be disjoint; the congruence argument makes
-    # this automatic, but it is cheap to confirm.
-    for ell1 in range(r):
-        vals1 = {chosen[ell1, k] for k in range(len(fams[ell1]))}
-        for ell2 in range(ell1 + 1, r):
-            clash = vals1 & {chosen[ell2, k] for k in range(len(fams[ell2]))}
-            if clash:
-                raise InternalCheckError(
-                    f"coordinates {ell1} and {ell2} share assigned value "
-                    f"{Fraction(clash.pop(), L)}"
-                )
     return ValueAssignment(eps_f, tuple(per_coord))
 
 
@@ -273,10 +262,11 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
     """Freeze assigned values on covered points, keep the rest of f.
 
     The replacement is locally constant on every subset and touches only the
-    coordinate the subset's family belongs to.  Before returning, three
-    properties are re-checked exhaustively with exact arithmetic: the result
-    stays within the assignment budget of f in sup norm, distinct subsets of
-    one family get distinct values at every covered point, and covered values
+    coordinate the subset's family belongs to.  This is the one check of
+    the sets and values it is given: no point is covered twice in one
+    coordinate, and, exhaustively with exact arithmetic, the result stays
+    within the assignment budget of f in sup norm, distinct subsets of one
+    family get distinct values at every covered point, and covered values
     of different coordinates never coincide.  Covered points carry their
     subset's value, so the last two compare one value per nonempty subset:
     a value-to-subset map per coordinate, then the intersections of the

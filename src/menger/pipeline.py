@@ -10,12 +10,16 @@ into coherent blocks, and every block is separated by one locally constant
 perturbation whose size is controlled by a geometrically shrinking budget.
 The budget also stays below a quarter of the least gap between distinct
 orbit tuples, so every pair the observable already separates, in every
-family run so far, stays separated.  Progress is certified, never assumed:
-each block run re-verifies separation pair by pair through an explicit
-witness, and the orbit labels must refine after every block.  The
-certificate states the claim itself, the final observable with each stage's
-points and maps, so a verifier re-checks injectivity and displacement
-without replaying the run.
+family run so far, stays separated.  Progress is certified, never assumed,
+and each property of a perturbed block has one check site: ``perturb``
+checks that the merged sets of one coordinate are disjoint, that they get
+distinct values, that coordinates share no covered value and that the
+drift stays within the budget; ``check_separation`` proves each pair of
+the block separated through an explicit A- or B-witness; and after every
+block the run checks that the orbit labels refine the old ones and that no
+pair of the block still shares a label.  The certificate states the claim
+itself, the final observable with each stage's points and maps, so a
+verifier re-checks injectivity and displacement without replaying the run.
 """
 
 from __future__ import annotations
@@ -235,14 +239,9 @@ class BlockLog:
     branch: str
     budget: Fraction | None = None
     eta: Fraction | None = None
-    m1: int | None = None
-    m2: int | None = None
-    transport: tuple[tuple[int, int], ...] | None = None
-    zeta: tuple[tuple[int, int], ...] | None = None
     merged: tuple[tuple[frozenset[int], ...], ...] | None = None
     assignment: ValueAssignment | None = None
-    witness_kinds: tuple[str, ...] | None = None
-    margin_after: Fraction | float | None = None
+    margin_after: Fraction | float | None = None   # the ledger margin, set by the run
     displacement: Fraction | None = None
 
 
@@ -289,8 +288,12 @@ def separate_on_block(
     matched column-1 classes are pulled through T so that their pushed images
     coincide with the column-2 ones, and the remaining column-1 classes get a
     fresh small partition so their multiplicity stays a majority.  All pushed
-    sets merge per coordinate, get exact rational values, and the perturbed
-    observable is checked pair by pair through an explicit witness.
+    sets merge per coordinate and get exact rational values.  ``perturb``
+    checks the merged sets and their values; a point covered twice in one
+    coordinate means coherence was violated, an InternalCheckError here.
+    Each pair of the block is then proved separated through an explicit
+    witness (``check_separation``).  The log's ``margin_after`` is left to
+    the caller, whose ledger margin spans every family run so far.
     """
     fam = df.base
     eps_f = Fraction(eps)
@@ -327,16 +330,12 @@ def separate_on_block(
     fams2: list[tuple[frozenset[int], ...]] = list(cover2.families)
 
     branch = classify(work.partition)
-    transport_log = None
-    zeta_log = None
     if branch == NON_INTERSECTIVE:
         mu1 = (r * m1) // 2 + 1
         cover1 = build_cover(fam.source, red1.points, r * m1, mu1, bound, backend, coords)
         fams1: list[tuple[frozenset[int], ...]] = list(cover1.families)
     else:
         tr = intersective_transport(df, work)
-        transport_log = tuple(sorted(tr.transport.items()))
-        zeta_log = tuple(sorted(tr.zeta.items()))
         pulled = pull_cover(cover2, tr.transport)
         fresh = diameter_clusters(fam.source, red1.points, bound)
         fams1 = [fresh for _ in range(m1 * r)]
@@ -359,18 +358,15 @@ def separate_on_block(
         absorb(red1.reps[t1], fams1, t1)
     for t2 in range(m2):
         absorb(red2.reps[t2], fams2, t2)
-    for ell in range(r):
-        for a in range(len(merged[ell])):
-            for b in range(a + 1, len(merged[ell])):
-                if merged[ell][a] & merged[ell][b]:
-                    raise InternalCheckError(
-                        f"merged family {ell}: pushed sets {sorted(merged[ell][a])} and "
-                        f"{sorted(merged[ell][b])} overlap; coherence was violated"
-                    )
     merged_t = tuple(tuple(fam_l) for fam_l in merged)
 
     assignment = assign_values(merged_t, f, eps_f)
-    f_new = perturb(f, assignment, merged_t)
+    # coherence makes the pushed sets of one coordinate disjoint, so a point
+    # perturb finds covered twice is an internal fault, not bad input
+    try:
+        f_new = perturb(f, assignment, merged_t)
+    except InputError as exc:
+        raise InternalCheckError(f"merged families: {exc}; coherence was violated") from exc
 
     union1 = [frozenset().union(*fams1[k]) if fams1[k] else frozenset() for k in range(m1 * r)]
     union2 = [frozenset().union(*fams2[k]) if fams2[k] else frozenset() for k in range(m2 * r)]
@@ -385,7 +381,6 @@ def separate_on_block(
     # Witness valuations are numerators over one denominator, equal exactly
     # when the values are.
     new_rows = f_new.rows
-    kinds = []
     for x1, x2 in work.pairs:
         v1_star = frozenset(
             (t, ell) for (t, ell) in v1_labels if x1 in union1[t * r + ell]
@@ -399,22 +394,11 @@ def separate_on_block(
             inst = BipartiteInstance.create(
                 w_labels, v1_labels, v2_labels, f1_map, f2_map, v1_star, v2_star
             )
-            proof = check_separation(inst, phi1, phi2)
+            check_separation(inst, phi1, phi2)
         except InputError as exc:
             raise InternalCheckError(
                 f"separation self-check failed for pair ({x1}, {x2}): {exc}"
             ) from exc
-        i, ell = proof.w
-        if new_rows[fam.maps[i][x1]][ell] == new_rows[fam.maps[i][x2]][ell]:
-            raise InternalCheckError(
-                f"witness map {i}, coordinate {ell} does not separate pair ({x1}, {x2})"
-            )
-        kinds.append(proof.witness.kind)
-
-    blk_margin = margin(f_new, fam, work.pairs)
-    if not blk_margin > 0:
-        raise InternalCheckError("block margin is zero after perturbation")
-    moved = sup_distance(f_new, f)
 
     log = BlockLog(
         partition=block.partition,
@@ -422,15 +406,9 @@ def separate_on_block(
         branch=branch,
         budget=eps_f,
         eta=eta,
-        m1=m1,
-        m2=m2,
-        transport=transport_log,
-        zeta=zeta_log,
         merged=merged_t,
         assignment=assignment,
-        witness_kinds=tuple(kinds),
-        margin_after=blk_margin,
-        displacement=moved,
+        displacement=sup_distance(f_new, f),
     )
     return f_new, log
 
@@ -590,7 +568,8 @@ def _run_family_blocks(
     half that gap keeps every separated pair separated, and staying
     strictly inside it keeps the inequality strict.  After every perturbed
     block the labels of every family must refine their old labels
-    (monotone progress), and only perturbed blocks are logged.
+    (monotone progress), and no pair of the block may still share a label.
+    Only perturbed blocks are logged, each with the ledger margin after it.
     """
     df = DoubledFamily(fam)
     labels = state.start(fam)
@@ -609,6 +588,11 @@ def _run_family_blocks(
             state.f = f_new
             state.geom = state.geom / 2
             labels = state.relabel()
+            for x1, x2 in blk.pairs:
+                if labels[x1] == labels[x2]:
+                    raise InternalCheckError(
+                        f"pair ({x1}, {x2}) still collides after its block was perturbed"
+                    )
             state.logs.append(replace(blog, margin_after=state.margin))
             if all(labels[x1] != labels[x2] for x1, x2 in live):
                 break

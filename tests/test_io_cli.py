@@ -105,6 +105,10 @@ def test_space_loader_reports_problems(tmp_path):
     "doc, message",
     [
         ({"metric": [[0.0, "far"], ["far", 0.0]]}, "metric must be a matrix of numbers"),
+        # float() and numpy would read these as 1.0
+        ({"metric": [[0, "1.0"], [" 1e0 ", 0]]},
+         "metric must be a matrix of numbers: metric[0][1] is '1.0'"),
+        ({"metric": [[0, 1], [True, 0]]}, "metric must be a matrix of numbers: metric[1][0] is True"),
         ({"metric": [[0.0, float("nan")], [float("nan"), 0.0]]},
          "metric[0][1]: not a finite number"),
         ({"metric": [[0.0, float("inf")], [1.0, 0.0]]}, "metric[0][1]: not a finite number"),
@@ -121,7 +125,7 @@ def test_space_loader_reports_problems(tmp_path):
          "dim_labels[0].dim: expected an integer, got True"),
     ],
     ids=[
-        "non-numeric", "nan", "inf", "simplices-int", "dim-labels-int",
+        "non-numeric", "numeric-string", "bool", "nan", "inf", "simplices-int", "dim-labels-int",
         "simplex-vertex-float", "simplex-vertex-bool", "dim-label-float", "dim-label-bool",
     ],
 )

@@ -90,6 +90,11 @@ def test_valid_documents_embed(tmp_path, capsys):
         ("space", ("simplices", 0), "01"),
         # an empty stage list would certify nothing
         ("action", ("stages",), []),
+        # float() and numpy would read each of these as a number
+        ("space", ("metric", 0, 1), "0.5"),
+        ("space", ("metric", 1, 0), True),
+        ("coords", ("points", 0, 0), "0"),
+        ("coords", ("points", 1, 1), True),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )
