@@ -87,7 +87,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
     eps = parse_fraction(args.eps, "--eps")
     coords = load_coords(args.coords, record=input_hashes) if args.coords else None
     f0 = load_observable(args.f0, space, record=input_hashes) if args.f0 else None
-    seed = args.seed if args.seed is not None else 0
 
     if args.action:
         action, stages = load_action(args.action, space, args.group_cap, record=input_hashes)
@@ -96,7 +95,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
             args.r,
             eps,
             f0=f0,
-            seed=seed,
+            seed=args.seed,
             stages=stages,
             backend=args.backend,
             coords=coords,
@@ -108,7 +107,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
             args.r,
             eps,
             f0=f0,
-            seed=seed,
+            seed=args.seed,
             backend=args.backend,
             coords=coords,
         )

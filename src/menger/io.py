@@ -271,9 +271,7 @@ def load_action(
             _list(g, f"generators[{k}]")
             for k, g in enumerate(_list(_require(doc, "generators"), "generators"))
         ]
-        action = GroupAction.from_generators(
-            space, generators, cap=group_cap, require_closure=False
-        )
+        action = GroupAction.from_generators(space, generators, cap=group_cap)
         if "stages" not in doc:
             return action, None
         if not _list(doc["stages"], "stages"):

@@ -234,14 +234,14 @@ def _images_disjoint(images: Sequence[frozenset[int]]) -> bool:
 class CoherentBlock:
     """Pairs sharing a doubled partition, with block images pairwise disjoint.
 
-    ``image_sets`` is aligned with ``partition.blocks``: entry k collects
-    every target point realized by a label of block k on some pair.  The
-    defining invariant is that entries for distinct blocks never meet.
+    The image set of label block k collects every target point realized by
+    a label of block k on some pair.  The defining invariant is that image
+    sets of distinct blocks never meet: ``build`` checks it, and
+    ``first_fit_block`` and ``mirror_block`` establish it by construction.
     """
 
     partition: Partition
     pairs: tuple[Pair, ...]
-    image_sets: tuple[frozenset[int], ...]
 
     @staticmethod
     def build(df: DoubledFamily, p_hat: Partition, pairs: Iterable[Pair]) -> "CoherentBlock":
@@ -249,10 +249,9 @@ class CoherentBlock:
         for pair in pairs_t:
             if doubled_induced_partition(df, pair) != p_hat:
                 raise InputError(f"pair {pair} does not induce the block partition")
-        images = _pair_image_sets(df, p_hat, pairs_t)
-        if not _images_disjoint(images):
+        if not _images_disjoint(_pair_image_sets(df, p_hat, pairs_t)):
             raise InputError("image sets of distinct blocks intersect")
-        return CoherentBlock(p_hat, pairs_t, images)
+        return CoherentBlock(p_hat, pairs_t)
 
 
 def first_fit_block(
@@ -271,7 +270,8 @@ def first_fit_block(
     label stands for its block, a pair alone never holds one value through
     two label blocks, and the first pair always fits.  The block is built
     without ``CoherentBlock.build``'s re-check: the fit test keeps the image
-    sets of distinct label blocks disjoint.
+    sets of distinct label blocks disjoint, and ``owner`` is the only record
+    of them.
     """
     maps = df.base.maps
     leads = [(k, maps[blk[0][0]], blk[0][1] - 1) for k, blk in enumerate(p_hat.blocks)]
@@ -287,11 +287,7 @@ def first_fit_block(
             for k, g, j in leads:
                 owner[g[pair[j]]] = k
             taken.append(pair)
-    images: list[set[int]] = [set() for _ in p_hat.blocks]
-    for v, k in owner.items():
-        images[k].add(v)
-    block = CoherentBlock(p_hat, tuple(sorted(set(taken))), tuple(map(frozenset, images)))
-    return block, rest
+    return CoherentBlock(p_hat, tuple(sorted(set(taken)))), rest
 
 
 def coherent_decomposition(
@@ -318,12 +314,16 @@ def coherent_decomposition(
     return tuple(blocks)
 
 
-def mirror_block(df: DoubledFamily, block: CoherentBlock) -> CoherentBlock:
-    """The same pairs written in the opposite order, columns swapped."""
-    return CoherentBlock.build(
-        df,
+def mirror_block(block: CoherentBlock) -> CoherentBlock:
+    """The same pairs written in the opposite order, columns swapped.
+
+    Swapping the columns turns each pair's doubled partition into its
+    mirror and leaves every label block's image set as it was, so the
+    mirrored block is coherent because ``block`` is, with no re-check.
+    """
+    return CoherentBlock(
         mirror_partition(block.partition),
-        [(x2, x1) for (x1, x2) in block.pairs],
+        tuple(sorted((x2, x1) for x1, x2 in block.pairs)),
     )
 
 

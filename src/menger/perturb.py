@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import BudgetError, InputError, InternalCheckError
 from .space import FiniteSpace
 
-Families = tuple[tuple[frozenset[int], ...], ...]
+Families = Sequence[Sequence[frozenset[int]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +154,10 @@ def modulus(f: Observable, ell: int, eps: Fraction | float) -> float:
 class ValueAssignment:
     """One frozen rational per subset, organized per coordinate.
 
-    ``per_coordinate[ell]`` is a tuple of (subset, value) pairs aligned with
-    the family it was built from.  ``eps`` is the displacement budget the
-    assignment was constructed for.
+    ``per_coordinate[ell]`` is a tuple of (subset, value) pairs in the order
+    of the family it was built from, and the one record of those subsets:
+    ``perturb`` reads them from here.  ``eps`` is the displacement budget
+    the assignment was constructed for.
     """
 
     eps: Fraction
@@ -180,7 +181,9 @@ def assign_values(fams: Families, f: Observable, eps: Fraction | float) -> Value
     where S counts all subsets; coordinate ell only uses lattice points whose
     index is ell modulo r.  That makes values inside one coordinate pairwise
     distinct by choice and ranges across coordinates disjoint by congruence;
-    ``perturb`` checks both on the values it freezes.
+    ``perturb`` checks both on the values it freezes.  A value inside its
+    subset's window is within eps/2 of every point of the subset, so the
+    drift needs no check here; ``perturb`` checks it against the budget.
     Subsets are served earliest deadline first, smallest unused grid point
     that fits; each window holds at least 2S candidates, so the greedy pass
     cannot run out.
@@ -207,17 +210,12 @@ def assign_values(fams: Families, f: Observable, eps: Fraction | float) -> Value
     radius = half.numerator * (L // half.denominator)
 
     queue = []
-    # the points holding each subset's least and greatest value: every
-    # value of the subset lies between them
-    extremes: dict[tuple[int, int], tuple[int, int]] = {}
     for ell, fam in enumerate(fams):
         for k, sub in enumerate(fam):
             if not sub:
                 raise InputError(f"family {ell} contains an empty subset")
-            y_lo = min(sub, key=lambda y: rows[y][ell])
-            y_hi = max(sub, key=lambda y: rows[y][ell])
-            extremes[ell, k] = (y_lo, y_hi)
-            lo, hi = rows[y_lo][ell] * scale, rows[y_hi][ell] * scale
+            lo = min(rows[y][ell] for y in sub) * scale
+            hi = max(rows[y][ell] for y in sub) * scale
             if hi - lo > radius:
                 raise BudgetError(
                     f"subset {sorted(sub)} of coordinate {ell} has value spread "
@@ -242,52 +240,40 @@ def assign_values(fams: Families, f: Observable, eps: Fraction | float) -> Value
         used[ell].add(idx)
         chosen[ell, k] = v
 
-    per_coord = []
-    for ell, fam in enumerate(fams):
-        entries = []
-        for k, sub in enumerate(fam):
-            v = chosen[ell, k]
-            # |v - value| is largest at one of the two extremes
-            for y in extremes[ell, k]:
-                if abs(v - rows[y][ell] * scale) > radius:
-                    raise InternalCheckError(
-                        f"assigned value {Fraction(v, L)} drifts more than eps/2 from point {y}"
-                    )
-            entries.append((sub, Fraction(v, L)))
-        per_coord.append(tuple(entries))
-    return ValueAssignment(eps_f, tuple(per_coord))
+    per_coord = tuple(
+        tuple((sub, Fraction(chosen[ell, k], L)) for k, sub in enumerate(fam))
+        for ell, fam in enumerate(fams)
+    )
+    return ValueAssignment(eps_f, per_coord)
 
 
-def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Observable:
+def perturb(f: Observable, assignment: ValueAssignment) -> Observable:
     """Freeze assigned values on covered points, keep the rest of f.
 
-    The replacement is locally constant on every subset and touches only the
-    coordinate the subset's family belongs to.  This is the one check of
-    the sets and values it is given: no point is covered twice in one
-    coordinate, and, exhaustively with exact arithmetic, the result stays
-    within the assignment budget of f in sup norm, distinct subsets of one
-    family get distinct values at every covered point, and covered values
-    of different coordinates never coincide.  Covered points carry their
+    ``assignment.per_coordinate[ell]`` lists coordinate ell's subsets with
+    their values.  The replacement is locally constant on every subset and
+    touches only that coordinate.  This is the one check of the sets and
+    values it is given: no point is covered twice in one coordinate, and,
+    exhaustively with exact arithmetic, the result stays within the
+    assignment budget of f in sup norm, distinct subsets of one coordinate
+    get distinct values at every covered point, and covered values of
+    different coordinates never coincide.  Covered points carry their
     subset's value, so the last two compare one value per nonempty subset:
     a value-to-subset map per coordinate, then the intersections of the
     coordinates' value sets.  Untouched values of f are already valid; only
     the assigned ones are checked to lie in [0, 1].  The result is f's
     table over a denominator that also holds every assigned value.
     """
-    if len(fams) != f.r:
-        raise InputError(f"expected {f.r} families, got {len(fams)}")
+    entries = assignment.per_coordinate
+    if len(entries) != f.r:
+        raise InputError(f"expected {f.r} coordinates, got {len(entries)}")
     # per coordinate: covered point -> its subset, and each subset's value
     covered: list[dict[int, int]] = [dict() for _ in range(f.r)]
     assigned: list[list[Fraction]] = [[] for _ in range(f.r)]
     # per coordinate: assigned value -> the first nonempty subset holding it
     owner: list[dict[Fraction, int]] = [dict() for _ in range(f.r)]
-    for ell, fam in enumerate(fams):
-        if len(assignment.per_coordinate[ell]) != len(fam):
-            raise InputError(f"assignment for coordinate {ell} does not match family")
-        for k, sub in enumerate(fam):
-            a_sub, raw = assignment.per_coordinate[ell][k]
-            if a_sub != sub:
-                raise InputError(f"assignment order mismatch in coordinate {ell}")
+    for ell, coord in enumerate(entries):
+        for k, (sub, raw) in enumerate(coord):
             v = Fraction(raw)
             if not 0 <= v <= 1:
                 raise InputError(f"coordinate {ell}: assigned value {raw} outside [0, 1]")
@@ -304,7 +290,7 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
             first = owner[ell].setdefault(v, k)
             if first != k:
                 raise InternalCheckError(
-                    f"coordinate {ell}: points {min(fam[first])}, {min(sub)} in distinct "
+                    f"coordinate {ell}: points {min(coord[first][0])}, {min(sub)} in distinct "
                     f"subsets share value {v}"
                 )
     den = math.lcm(f.den, *(v.denominator for values in assigned for v in values))
@@ -326,7 +312,7 @@ def perturb(f: Observable, assignment: ValueAssignment, fams: Families) -> Obser
                 v = min(clash)
                 raise InternalCheckError(
                     f"covered value clash across coordinates {ell1}, {ell2} "
-                    f"at points {min(fams[ell1][owner[ell1][v]])}, "
-                    f"{min(fams[ell2][owner[ell2][v]])}"
+                    f"at points {min(entries[ell1][owner[ell1][v]][0])}, "
+                    f"{min(entries[ell2][owner[ell2][v]][0])}"
                 )
     return result

@@ -25,7 +25,7 @@ verifier re-checks injectivity and displacement without replaying the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import sub
 from typing import Iterable, Sequence
@@ -67,7 +67,8 @@ from .space import (
     MapFamily,
     Perm,
     least_float_at_least,
-    orbit,
+    orbit,  # noqa: F401  bench/spans.py patches this name here
+    orbits,
     periodic_set,  # noqa: F401  bench/spans.py patches this name here
     restricted_space,
 )
@@ -135,21 +136,6 @@ def check_hypotheses_family(fam: MapFamily, r: int) -> HypothesisReport:
     return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
 
 
-def _orbit_sizes(action: GroupAction) -> list[int]:
-    """Orbit size of every point, one reachability search per orbit.
-
-    Orbits of a permutation group partition the space, so every point of a
-    found orbit shares its size.
-    """
-    sizes = [0] * action.space.n_points
-    for x in range(action.space.n_points):
-        if not sizes[x]:
-            orb = orbit(action, x)
-            for y in orb:
-                sizes[y] = len(orb)
-    return sizes
-
-
 def check_hypotheses_action(
     action: GroupAction, r: int, n_max: int | None = None
 ) -> HypothesisReport:
@@ -165,7 +151,7 @@ def check_hypotheses_action(
         raise InputError("r must be at least 1")
     if n_max is not None and n_max < 1:
         raise InputError(f"n_max must be at least 1, got {n_max}")
-    sizes = _orbit_sizes(action)
+    sizes = [len(orb) for orb in orbits(action)]
     if n_max is None:
         n_max = max(sizes)
     checks = []
@@ -239,8 +225,7 @@ class BlockLog:
     branch: str
     budget: Fraction | None = None
     eta: Fraction | None = None
-    merged: tuple[tuple[frozenset[int], ...], ...] | None = None
-    assignment: ValueAssignment | None = None
+    assignment: ValueAssignment | None = None      # the merged sets, each with its value
     margin_after: Fraction | float | None = None   # the ledger margin, set by the run
     displacement: Fraction | None = None
 
@@ -308,7 +293,7 @@ def separate_on_block(
         column_partition(block.partition, 1).block_count()
         < column_partition(block.partition, 2).block_count()
     ):
-        work = mirror_block(df, block)
+        work = mirror_block(block)
 
     red1 = reduced_maps(df, work, 1)
     red2 = reduced_maps(df, work, 2)
@@ -358,13 +343,12 @@ def separate_on_block(
         absorb(red1.reps[t1], fams1, t1)
     for t2 in range(m2):
         absorb(red2.reps[t2], fams2, t2)
-    merged_t = tuple(tuple(fam_l) for fam_l in merged)
 
-    assignment = assign_values(merged_t, f, eps_f)
+    assignment = assign_values(merged, f, eps_f)
     # coherence makes the pushed sets of one coordinate disjoint, so a point
     # perturb finds covered twice is an internal fault, not bad input
     try:
-        f_new = perturb(f, assignment, merged_t)
+        f_new = perturb(f, assignment)
     except InputError as exc:
         raise InternalCheckError(f"merged families: {exc}; coherence was violated") from exc
 
@@ -406,7 +390,6 @@ def separate_on_block(
         branch=branch,
         budget=eps_f,
         eta=eta,
-        merged=merged_t,
         assignment=assignment,
         displacement=sup_distance(f_new, f),
     )
@@ -441,52 +424,71 @@ class EmbeddingCertificate:
     displacement: Fraction
 
 
+@dataclass(eq=False)
+class _Stage:
+    """One stage of a run: what its record states, and its ledger entry.
+
+    ``points``, ``f_perms`` and ``eps_sep`` go into the stage record as
+    given.  A stage with points has a family, whose current orbit labels
+    and least gap between distinct orbit tuples the ledger keeps; a stage
+    without points has no family, no labels and an infinite gap.
+    """
+
+    fam: MapFamily | None
+    points: tuple[int, ...]
+    f_perms: tuple[Perm, ...] | None = None
+    eps_sep: Fraction | None = None
+    labels: list[int] = field(default_factory=list)
+    gap: Fraction | float = math.inf
+
+
 class _BaireState:
     """Shared budget schedule and separation ledger across blocks and stages.
 
     The ledger is every pair whose orbit tuples currently differ, in every
-    family run so far.  Each ``groups`` entry ``(fam, labels, gap)`` holds
-    one family, its current orbit labels and the least gap between its
-    distinct orbit tuples.  ``margin`` is the least of those gaps: ``start``
-    folds in the new family's, and ``relabel`` recomputes every family's
-    after a perturbation, so each entry always describes the current ``f``.
+    family run so far; ``stages`` lists the run's stages in order, each
+    with its family's current orbit labels and gap.  ``margin`` is the
+    least of those gaps: ``start`` folds in the new stage's, and
+    ``relabel`` recomputes every stage's after a perturbation, so each
+    entry always describes the current ``f``.
     """
 
     def __init__(self, f: Observable, eps: Fraction):
         self.f = f
         self.geom = eps / 2
-        self.groups: list[tuple[MapFamily, list[int], Fraction | float]] = []
+        self.stages: list[_Stage] = []
         self.margin: Fraction | float = math.inf
         self.logs: list[BlockLog] = []
 
-    def start(self, fam: MapFamily) -> list[int]:
-        """Add a family to the ledger; return its orbit labels."""
-        labels, distinct = _labelled(self.f, fam)
-        gap = _gap(self.f, distinct)
-        self.groups.append((fam, labels, gap))
-        self.margin = min(self.margin, gap)
-        return labels
+    def start(self, stage: _Stage) -> list[int]:
+        """Add a stage to the ledger; return its orbit labels (none without a family)."""
+        self.stages.append(stage)
+        if stage.fam is not None:
+            stage.labels, distinct = _labelled(self.f, stage.fam)
+            stage.gap = _gap(self.f, distinct)
+            self.margin = min(self.margin, stage.gap)
+        return stage.labels
 
     def relabel(self) -> list[int]:
-        """Recompute every family's labels and the margin; return the last family's.
+        """Recompute every stage's labels and the margin; return the last stage's.
 
         Monotone progress: the new labels must refine the old ones, so a
         pair separated before stays separated.  Each new label then meets
         exactly one old label.
         """
-        fresh = []
         self.margin = math.inf
-        for fam, old, _ in self.groups:
-            new, distinct = _labelled(self.f, fam)
-            if len(set(zip(new, old))) != len(set(new)):
+        for stage in self.stages:
+            if stage.fam is None:
+                continue
+            new, distinct = _labelled(self.f, stage.fam)
+            if len(set(zip(new, stage.labels))) != len(set(new)):
                 raise InternalCheckError(
                     "monotone progress violated: a previously separated pair collided"
                 )
-            gap = _gap(self.f, distinct)
-            fresh.append((fam, new, gap))
-            self.margin = min(self.margin, gap)
-        self.groups = fresh
-        return fresh[-1][1]
+            stage.labels = new
+            stage.gap = _gap(self.f, distinct)
+            self.margin = min(self.margin, stage.gap)
+        return self.stages[-1].labels
 
 
 def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
@@ -541,17 +543,18 @@ def colliding_pair_classes(df: DoubledFamily, labels: Sequence[int]) -> dict[Par
     return {doubled_induced_partition(df, pairs[0]): pairs for pairs in keyed.values()}
 
 
-def _run_family_blocks(
+def _run_stage(
     state: _BaireState,
-    fam: MapFamily,
+    stage: _Stage,
     backend: str,
     coords: Coords | None,
 ) -> None:
-    """Separate every pair of one family that still collides, block by block.
+    """Start a stage and separate every pair of its family that still collides.
 
-    The orbit labels under the current observable say which pairs collide:
-    a pair whose labels differ is already separated, so it is neither
-    listed nor classified.  Points are grouped by label, and only the
+    A stage without a family only joins the ledger.  The orbit labels
+    under the current observable say which pairs collide: a pair whose
+    labels differ is already separated, so it is neither listed nor
+    classified.  Points are grouped by label, and only the
     colliding pairs inside a group are enumerated (in row-major order) and
     grouped by their doubled partition (``colliding_pair_classes``), so the
     work grows with n plus the colliding pairs, and one ``Partition`` is
@@ -571,8 +574,10 @@ def _run_family_blocks(
     (monotone progress), and no pair of the block may still share a label.
     Only perturbed blocks are logged, each with the ledger margin after it.
     """
-    df = DoubledFamily(fam)
-    labels = state.start(fam)
+    labels = state.start(stage)
+    if stage.fam is None:
+        return
+    df = DoubledFamily(stage.fam)
 
     classes = colliding_pair_classes(df, labels)
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
@@ -638,35 +643,26 @@ def _certify(
     report: HypothesisReport,
     f0: Observable,
     state: _BaireState,
-    runs: Iterable[
-        tuple[MapFamily | None, Sequence[int], tuple[Perm, ...] | None, Fraction | None]
-    ],
 ) -> EmbeddingCertificate:
-    """The certificate of a finished run, one stage record per run.
+    """The certificate of a finished run, one stage record per ledger stage.
 
-    A run is (family, points, elements, eps_sep); a stage without points has
-    no family and still records one (empty) map per element.  The runs with
-    a family are the ledger's groups, in order, and each stage margin is its
-    group's gap under the final observable; it is the stage's orbit margin
-    once every source point has its own label, which is checked here.  The
-    total displacement must stay within eps.
+    A stage without points has no family and still records one (empty) map
+    per element.  Each stage margin is its ledger gap under the final
+    observable; it is the stage's orbit margin once every source point has
+    its own label, which is checked here.  The total displacement must stay
+    within eps.
     """
     records = []
-    ledger = iter(state.groups)
-    for fam, pts, f_perms, eps_sep in runs:
-        if fam is None:
-            labels = tuple(f"e{k}" for k in range(len(f_perms)))
-            records.append(
-                StageRecord((), ((),) * len(f_perms), labels, f_perms, eps_sep, math.inf)
-            )
-            continue
-        started, labels, stage_margin = next(ledger)
-        if started is not fam:
-            raise InternalCheckError("the stages and the ledger list different families")
-        if len(set(labels)) < len(labels):
+    for stage in state.stages:
+        if len(set(stage.labels)) < len(stage.labels):
             raise InternalCheckError("stage margin is zero; some pair was never separated")
+        if stage.fam is None:
+            n = len(stage.f_perms)
+            maps, labels = ((),) * n, tuple(f"e{k}" for k in range(n))
+        else:
+            maps, labels = stage.fam.maps, stage.fam.labels
         records.append(
-            StageRecord(tuple(pts), fam.maps, fam.labels, f_perms, eps_sep, stage_margin)
+            StageRecord(stage.points, maps, labels, stage.f_perms, stage.eps_sep, stage.gap)
         )
     displacement = sup_distance(state.f, f0)
     if displacement > eps:
@@ -706,9 +702,8 @@ def embed_family(
     eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed)
     report = _passed(check_hypotheses_family(fam, r), "dimension")
     state = _BaireState(f0, eps_f)
-    _run_family_blocks(state, fam, backend, coords)
-    run = (fam, range(fam.source.n_points), None, None)
-    return _certify("family", r, eps_f, used_seed, backend, report, f0, state, [run])
+    _run_stage(state, _Stage(fam, tuple(range(fam.source.n_points))), backend, coords)
+    return _certify("family", r, eps_f, used_seed, backend, report, f0, state)
 
 
 def default_stage_n(space: FiniteSpace, r: int) -> int:
@@ -779,7 +774,6 @@ def embed_equivariant(
     plan = action_stages(action, stages, r)
     report = _passed(check_hypotheses_action(action, r), "dimension")
     state = _BaireState(f0, eps_f)
-    runs = []
     for f_perms, eps_sep, pts in plan:
         fam = None
         if pts:
@@ -789,6 +783,5 @@ def embed_equivariant(
                 sub, action.space, local_maps, labels=[f"e{k}" for k in range(len(f_perms))]
             )
             _passed(check_hypotheses_family(fam, r), "stage")
-            _run_family_blocks(state, fam, backend, coords)
-        runs.append((fam, pts, f_perms, eps_sep))
-    return _certify("action", r, eps_f, used_seed, backend, report, f0, state, runs)
+        _run_stage(state, _Stage(fam, pts, f_perms, eps_sep), backend, coords)
+    return _certify("action", r, eps_f, used_seed, backend, report, f0, state)

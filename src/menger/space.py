@@ -412,9 +412,9 @@ class GroupAction:
 
     ``elements`` holds the full closure of the generators under composition
     (identity first, then breadth-first products in a fixed order), or None
-    when the closure was cut off at the cap and the caller opted in to the
-    partial state.  Orbits never need the closure; they are reachability sets
-    under the generators.
+    when the closure was cut off at the cap; ``order`` and an unstaged run
+    then raise GroupCapError.  Orbits never need the closure; they are
+    reachability sets under the generators.
     """
 
     space: FiniteSpace
@@ -426,7 +426,6 @@ class GroupAction:
         space: FiniteSpace,
         generators: Sequence[Sequence[int]],
         cap: int = DEFAULT_GROUP_CAP,
-        require_closure: bool = True,
     ) -> "GroupAction":
         n = space.n_points
         gens = []
@@ -442,8 +441,6 @@ class GroupAction:
         try:
             elements = _close_generators(gens, n, cap)
         except GroupCapError:
-            if require_closure:
-                raise
             elements = None
         return GroupAction(space, gens, elements)
 
@@ -502,13 +499,26 @@ def orbit(action: GroupAction, x: int) -> frozenset[int]:
     return frozenset(seen)
 
 
+def orbits(action: GroupAction) -> list[frozenset[int]]:
+    """Each point's orbit, one reachability search per orbit.
+
+    Orbits of a permutation group partition the space, so every point of a
+    found orbit gets that same set.
+    """
+    out: list[frozenset[int] | None] = [None] * action.space.n_points
+    for x in range(action.space.n_points):
+        if out[x] is None:
+            orb = orbit(action, x)
+            for y in orb:
+                out[y] = orb
+    return out
+
+
 def periodic_set(action: GroupAction, n_max: int) -> frozenset[int]:
     """Points whose orbit has at most ``n_max`` elements."""
     if n_max < 1:
         raise InputError("n_max must be at least 1")
-    return frozenset(
-        x for x in range(action.space.n_points) if len(orbit(action, x)) <= n_max
-    )
+    return frozenset(x for x, orb in enumerate(orbits(action)) if len(orb) <= n_max)
 
 
 def least_float_at_least(x: Fraction) -> float:
@@ -582,17 +592,11 @@ def restricted_space(
     for k, p in enumerate(fams):
         if len(p) != npts or sorted(p) != list(range(npts)):
             raise InputError(f"subset_f[{k}]: not a permutation")
-    orbits: list[frozenset[int] | None] = [None] * npts
-    for x in range(npts):
-        if orbits[x] is None:
-            orb = orbit(action, x)
-            for y in orb:
-                orbits[y] = orb
     rows = action.space.rows()
     reach = least_float_at_least(eps_f)
     out = []
-    for x in range(npts):
+    for x, orb in enumerate(orbits(action)):
         f_orbit = {p[x] for p in fams}
-        if orbits[x] == f_orbit or _spreads(rows, sorted(f_orbit), reach, r * n):
+        if orb == f_orbit or _spreads(rows, sorted(f_orbit), reach, r * n):
             out.append(x)
     return frozenset(out)

@@ -897,9 +897,7 @@ def test_orbit_csv_layout(tmp_path):
 
 def test_orbit_csv_multi_stage(tmp_path):
     space = circle_space(9)
-    action = GroupAction.from_generators(
-        space, [rotation_perm(9, 1)], cap=5, require_closure=False
-    )
+    action = GroupAction.from_generators(space, [rotation_perm(9, 1)], cap=5)
     thirds = [rotation_perm(9, s) for s in (0, 3, 6)]
     cert = embed_equivariant(
         action, r=3, eps=Fraction(1, 10), seed=2,

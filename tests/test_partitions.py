@@ -29,6 +29,7 @@ from menger.partitions import (
     first_fit_block,
     induced_partition,
     intersective_transport,
+    mirror_block,
     mirror_partition,
     reduced_maps,
     refines,
@@ -189,7 +190,10 @@ def test_coherent_blocks_verify_membership_and_disjoint_images():
             for blk in blocks:
                 for pair in blk.pairs:
                     assert doubled_induced_partition(df, pair) == p_hat
-                images = blk.image_sets
+                images = [
+                    {df.value(s, pair) for s in labels for pair in blk.pairs}
+                    for labels in p_hat.blocks
+                ]
                 for i in range(len(images)):
                     for j in range(i + 1, len(images)):
                         assert not images[i] & images[j]
@@ -224,10 +228,12 @@ def test_coherent_blocks_equal_checked_build(data):
         order = data.draw(st.permutations(members))
         order += data.draw(st.lists(st.sampled_from(members), max_size=3))
         for blk in coherent_decomposition(df, p_hat, order):
-            built = CoherentBlock.build(df, p_hat, blk.pairs)
-            assert blk.partition == built.partition
-            assert blk.pairs == built.pairs
-            assert blk.image_sets == built.image_sets
+            assert blk == CoherentBlock.build(df, p_hat, blk.pairs)
+            # the mirrored block is the checked build of the swapped pairs
+            swapped = [(x2, x1) for x1, x2 in blk.pairs]
+            assert mirror_block(blk) == CoherentBlock.build(
+                df, mirror_partition(p_hat), swapped
+            )
 
 
 def test_intersective_transport_on_antipodal_block():

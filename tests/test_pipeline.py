@@ -184,7 +184,7 @@ def test_action_gate_matches_per_period_scan(data, r, extra):
     n = data.draw(st.integers(1, 8))
     space = data.draw(simplicial_spaces(n))
     gens = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    action = GroupAction.from_generators(space, gens, cap=64, require_closure=False)
+    action = GroupAction.from_generators(space, gens, cap=64)
     got = hypothesis_doc(check_hypotheses_action(action, r))
     assert got == hypothesis_doc(reference_action_report(action, r))
     # an explicit bound past the largest orbit keeps adding full-space checks
@@ -307,9 +307,9 @@ def test_orbit_margin_matches_pair_loop(data, r):
     # the ledger's gap, which certificates take as the stage margin, is the
     # margin over the separated pairs; it is the orbit margin when no pair collides
     state = pipeline._BaireState(f, Fraction(1))
-    labels = state.start(fam)
+    labels = state.start(pipeline._Stage(fam, tuple(range(n_src))))
     separated = [(a, b) for a, b in unordered if orbit_row(f, fam, a) != orbit_row(f, fam, b)]
-    assert state.margin == state.groups[0][2] == naive_margin(f, fam, separated)
+    assert state.margin == state.stages[0].gap == naive_margin(f, fam, separated)
     assert (len(set(labels)) == n_src) == (orbit_margin(f, fam) > 0)
     if len(set(labels)) == n_src:
         assert state.margin == orbit_margin(f, fam)
@@ -332,7 +332,7 @@ def test_separate_on_block_non_intersective_rotations():
             f_new.values[g[x1]][0] != f_new.values[g[x2]][0] for g in fam.maps
         )
     # uncovered points keep their original value
-    covered = {y for fam_l in log.merged for sub in fam_l for y in sub}
+    covered = {y for entries in log.assignment.per_coordinate for sub, _ in entries for y in sub}
     for y in set(range(9)) - covered:
         assert f_new.values[y] == f.values[y]
 
@@ -374,7 +374,7 @@ def test_separate_on_block_rejects_nonpositive_budget():
 
 
 def _count_classifications(monkeypatch):
-    """Record the pairs that ``_run_family_blocks`` classifies."""
+    """Record the pairs that ``_run_stage`` classifies."""
     calls = []
 
     def counted(df, pair):
@@ -605,9 +605,7 @@ def test_embed_equivariant_antipodal_intersective_run(circle8, antipodal_action)
 
 
 def test_embed_equivariant_capped_group_needs_stages(circle9):
-    action = GroupAction.from_generators(
-        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
-    )
+    action = GroupAction.from_generators(circle9, [rotation_perm(9, 1)], cap=5)
     assert action.elements is None
     with pytest.raises(GroupCapError) as err:
         embed_equivariant(action, r=3, eps=Fraction(1, 10), seed=1)
@@ -616,9 +614,7 @@ def test_embed_equivariant_capped_group_needs_stages(circle9):
 
 
 def test_embed_equivariant_explicit_stages(circle9):
-    action = GroupAction.from_generators(
-        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
-    )
+    action = GroupAction.from_generators(circle9, [rotation_perm(9, 1)], cap=5)
     # hand the embedding two finite stages drawn from the (uncomputed) group
     stage1 = [rotation_perm(9, s) for s in (0, 3, 6)]
     stage2 = [rotation_perm(9, s) for s in (0, 1)]
@@ -650,9 +646,7 @@ def test_staged_embed_round_trips_through_the_verifier(data):
     space = circle_space(n)
     step = data.draw(st.integers(1, n - 1), label="step")
     cap = data.draw(st.sampled_from([2, 64]), label="cap")
-    action = GroupAction.from_generators(
-        space, [rotation_perm(n, step)], cap=cap, require_closure=False
-    )
+    action = GroupAction.from_generators(space, [rotation_perm(n, step)], cap=cap)
     shifts = list(range(0, n, math.gcd(n, step)))
     element_lists = st.lists(st.sampled_from(shifts), min_size=2, max_size=4, unique=True)
     eps_seps = st.none() | st.integers(1, n - 1).map(lambda j: space.distance(0, j))
@@ -700,9 +694,7 @@ def test_embed_equivariant_two_stages_from_a_mixed_start(
     """Budgets and margins of a two-stage run whose ledger holds the pairs
     separated in both stages; the values are those of the explicit
     ordered-pair ledger of ``reference_block_loop``."""
-    action = GroupAction.from_generators(
-        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
-    )
+    action = GroupAction.from_generators(circle9, [rotation_perm(9, 1)], cap=5)
     stages = [
         ([rotation_perm(9, s) for s in (0, 3, 6)], None),
         ([rotation_perm(9, s) for s in (0, 1)], None),
@@ -725,9 +717,7 @@ def test_embed_equivariant_injective_first_stage_still_caps_the_next(circle9):
     """Stage 1 starts injective with a gap of 1/1000 and perturbs no block;
     stage 2's first budget must still be a quarter of that gap, as in the
     explicit ordered-pair ledger of ``reference_block_loop``."""
-    action = GroupAction.from_generators(
-        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
-    )
+    action = GroupAction.from_generators(circle9, [rotation_perm(9, 1)], cap=5)
     stages = [([rotation_perm(9, s) for s in shift], None) for shift in [(0, 1), (0, 3, 6)]]
     start = [Fraction(v, 1000) for v in (0, 1, 500, 0, 2, 1000, 0, 3, 250)]
     f0 = Observable.create(circle9, [[v, 1 - v] for v in start])
@@ -833,9 +823,7 @@ def test_default_stage_n(circle9):
 
 
 def test_action_stages_refuses_r_zero_before_dividing(circle9):
-    action = GroupAction.from_generators(
-        circle9, [rotation_perm(9, 1)], cap=5, require_closure=False
-    )
+    action = GroupAction.from_generators(circle9, [rotation_perm(9, 1)], cap=5)
     rotations = tuple(rotation_perm(9, s) for s in range(3))
     with pytest.raises(InputError, match="r must be at least 1"):
         action_stages(action, [(rotations, Fraction(1, 2))], 0)
@@ -846,10 +834,10 @@ def test_certify_refuses_a_stage_whose_labels_collide(circle9, monkeypatch, kind
     """The stage margin comes from the ledger, which keeps the gap between
     distinct orbit tuples only; a stage where two points still share a
     tuple must fail the certificate's own check."""
-    def start_only(state, fam, backend, coords):
-        state.start(fam)
+    def start_only(state, stage, backend, coords):
+        state.start(stage)
 
-    monkeypatch.setattr("menger.pipeline._run_family_blocks", start_only)
+    monkeypatch.setattr("menger.pipeline._run_stage", start_only)
     f0 = Observable.create(circle9, [[Fraction(1, 2)]] * 9)
     rotations = [rotation_perm(9, s) for s in (0, 3, 6)]
     with pytest.raises(InternalCheckError, match="stage margin is zero"):

@@ -28,6 +28,7 @@ from menger.space import (
     identity_perm,
     invert_perm,
     orbit,
+    orbits,
     periodic_set,
     _spreads,
     least_float_at_least,
@@ -333,10 +334,7 @@ def test_group_closure_and_order(circle9):
 
 def test_group_cap_raises_and_uncapped_path():
     space = circle_space(12)
-    gen = rotation_perm(12, 1)
-    with pytest.raises(GroupCapError):
-        GroupAction.from_generators(space, [gen], cap=5)
-    action = GroupAction.from_generators(space, [gen], cap=5, require_closure=False)
+    action = GroupAction.from_generators(space, [rotation_perm(12, 1)], cap=5)
     assert action.elements is None
     with pytest.raises(GroupCapError):
         _ = action.order
@@ -344,6 +342,7 @@ def test_group_cap_raises_and_uncapped_path():
 
 def test_orbits_and_periodic_sets(rot3_action):
     assert orbit(rot3_action, 0) == frozenset({0, 3, 6})
+    assert orbits(rot3_action) == [orbit(rot3_action, x) for x in range(9)]
     assert periodic_set(rot3_action, 2) == frozenset()
     assert periodic_set(rot3_action, 3) == frozenset(range(9))
 
