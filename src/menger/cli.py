@@ -81,6 +81,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    out = args.out or "certificate.json"
+    # the orbit table goes to the certificate's name with a .csv extension,
+    # so a certificate named *.csv would be overwritten by its own table
+    if os.path.splitext(out)[1].lower() == ".csv":
+        raise InputError(f"{out}: the certificate cannot end in .csv, the orbit table's extension")
     # each loader reads its file once and records the hash of those bytes
     input_hashes: dict[str, str] = {}
     space = load_space(args.space, record=input_hashes)
@@ -113,7 +118,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
         )
 
     config = {"group_cap": args.group_cap}
-    out = args.out or "certificate.json"
     payload = write_certificate(out, cert, config, input_hashes)
     csv_files = write_orbit_csv(os.path.splitext(out)[0] + ".csv", payload)
 

@@ -493,9 +493,14 @@ def _stage_shape_issues(
     """Reasons a stage's indices cannot be followed into the observable.
 
     Map values index the n observable rows; element permutations act on the
-    whole space of n points and are read at the stage's points.
+    whole space of n points and are read at the stage's points.  The points
+    are strictly increasing within 0..n-1, the form embed writes.
     """
     issues = []
+    if not within(pts, n):
+        issues.append(f"a point lies outside 0..{n - 1}")
+    elif any(a >= b for a, b in zip(pts, pts[1:])):
+        issues.append("points are not strictly increasing")
     for k, m in enumerate(maps):
         if len(m) != len(pts):
             issues.append(f"map {k} has {len(m)} values for {len(pts)} points")
@@ -506,8 +511,6 @@ def _stage_shape_issues(
             issues.append("f_perms does not hold one element per map")
         elif not all(isinstance(perm, list) and len(perm) == n for perm in f_perms):
             issues.append(f"f_perms holds an element that is not a list of {n} points")
-        if not within(pts, n):
-            issues.append(f"a point lies outside 0..{n - 1}")
     return issues
 
 

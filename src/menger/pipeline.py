@@ -31,6 +31,7 @@ from operator import sub
 from typing import Iterable, Sequence
 
 from .covers import (
+    BACKEND_BRICKS,
     BACKEND_CELLS,
     Coords,
     build_cover,
@@ -116,9 +117,9 @@ def check_hypotheses_family(fam: MapFamily, r: int) -> HypothesisReport:
     (``induced_classes``), so each class X_P is a lookup, and one check is
     reported per realized class.
     A partition no point realizes has the empty class, and dim of the empty
-    set is -1: declared spaces give it by construction and
-    ``validate_space`` checks it for every ``dim_fn``.  Its check,
-    -2 < r|P|, holds for every r >= 1, so it is left out.
+    set is -1 by construction of the declared dimension (a subspace's
+    included).  Its check, -2 < r|P|, holds for every r >= 1, so it is left
+    out.
     """
     if r < 1:
         raise InputError("r must be at least 1")
@@ -604,16 +605,29 @@ def _run_stage(
 
 
 def _start(
-    target: FiniteSpace, r: int, eps: Fraction | float, f0: Observable | None, seed: int | None
+    target: FiniteSpace,
+    r: int,
+    eps: Fraction | float,
+    f0: Observable | None,
+    seed: int | None,
+    backend: str,
+    coords: Coords | None,
 ) -> tuple[Fraction, Observable, int | None]:
     """The checked budget, the start observable on ``target`` and the seed used.
 
     Without ``f0`` the start is sampled with ``seed`` (0 by default), and
-    that seed is returned; a given ``f0`` returns None.
+    that seed is returned; a given ``f0`` returns None.  The cover backend
+    is checked here too, before any gate runs: an unknown name and
+    ``bricks`` without coordinates are refused whatever the start, even one
+    that would need no cover.
     """
     eps_f = Fraction(eps)
     if eps_f <= 0:
         raise InputError("eps must be positive")
+    if backend not in (BACKEND_CELLS, BACKEND_BRICKS):
+        raise InputError(f"unknown cover backend {backend!r}")
+    if backend == BACKEND_BRICKS and coords is None:
+        raise InputError("bricks backend needs declared coordinates")
     used_seed = None
     if f0 is None:
         used_seed = 0 if seed is None else seed
@@ -699,7 +713,7 @@ def embed_family(
     whose margin is strictly positive and whose displacement stays within
     eps, both exact.  The family is the one stage, over every source point.
     """
-    eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed)
+    eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed, backend, coords)
     report = _passed(check_hypotheses_family(fam, r), "dimension")
     state = _BaireState(f0, eps_f)
     _run_stage(state, _Stage(fam, tuple(range(fam.source.n_points))), backend, coords)
@@ -726,8 +740,8 @@ def action_stages(
     certify nothing, so it is an input error.  A stage without eps_sep
     covers the whole space; one with eps_sep covers the points whose
     F-orbit equals the full orbit or spreads into at least r*n points
-    pairwise eps_sep-apart, n being ``default_stage_n``, which asks the
-    dimension oracle only when some stage has an eps_sep.
+    pairwise eps_sep-apart, n being ``default_stage_n``, which asks for
+    the space's dimension only when some stage has an eps_sep.
     """
     if stages is not None and not stages:
         raise InputError("stages: the list is empty; pass None to use the whole group")
@@ -770,7 +784,7 @@ def embed_equivariant(
     subspace of points whose F-orbit either equals the full orbit or spreads
     into at least r*n points pairwise eps_sep-apart (``action_stages``).
     """
-    eps_f, f0, used_seed = _start(action.space, r, eps, f0, seed)
+    eps_f, f0, used_seed = _start(action.space, r, eps, f0, seed, backend, coords)
     plan = action_stages(action, stages, r)
     report = _passed(check_hypotheses_action(action, r), "dimension")
     state = _BaireState(f0, eps_f)

@@ -2,18 +2,17 @@
 
 A finite sample cannot remember the topological dimension of the space it
 was drawn from, so dimension travels as declared metadata on the sample:
-either a simplicial complex over the points, explicit labeled subsets, or a
-caller-supplied oracle.  The convention dim(empty) = -1 is used throughout.
+a simplicial complex over the points and explicit labeled subsets.  The
+convention dim(empty) = -1 is used throughout.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Any, Callable, Collection, Iterable, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -24,8 +23,6 @@ Perm = tuple[int, ...]
 # Largest F-orbit whose separation is decided exactly; greedy above it.
 EXACT_CAP = 24
 DEFAULT_GROUP_CAP = 10_000
-# Seeded random nested pairs on which validate_space probes a dimension oracle.
-MONOTONE_SAMPLES = 200
 
 
 def as_index(value: Any, where: str) -> int:
@@ -85,15 +82,14 @@ class FiniteSpace:
     maximal faces of a complex over the points; the dimension of a subset S is
     then the largest dimension of a face the complex induces inside S.
     ``dim_labels`` adds explicit lower bounds: a labeled subset L raises the
-    dimension of every superset of L to at least its label.  ``dim_fn``, when
-    given, overrides both.
+    dimension of every superset of L to at least its label.  Either way the
+    dimension grows with the subset, by construction.
     """
 
     n_points: int
     metric: np.ndarray
     simplices: tuple[frozenset[int], ...] | None = None
     dim_labels: tuple[tuple[frozenset[int], int], ...] | None = None
-    dim_fn: Callable[[frozenset[int]], int] | None = None
     _rows: list[list[float]] | None = field(default=None, init=False, repr=False)
 
     @staticmethod
@@ -101,7 +97,6 @@ class FiniteSpace:
         metric: Sequence[Sequence[float]] | np.ndarray,
         simplices: Iterable[Iterable[int]] | None = None,
         dim_labels: Iterable[tuple[Iterable[int], int]] | None = None,
-        dim_fn: Callable[[frozenset[int]], int] | None = None,
     ) -> "FiniteSpace":
         try:
             arr = np.array(metric, dtype=float)
@@ -148,7 +143,7 @@ class FiniteSpace:
                 labels.append((sub, d))
             labels = tuple(labels)
 
-        return FiniteSpace(n, arr, simp, labels, dim_fn)
+        return FiniteSpace(n, arr, simp, labels)
 
     def rows(self) -> list[list[float]]:
         """The metric as nested lists of Python floats, the same values as ``metric``.
@@ -178,8 +173,6 @@ class FiniteSpace:
     def dim(self, subset: Iterable[int]) -> int:
         """Declared dimension of a subset; -1 for the empty set."""
         s = frozenset(subset)
-        if self.dim_fn is not None:
-            return self.dim_fn(s)
         if not s:
             return -1
         best = 0
@@ -195,11 +188,14 @@ class FiniteSpace:
         return best
 
     def subspace(self, points: Iterable[int]) -> tuple["FiniteSpace", tuple[int, ...]]:
-        """Metric restriction to ``points``.
+        """Restriction to ``points``: the metric, the faces and the labels.
 
         Returns the restricted space plus the sorted ambient index tuple; the
-        restricted space numbers its points 0..k-1 in that order, and its
-        dimension oracle delegates to the parent through the translation.
+        restricted space numbers its points 0..k-1 in that order.  Each face
+        becomes its intersection with the points (empty ones are dropped;
+        the rest need not be maximal, which changes no dimension), and a
+        label is kept when its subset lies inside the points, so every
+        local subset has the dimension of its image in this space.
         """
         pts = tuple(sorted(set(int(p) for p in points)))
         if not pts:
@@ -208,11 +204,18 @@ class FiniteSpace:
             raise InputError("subspace point out of range")
         sub = self.metric[np.ix_(pts, pts)].copy()
         sub.setflags(write=False)
-
-        def translated_dim(local: frozenset[int]) -> int:
-            return self.dim(frozenset(pts[u] for u in local))
-
-        return FiniteSpace(len(pts), sub, None, None, translated_dim), pts
+        local = {p: u for u, p in enumerate(pts)}
+        simp = labels = None
+        if self.simplices is not None:
+            faces = (frozenset(local[p] for p in face if p in local) for face in self.simplices)
+            simp = tuple(face for face in faces if face)
+        if self.dim_labels is not None:
+            labels = tuple(
+                (frozenset(local[p] for p in s), d)
+                for s, d in self.dim_labels
+                if s.issubset(local)
+            )
+        return FiniteSpace(len(pts), sub, simp, labels), pts
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def _triangle_issues(m: np.ndarray, symmetric: bool | None = None) -> list[str]:
 
 
 def validate_space(space: FiniteSpace) -> ValidationReport:
-    """Check the metric axioms exhaustively and a supplied dimension oracle by sampling.
+    """Check the metric axioms exhaustively.
 
     Metric checks cover symmetry, zero diagonal, positivity off the diagonal
     and the triangle inequality over all triples; a matrix with NaN or
@@ -322,40 +325,11 @@ def validate_space(space: FiniteSpace) -> ValidationReport:
     triangle violations found over ``k >= i`` and mirrored, in the same
     ``(i, j, k)`` order; one with an asymmetric entry is scanned in full.
 
-    Only a caller-supplied ``dim_fn`` (which includes the translated oracle
-    that ``FiniteSpace.subspace`` creates) is probed: ``dim(empty)`` must be
-    -1, and monotonicity is checked on systematic small chains plus seeded
-    random nested pairs; each issue names the offending entries.  Declared
-    simplices and labels need no probe, because the dimension they define,
-    -1 on the empty set and ``max(0, max |face & S| - 1, max label with
-    L <= S)`` otherwise, grows with S by construction.
+    Dimension needs no check: declared simplices and labels define -1 on
+    the empty set and ``max(0, max |face & S| - 1, max label with L <= S)``
+    otherwise, which grows with S by construction.
     """
-    issues = _metric_issues(space.metric)
-    if space.dim_fn is None:
-        return ValidationReport(tuple(issues))
-    n = space.n_points
-
-    if space.dim(frozenset()) != -1:
-        issues.append("dim_oracle: dim(empty) must be -1")
-    # Monotonicity cannot be proved from the outside, so probe nested pairs.
-    chains: list[tuple[frozenset[int], frozenset[int]]] = []
-    full = frozenset(range(n))
-    for i in range(n):
-        chains.append((frozenset([i]), full))
-        if i + 1 < n:
-            chains.append((frozenset([i]), frozenset([i, i + 1])))
-    rng = random.Random(0x5EED ^ n)
-    for _ in range(MONOTONE_SAMPLES):
-        big = frozenset(p for p in range(n) if rng.random() < 0.5)
-        small = frozenset(p for p in big if rng.random() < 0.5)
-        chains.append((small, big))
-    for small, big in chains:
-        if space.dim(small) > space.dim(big):
-            issues.append(
-                f"dim_oracle: not monotone on {sorted(small)} <= {sorted(big)} "
-                f"({space.dim(small)} > {space.dim(big)})"
-            )
-    return ValidationReport(tuple(issues))
+    return ValidationReport(tuple(_metric_issues(space.metric)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -348,10 +348,17 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
         # int(...) would read these as r = 1, which the rest of the certificate fits
         ("action", _set("r", 1.5), "certificate is missing required data: r: expected an integer, got 1.5"),
         ("action", _set("r", True), "certificate is missing required data: r: expected an integer, got True"),
+        # a family stage carries no elements, and its points are still checked:
+        # strictly increasing within 0..n-1, the form embed writes
+        ("family", _set("stages", 0, "points", 0, -1), "stage 0: a point lies outside 0..8"),
+        ("family", _set("stages", 0, "points", 1, 0), "stage 0: points are not strictly increasing"),
+        ("family", _set("stages", 0, "points", 8, 2**64), "stage 0: a point lies outside 0..8"),
+        ("family", _set("stages", 0, "points", lambda pts: pts[::-1]), "stage 0: points are not strictly increasing"),
     ],
     ids=[
         "map-past-end", "map-negative", "stages-not-list", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
         "value-not-rational", "format-changed", "map-value-float", "point-bool", "r-float", "r-bool",
+        "family-point-negative", "family-point-repeated", "family-point-past-uint64", "family-points-descending",
     ],
 )
 def test_cli_verify_rehashed_malformed_certificate_exits_four(tmp_path, capsys, kind, edit, message):
@@ -584,9 +591,10 @@ def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
     """Stored margins from a Fraction pair loop pass the verifier's sweep.
 
     Values repeat often and carry mixed denominators; stages have 0, 1 or
-    more points and 0 to 3 maps, which need not be injective.  A stage whose
-    margin is 0 matches its stored margin but is not injective, so it is the
-    one issue left.
+    more points and 0 to 3 maps, which need not be injective.  The points
+    are strictly increasing within 0..n-1, the only form the verifier takes.
+    A stage whose margin is 0 matches its stored margin but is not
+    injective, so it is the one issue left.
     """
     n = data.draw(st.integers(1, 8))
     tied = st.sampled_from(["0", "1/3", "1/2", "2/3", "5/7", "1"])
@@ -594,7 +602,7 @@ def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
     values = [[Fraction(v) for v in row] for row in strs]
     stages, margins = [], []
     for _ in range(data.draw(st.integers(1, 3))):
-        pts = data.draw(st.lists(st.integers(0, n - 1), max_size=10))
+        pts = sorted(data.draw(st.sets(st.integers(0, n - 1))))
         maps = [
             data.draw(st.lists(st.integers(0, n - 1), min_size=len(pts), max_size=len(pts)))
             for _ in range(data.draw(st.integers(0, 3)))
@@ -974,6 +982,31 @@ def test_cli_embed_verify_round_trip(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "cert_sha256 mismatch" in err
+
+
+@pytest.mark.parametrize("name", ["same.csv", "SAME.CSV", "same.Csv"])
+def test_cli_embed_refuses_a_csv_certificate_before_reading_inputs(tmp_path, capsys, name):
+    """The orbit table takes the certificate's name with a .csv extension, so
+    a .csv certificate would be overwritten by its table; the refusal comes
+    before any input is read (the space here does not exist)."""
+    out = tmp_path / name
+    code = main(["embed", "--space", str(tmp_path / "missing.json"), "--family", "f.json",
+                 "--r", "1", "--eps", "1/20", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: {out}: the certificate cannot end in .csv, "
+                   "the orbit table's extension\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_embed_refuses_bricks_without_coords_on_a_seeded_start(tmp_path, capsys):
+    space_path, action_path = _write_inputs(tmp_path)
+    out = tmp_path / "cert.json"
+    code = main(["embed", "--space", space_path, "--action", action_path, "--r", "1",
+                 "--eps", "1/20", "--seed", "7", "--backend", "bricks", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: bricks backend needs declared coordinates\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["family", "action"])

@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from helpers import (
@@ -155,22 +156,24 @@ def test_family_gate_on_subspace_asks_the_dim_oracle_alike(lo, hi, data, r):
     n = data.draw(st.integers(2, 8))
     ambient = data.draw(simplicial_spaces(n))
     pts = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    sub, ambient_pts = ambient.subspace(pts)
-    calls: list[frozenset[int]] = []
-
-    def recording_dim(local: frozenset[int]) -> int:
-        calls.append(local)
-        return sub.dim(local)
-
-    source = FiniteSpace(sub.n_points, sub.metric, None, None, recording_dim)
+    source, ambient_pts = ambient.subspace(pts)
     maps = [
         data.draw(st.permutations(range(n)))[: len(ambient_pts)]
         for _ in range(data.draw(st.integers(lo, hi)))
     ]
     fam = MapFamily.create(source, ambient, maps)
-    got = hypothesis_doc(check_hypotheses_family(fam, r))
-    got_calls, calls[:] = list(calls), []
-    assert got == hypothesis_doc(reference_family_report(fam, r))
+    calls: list[frozenset[int]] = []
+    declared_dim = FiniteSpace.dim
+
+    def recording_dim(space: FiniteSpace, subset) -> int:
+        if space is source:
+            calls.append(frozenset(subset))
+        return declared_dim(space, subset)
+
+    with mock.patch.object(FiniteSpace, "dim", recording_dim):
+        got = hypothesis_doc(check_hypotheses_family(fam, r))
+        got_calls, calls[:] = list(calls), []
+        assert got == hypothesis_doc(reference_family_report(fam, r))
     # every realized class asks the oracle once, in check order, and no
     # unrealized class is asked at all
     assert got_calls == calls
@@ -515,6 +518,33 @@ def test_bricks_embed_round_trip_from_coarse_starts(data, r, eps, tmp_path_facto
     ordered = [(a, b) for a in range(n) for b in range(n) if a != b]
     assert margin(cert.observable, fam, ordered) > 0
     assert cert.displacement <= eps
+
+
+@pytest.mark.parametrize("seed, f0", [(3, None), (None, "constant")])
+@pytest.mark.parametrize("kind", ["family", "action"])
+def test_embed_refuses_bricks_without_coords_before_the_gate(circle9, monkeypatch, kind, seed, f0):
+    """A seeded start that is already injective needs no cover, and is
+    refused all the same, as is an unknown backend; no gate runs first."""
+    if f0 is not None:
+        f0 = Observable.create(circle9, [[Fraction(1, 2)]] * 9)
+
+    def no_gate(*args):
+        raise AssertionError("the gate ran before the backend was checked")
+
+    monkeypatch.setattr(pipeline, "check_hypotheses_family", no_gate)
+    monkeypatch.setattr(pipeline, "check_hypotheses_action", no_gate)
+    if kind == "family":
+        fam = MapFamily.create(circle9, circle9, [rotation_perm(9, s) for s in (0, 3, 6)])
+        embed = lambda backend: embed_family(fam, 1, Fraction(1, 10), f0, seed, backend)
+    else:
+        action = GroupAction.from_generators(circle9, [rotation_perm(9, 3)])
+        embed = lambda backend: embed_equivariant(
+            action, 1, Fraction(1, 10), f0, seed, backend=backend
+        )
+    with pytest.raises(InputError, match="^bricks backend needs declared coordinates$"):
+        embed("bricks")
+    with pytest.raises(InputError, match="^unknown cover backend 'brick'$"):
+        embed("brick")
 
 
 def test_embed_family_constant_start_runs_blocks(circle9):

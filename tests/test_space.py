@@ -142,14 +142,20 @@ _DEFECTS = _defects(_SYMMETRIC_KINDS + ["asym"])
     defects=_DEFECTS,
     tile=st.sampled_from([1, 64, 1000, 1 << 16]),
 )
+# an inf and a -inf entry in one row, whose sum is NaN
+@example(n=10, seed=1, defects=[("inf", 1, 2), ("inf", 1, 3)], tile=64)
 def test_blocked_triangle_check_matches_per_row_reference(n, seed, defects, tile):
     """Row blocks and middle-point bands report the issues of the per-row
     scan in the same order; from n = 41 the default tile holds several row
     blocks, and smaller tiles cut the middle points into bands as well."""
     m = _defective_metric(np.random.default_rng(seed), n, defects)
-    with mock.patch.object(space_module, "_TILE", tile):
+    # An inf defect meets a -inf one in some sums, inf + -inf is NaN on
+    # purpose, and both scans must agree on it; validate_space never scans
+    # such a matrix, since it reports non-finite entries alone.
+    with np.errstate(invalid="ignore"), mock.patch.object(space_module, "_TILE", tile):
         got = space_module._triangle_issues(m)
-    assert got == per_row_triangle_issues(m)
+        want = per_row_triangle_issues(m)
+    assert got == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,25 +190,13 @@ def test_blocked_triangle_check_on_banded_middle_points():
     assert space_module._metric_issues(m) == []
 
 
-def test_validate_reports_non_monotone_dim_fn():
-    metric = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-    singletons_high = FiniteSpace.create(
-        metric, dim_fn=lambda s: -1 if not s else (2 if len(s) == 1 else 0)
-    )
-    report = validate_space(singletons_high)
-    assert report.issues[0] == "dim_oracle: not monotone on [0] <= [0, 1, 2] (2 > 0)"
-    assert all(issue.startswith("dim_oracle: not monotone on ") for issue in report.issues)
-
-
-def test_validate_reports_dim_fn_of_empty_set():
-    metric = [[0.0, 1.0], [1.0, 0.0]]
-    report = validate_space(FiniteSpace.create(metric, dim_fn=len))
-    assert report.issues == ("dim_oracle: dim(empty) must be -1",)
-
-
 def test_validate_subspace_of_declared_circle_is_clean():
     sub, _ = circle_space(12).subspace([0, 1, 2, 5, 7, 11])
-    assert sub.dim_fn is not None            # the translated oracle is probed
+    # the subspace carries the circle's faces, restricted and renumbered:
+    # its edges are the three circle edges between the points
+    assert {face for face in sub.simplices if len(face) == 2} == {
+        frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 5})
+    }
     assert validate_space(sub).ok
 
 
@@ -235,7 +229,10 @@ def declared_spaces(draw) -> FiniteSpace:
         st.none()
         | st.lists(st.tuples(st.sets(st.integers(0, n - 1)), st.integers(0, 3)), max_size=3)
     )
-    return FiniteSpace.create(metric, simplices=faces, dim_labels=labels)
+    space = FiniteSpace.create(metric, simplices=faces, dim_labels=labels)
+    if draw(st.booleans()):
+        space, _ = space.subspace(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return space
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,13 +290,6 @@ def test_dim_labels_monotone_closure():
     assert space.dim({1}) == 0
 
 
-def test_dim_fn_override():
-    metric = [[0.0, 1.0], [1.0, 0.0]]
-    space = FiniteSpace.create(metric, dim_fn=lambda s: 7 if s else -1)
-    assert space.dim({1}) == 7
-    assert space.dim(frozenset()) == -1
-
-
 def test_subspace_translates_dimension(circle9):
     sub, points = circle9.subspace([2, 3, 7])
     assert points == (2, 3, 7)
@@ -307,6 +297,19 @@ def test_subspace_translates_dimension(circle9):
     assert sub.distance(0, 1) == circle9.distance(2, 3)
     assert sub.dim({0, 1}) == 1              # the 2-3 edge survives translation
     assert sub.dim({0, 2}) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subspace_dimension_is_the_dimension_of_the_image(data):
+    """Every local subset of a subspace, the empty one included, has the
+    declared dimension of its image in the parent."""
+    space = data.draw(declared_spaces(), label="space")       # a subspace at times
+    points = st.sets(st.integers(0, space.n_points - 1), min_size=1)
+    sub, pts = space.subspace(data.draw(points, label="points"))
+    for mask in range(1 << len(pts)):
+        local = [u for u in range(len(pts)) if mask >> u & 1]
+        assert sub.dim(local) == space.dim(pts[u] for u in local)
 
 
 def test_perm_algebra():
