@@ -8,7 +8,7 @@ observable and each stage's points and maps, from which a verifier
 recomputes the exact injectivity margins and the displacement bound.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .covers import (
     BACKEND_BRICKS,

@@ -127,7 +127,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     print(f"certificate: {out}")
     for name in csv_files:
         print(f"orbit table: {name}")
-    return EXIT_OK if cert.margin > 0 else 3
+    return EXIT_OK
 
 
 def _recorded_cap(cert: dict[str, Any]) -> int:

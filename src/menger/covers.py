@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CoverInfeasibleError, InputError, InternalCheckError
-from .space import FiniteSpace
+from .space import FiniteSpace, as_indices
 
 BACKEND_CELLS = "cells"
 BACKEND_BRICKS = "bricks"
@@ -107,7 +107,7 @@ def diameter_clusters(
     them with each other is exact; comparisons with eps/2 and eps are exact
     against the Fraction.
     """
-    pts = sorted(set(int(p) for p in points))
+    pts = sorted(set(as_indices(points, "cluster points")))
     if not pts:
         return ()
     eps_f = Fraction(eps)
@@ -156,7 +156,7 @@ def build_cover(
     eps_f = Fraction(eps)
     if eps_f <= 0:
         raise InputError("eps must be positive")
-    pts = tuple(sorted(set(int(p) for p in points)))
+    pts = tuple(sorted(set(as_indices(points, "cover points"))))
     if not all(0 <= p < space.n_points for p in pts):
         raise InputError("cover point out of range")
     if not pts:
@@ -240,8 +240,9 @@ def _brick_families(
 
 def _as_map(mapping) -> dict[int, int]:
     if isinstance(mapping, dict):
-        return {int(k): int(v) for k, v in mapping.items()}
-    return {i: int(v) for i, v in enumerate(mapping)}
+        keys = as_indices(mapping, "pull map")
+        return dict(zip(keys, as_indices(mapping.values(), "pull map")))
+    return dict(enumerate(as_indices(mapping, "pull map")))
 
 
 def pull_cover(cover: ColoredCover, t) -> ColoredCover:

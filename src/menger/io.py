@@ -39,7 +39,6 @@ from .perturb import Observable
 from .pipeline import (
     EmbeddingCertificate,
     HypothesisReport,
-    StageRecord,
     action_stages,
     check_hypotheses_action,
     check_hypotheses_family,
@@ -51,6 +50,7 @@ from .space import (
     Perm,
     as_index,
     as_indices,
+    as_perm,
     validate_space,
     within,
 )
@@ -284,10 +284,7 @@ def load_action(
             perms = []
             for e, raw in enumerate(elements):
                 where = f"stage {k} element {e}"
-                perms.append(as_indices(_list(raw, where), where))
-            for p in perms:
-                if sorted(p) != list(range(space.n_points)):
-                    raise InputError(f"stage {k} element is not a permutation")
+                perms.append(as_perm(_list(raw, where), space.n_points, where))
             eps_sep = st.get("eps_sep")
             if eps_sep is not None:
                 eps_sep = parse_fraction(eps_sep, f"stage {k} eps_sep")
@@ -379,14 +376,14 @@ def hypothesis_doc(report: HypothesisReport) -> dict[str, Any]:
     }
 
 
-def _stage_doc(stage: StageRecord) -> dict[str, Any]:
+def _stage_doc(
+    points: Sequence[int], maps: Sequence[Sequence[int]], eps_sep: Fraction | None
+) -> dict[str, Any]:
+    """A stage's points, maps and eps_sep as its record spells them."""
     return {
-        "points": list(stage.points),
-        "maps": [list(m) for m in stage.maps],
-        "labels": list(stage.labels),
-        "f_perms": None if stage.f_perms is None else [list(p) for p in stage.f_perms],
-        "eps_sep": None if stage.eps_sep is None else fr_str(stage.eps_sep),
-        "margin": _margin_str(stage.margin),
+        "points": list(points),
+        "maps": [list(m) for m in maps],
+        "eps_sep": None if eps_sep is None else fr_str(eps_sep),
     }
 
 
@@ -411,7 +408,14 @@ def certificate_payload(
         "hypothesis": hypothesis_doc(cert.hypothesis),
         "f0_values": _values_doc(cert.f0),
         "observable_values": _values_doc(cert.observable),
-        "stages": [_stage_doc(s) for s in cert.stages],
+        "stages": [
+            {
+                **_stage_doc(s.points, s.maps, s.eps_sep),
+                "labels": list(s.labels),
+                "margin": _margin_str(s.margin),
+            }
+            for s in cert.stages
+        ],
         "margin": _margin_str(cert.margin),
         "displacement": fr_str(cert.displacement),
     }
@@ -487,14 +491,11 @@ def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
     return best
 
 
-def _stage_shape_issues(
-    pts: tuple[int, ...], maps: list[tuple[int, ...]], f_perms: Any, n: int
-) -> list[str]:
+def _stage_shape_issues(pts: tuple[int, ...], maps: list[tuple[int, ...]], n: int) -> list[str]:
     """Reasons a stage's indices cannot be followed into the observable.
 
-    Map values index the n observable rows; element permutations act on the
-    whole space of n points and are read at the stage's points.  The points
-    are strictly increasing within 0..n-1, the form embed writes.
+    Map values index the n observable rows, one value per point.  The
+    points are strictly increasing within 0..n-1, the form embed writes.
     """
     issues = []
     if not within(pts, n):
@@ -506,11 +507,6 @@ def _stage_shape_issues(
             issues.append(f"map {k} has {len(m)} values for {len(pts)} points")
         if not within(m, n):
             issues.append(f"map {k} has a value outside 0..{n - 1}")
-    if f_perms is not None:
-        if not isinstance(f_perms, list) or len(f_perms) != len(maps):
-            issues.append("f_perms does not hold one element per map")
-        elif not all(isinstance(perm, list) and len(perm) == n for perm in f_perms):
-            issues.append(f"f_perms holds an element that is not a list of {n} points")
     return issues
 
 
@@ -529,9 +525,12 @@ def verify_certificate(
     margins and the displacement, must match the stored strings exactly,
     and every stage margin must be positive.  When the original input
     objects are supplied, the hypothesis report, the recorded input hashes
-    and each stage's points and maps are recomputed too: an action's stages
-    are rebuilt from ``stages`` (as ``load_action`` returns them) by the
-    embedder's own plan, ``action_stages``.
+    and each stage's points, maps and eps_sep are recomputed too: a family
+    is one stage over its source points, and an action's stages are rebuilt
+    from ``stages`` (as ``load_action`` returns them) by the embedder's own
+    plan, ``action_stages``.  A stage key the format no longer writes, such
+    as 0.6.0's element permutations, is covered by the hash and otherwise
+    ignored.
     """
     issues: list[str] = []
 
@@ -601,7 +600,6 @@ def verify_certificate(
         try:
             pts = as_indices(st["points"], "points")
             maps = [as_indices(m, f"map {k}") for k, m in enumerate(st["maps"])]
-            f_perms = st.get("f_perms")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             issues.append(f"{where} is missing required data: {exc}")
             complete = False
@@ -610,15 +608,11 @@ def verify_certificate(
             issues.append(f"{where}: {exc}")
             complete = False
             continue
-        shape = _stage_shape_issues(pts, maps, f_perms, n)
+        shape = _stage_shape_issues(pts, maps, n)
         if shape:
             issues.extend(f"{where}: {msg}" for msg in shape)
             complete = False
             continue
-        if f_perms is not None:
-            for k, perm in enumerate(f_perms):
-                if tuple(perm[p] for p in pts) != maps[k]:
-                    issues.append(f"{where}: map {k} disagrees with its element")
         best = _closest_gap(
             [tuple(v for m in maps for v in num_rows[m[u]]) for u in range(len(pts))]
         )
@@ -650,33 +644,21 @@ def verify_certificate(
 
     if space is not None and (action is not None or family is not None):
         stored = cert.get("hypothesis", {})
-        report = expected = None
+        report = plan = None
         try:
             if cert.get("kind") == "action" and action is not None:
                 # embed_equivariant always checks up to the largest orbit
                 report = check_hypotheses_action(action, r)
-                expected = [
-                    {
-                        "points": list(pts),
-                        "f_perms": [list(p) for p in f_perms],
-                        "eps_sep": None if eps_sep is None else fr_str(eps_sep),
-                    }
-                    for f_perms, eps_sep, pts in action_stages(action, stages, r)
-                ]
+                plan = action_stages(action, stages, r)
             elif family is not None:
                 report = check_hypotheses_family(family, r)
-                expected = [
-                    {
-                        "points": list(range(family.source.n_points)),
-                        "maps": [list(m) for m in family.maps],
-                    }
-                ]
+                plan = [(tuple(range(family.source.n_points)), family.maps, None)]
         except InputError as exc:
             issues.append(f"recomputation from the inputs failed: {exc}")
         if report is not None and hypothesis_doc(report) != stored:
             issues.append("hypothesis report does not match the provided inputs")
-        if expected is not None:
-            issues.extend(_stage_input_issues(stages_doc, expected))
+        if plan is not None:
+            issues.extend(_stage_input_issues(stages_doc, [_stage_doc(*s) for s in plan]))
 
     return issues
 

@@ -67,6 +67,7 @@ from .space import (
     GroupAction,
     MapFamily,
     Perm,
+    as_perm,
     least_float_at_least,
     orbit,  # noqa: F401  bench/spans.py patches this name here
     orbits,
@@ -399,12 +400,11 @@ def separate_on_block(
 
 @dataclass(frozen=True, eq=False)
 class StageRecord:
-    """One processed family: its ambient points, maps and orbit margin."""
+    """One processed stage: its ambient points, maps, map labels, eps_sep and orbit margin."""
 
     points: tuple[int, ...]
     maps: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    f_perms: tuple[Perm, ...] | None
     eps_sep: Fraction | None
     margin: Fraction | float
 
@@ -429,15 +429,17 @@ class EmbeddingCertificate:
 class _Stage:
     """One stage of a run: what its record states, and its ledger entry.
 
-    ``points``, ``f_perms`` and ``eps_sep`` go into the stage record as
-    given.  A stage with points has a family, whose current orbit labels
-    and least gap between distinct orbit tuples the ledger keeps; a stage
-    without points has no family, no labels and an infinite gap.
+    ``points``, ``maps``, ``names`` (the maps' labels) and ``eps_sep`` go
+    into the stage record as given.  A stage with points has a family of
+    those maps, whose current orbit labels and least gap between distinct
+    orbit tuples the ledger keeps; a stage without points has one empty
+    map per element, no family, no labels and an infinite gap.
     """
 
     fam: MapFamily | None
     points: tuple[int, ...]
-    f_perms: tuple[Perm, ...] | None = None
+    maps: tuple[tuple[int, ...], ...]
+    names: tuple[str, ...]
     eps_sep: Fraction | None = None
     labels: list[int] = field(default_factory=list)
     gap: Fraction | float = math.inf
@@ -660,8 +662,7 @@ def _certify(
 ) -> EmbeddingCertificate:
     """The certificate of a finished run, one stage record per ledger stage.
 
-    A stage without points has no family and still records one (empty) map
-    per element.  Each stage margin is its ledger gap under the final
+    Each stage margin is its ledger gap under the final
     observable; it is the stage's orbit margin once every source point has
     its own label, which is checked here.  The total displacement must stay
     within eps.
@@ -670,13 +671,8 @@ def _certify(
     for stage in state.stages:
         if len(set(stage.labels)) < len(stage.labels):
             raise InternalCheckError("stage margin is zero; some pair was never separated")
-        if stage.fam is None:
-            n = len(stage.f_perms)
-            maps, labels = ((),) * n, tuple(f"e{k}" for k in range(n))
-        else:
-            maps, labels = stage.fam.maps, stage.fam.labels
         records.append(
-            StageRecord(stage.points, maps, labels, stage.f_perms, stage.eps_sep, stage.gap)
+            StageRecord(stage.points, stage.maps, stage.names, stage.eps_sep, stage.gap)
         )
     displacement = sup_distance(state.f, f0)
     if displacement > eps:
@@ -716,7 +712,8 @@ def embed_family(
     eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed, backend, coords)
     report = _passed(check_hypotheses_family(fam, r), "dimension")
     state = _BaireState(f0, eps_f)
-    _run_stage(state, _Stage(fam, tuple(range(fam.source.n_points))), backend, coords)
+    stage = _Stage(fam, tuple(range(fam.source.n_points)), fam.maps, fam.labels)
+    _run_stage(state, stage, backend, coords)
     return _certify("family", r, eps_f, used_seed, backend, report, f0, state)
 
 
@@ -732,36 +729,42 @@ def action_stages(
     action: GroupAction,
     stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None,
     r: int,
-) -> list[tuple[tuple[Perm, ...], Fraction | None, tuple[int, ...]]]:
-    """Each stage of an action as (element permutations, eps_sep or None, sorted points).
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], Fraction | None]]:
+    """Each stage of an action as (sorted points, maps, eps_sep or None).
 
-    Without explicit stages the whole enumerated group is the one stage; a
-    group whose closure was capped needs them.  An empty stage list would
-    certify nothing, so it is an input error.  A stage without eps_sep
-    covers the whole space; one with eps_sep covers the points whose
-    F-orbit equals the full orbit or spreads into at least r*n points
-    pairwise eps_sep-apart, n being ``default_stage_n``, which asks for
-    the space's dimension only when some stage has an eps_sep.
+    A stage's maps are its elements read at its points, so a stage without
+    points keeps one empty map per element.  Without explicit stages the
+    whole enumerated group is the one stage; a group whose closure was
+    capped needs them.  Every element the caller gives must be a
+    permutation of the space's points, and every stage needs one; an empty
+    stage list would certify nothing, so it is an input error too.  A
+    stage without eps_sep covers the whole space; one with eps_sep covers
+    the points whose F-orbit equals the full orbit or spreads into at
+    least r*n points pairwise eps_sep-apart, n being ``default_stage_n``,
+    which asks for the space's dimension only when some stage has an
+    eps_sep.
     """
     if stages is not None and not stages:
         raise InputError("stages: the list is empty; pass None to use the whole group")
-    everything = tuple(range(action.space.n_points))
+    npts = action.space.n_points
+    everything = tuple(range(npts))
     if stages is None:
         if action.elements is None:
             raise GroupCapError(
                 "group closure was capped; pass finite stages (F, eps_sep) explicitly"
             )
-        return [(action.elements, None, everything)]
+        return [(everything, action.elements, None)]
     n = default_stage_n(action.space, r) if any(e is not None for _, e in stages) else 0
     plan = []
-    for f_perms, eps_sep in stages:
-        elements = tuple(tuple(int(v) for v in p) for p in f_perms)
-        if eps_sep is None:
-            plan.append((elements, None, everything))
-        else:
+    for k, (given, eps_sep) in enumerate(stages):
+        elements = [as_perm(p, npts, f"stage {k} element {e}") for e, p in enumerate(given)]
+        if not elements:
+            raise InputError(f"stage {k} elements: the list is empty")
+        pts = everything
+        if eps_sep is not None:
             eps_sep = Fraction(eps_sep)
             pts = tuple(sorted(restricted_space(action, elements, eps_sep, r, n)))
-            plan.append((elements, eps_sep, pts))
+        plan.append((pts, tuple(tuple(p[x] for x in pts) for p in elements), eps_sep))
     return plan
 
 
@@ -788,14 +791,12 @@ def embed_equivariant(
     plan = action_stages(action, stages, r)
     report = _passed(check_hypotheses_action(action, r), "dimension")
     state = _BaireState(f0, eps_f)
-    for f_perms, eps_sep, pts in plan:
+    for pts, maps, eps_sep in plan:
+        names = tuple(f"e{k}" for k in range(len(maps)))
         fam = None
         if pts:
             sub, _ = action.space.subspace(pts)
-            local_maps = [tuple(p[x] for x in pts) for p in f_perms]
-            fam = MapFamily.create(
-                sub, action.space, local_maps, labels=[f"e{k}" for k in range(len(f_perms))]
-            )
+            fam = MapFamily.create(sub, action.space, maps, labels=names)
             _passed(check_hypotheses_family(fam, r), "stage")
-        _run_stage(state, _Stage(fam, pts, f_perms, eps_sep), backend, coords)
+        _run_stage(state, _Stage(fam, pts, maps, names, eps_sep), backend, coords)
     return _certify("action", r, eps_f, used_seed, backend, report, f0, state)

@@ -53,6 +53,14 @@ def as_indices(values: Iterable[Any], where: str) -> tuple[int, ...]:
     return tuple(as_index(v, where) for v in t)
 
 
+def as_perm(values: Iterable[Any], n: int, where: str) -> Perm:
+    """``values`` read by ``as_indices``, refused unless a permutation of 0..n-1."""
+    p = as_indices(values, where)
+    if len(p) != n or sorted(p) != list(range(n)):
+        raise InputError(f"{where}: not a permutation of 0..{n - 1}")
+    return p
+
+
 def within(indices: Collection[int], n: int) -> bool:
     """Whether every index lies in 0..n-1; true for no indices."""
     return not indices or (min(indices) >= 0 and max(indices) < n)
@@ -197,7 +205,7 @@ class FiniteSpace:
         label is kept when its subset lies inside the points, so every
         local subset has the dimension of its image in this space.
         """
-        pts = tuple(sorted(set(int(p) for p in points)))
+        pts = tuple(sorted(set(as_indices(points, "subspace points"))))
         if not pts:
             raise InputError("subspace needs at least one point")
         if not all(0 <= p < self.n_points for p in pts):
@@ -402,14 +410,7 @@ class GroupAction:
         cap: int = DEFAULT_GROUP_CAP,
     ) -> "GroupAction":
         n = space.n_points
-        gens = []
-        for k, raw in enumerate(generators):
-            where = f"generators[{k}]"
-            p = as_indices(raw, where)
-            if len(p) != n or sorted(p) != list(range(n)):
-                raise InputError(f"generators[{k}]: not a permutation of 0..{n - 1}")
-            gens.append(p)
-        gens = tuple(gens)
+        gens = tuple(as_perm(raw, n, f"generators[{k}]") for k, raw in enumerate(generators))
 
         elements: tuple[Perm, ...] | None
         try:
@@ -559,13 +560,10 @@ def restricted_space(
     eps_f = Fraction(eps)
     if eps_f <= 0:
         raise InputError("eps must be positive")
-    fams = [tuple(int(v) for v in p) for p in subset_f]
+    npts = action.space.n_points
+    fams = [as_perm(p, npts, f"subset_f[{k}]") for k, p in enumerate(subset_f)]
     if not fams:
         raise InputError("subset_f: a stage needs at least one element")
-    npts = action.space.n_points
-    for k, p in enumerate(fams):
-        if len(p) != npts or sorted(p) != list(range(npts)):
-            raise InputError(f"subset_f[{k}]: not a permutation")
     rows = action.space.rows()
     reach = least_float_at_least(eps_f)
     out = []

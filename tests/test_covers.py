@@ -27,6 +27,7 @@ from menger.fixtures import (
     path_space,
     rotation_perm,
 )
+from menger.space import GroupAction, restricted_space
 
 
 def test_diameter_clusters_partition_with_small_diameter():
@@ -182,3 +183,34 @@ def test_diameter_clusters_match_the_recomputing_scan(data):
         | st.fractions(Fraction(1, 50), Fraction(5))
     )
     assert diameter_clusters(space, points, eps) == naive_diameter_clusters(space, points, eps)
+
+
+def _cover_of_two(space):
+    return build_cover(space, [0, 1], m=2, mu=1, eps=Fraction(1, 2))
+
+
+# Each entry point reads point indices by as_index: a float or a bool is
+# refused, never truncated into another point (int(1.7) and int(True) are 1).
+@pytest.mark.parametrize("bad", [1.7, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space, bad: space.subspace([0, bad]),
+        lambda space, bad: diameter_clusters(space, [0, bad], Fraction(1, 2)),
+        lambda space, bad: build_cover(space, [0, bad], m=2, mu=1, eps=Fraction(1, 2)),
+        lambda space, bad: pull_cover(_cover_of_two(space), {0: 0, 1: bad}),
+        lambda space, bad: pull_cover(_cover_of_two(space), [0, bad]),
+        lambda space, bad: restricted_space(
+            GroupAction.from_generators(space, [rotation_perm(9, 3)]),
+            [(0, bad, *range(2, 9))],
+            Fraction(1, 2),
+            r=1,
+            n=1,
+        ),
+    ],
+    ids=["subspace", "diameter_clusters", "build_cover", "pull_cover-dict", "pull_cover-list",
+         "restricted_space"],
+)
+def test_index_entry_points_refuse_what_int_would_truncate(call, bad):
+    with pytest.raises(InputError, match="expected an integer"):
+        call(circle_space(9), bad)

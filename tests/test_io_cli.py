@@ -323,16 +323,6 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
         ("family", _set("stages", 5), "stages: expected a list of stage records"),
         (
             "action",
-            _set("stages", 0, "f_perms", 1, lambda perm: perm[:2]),
-            "stage 0: f_perms holds an element that is not a list of 9 points",
-        ),
-        (
-            "action",
-            _set("stages", 0, "f_perms", lambda perms: perms[:1]),
-            "stage 0: f_perms does not hold one element per map",
-        ),
-        (
-            "action",
             _set("stages", 0, "points", 0, 9),
             "stage 0: a point lies outside 0..8",
         ),
@@ -356,7 +346,7 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
         ("family", _set("stages", 0, "points", lambda pts: pts[::-1]), "stage 0: points are not strictly increasing"),
     ],
     ids=[
-        "map-past-end", "map-negative", "stages-not-list", "f-perm-short", "f-perms-short", "point-past-end", "r-not-int",
+        "map-past-end", "map-negative", "stages-not-list", "point-past-end", "r-not-int",
         "value-not-rational", "format-changed", "map-value-float", "point-bool", "r-float", "r-bool",
         "family-point-negative", "family-point-repeated", "family-point-past-uint64", "family-points-descending",
     ],
@@ -426,11 +416,23 @@ def _drop_last_point(doc):
     doc["margin"] = stage["margin"]
 
 
+def _move_one_map_value(doc):
+    """Send stage 0's map 1 elsewhere at its first point, keeping the margins consistent."""
+    values = [[Fraction(v) for v in row] for row in doc["observable_values"]]
+    stage = doc["stages"][0]
+    stage["maps"][1][0] = (stage["maps"][1][0] + 1) % len(values)
+    stage["margin"] = _text(naive_stage_margin(values, stage["maps"], len(stage["points"])))
+    doc["margin"] = _text(
+        min(math.inf if s["margin"] == "inf" else Fraction(s["margin"]) for s in doc["stages"])
+    )
+
+
 @pytest.mark.parametrize(
     "kind, edit, expected",
     [
         ("action", _drop_last_point,
-         ["stage 0: 'points' does not match the provided inputs"]),
+         ["stage 0: 'points' does not match the provided inputs",
+          "stage 0: 'maps' does not match the provided inputs"]),
         ("family", _drop_last_point,
          ["stage 0: 'points' does not match the provided inputs",
           "stage 0: 'maps' does not match the provided inputs"]),
@@ -438,8 +440,17 @@ def _drop_last_point(doc):
          ["stage 0: 'eps_sep' does not match the provided inputs"]),
         ("staged", _set("stages", lambda stages: stages[:1]),
          ["stages: the certificate holds 1 stage records, the inputs give 2"]),
+        # the maps are the stage's elements read at its points
+        ("staged", _move_one_map_value,
+         ["stage 0: 'maps' does not match the provided inputs"]),
+        # a family's one stage has no eps_sep, compared as an action stage's is
+        ("family", _set("stages", 0, "eps_sep", "1/2"),
+         ["stage 0: 'eps_sep' does not match the provided inputs"]),
     ],
-    ids=["action-point-dropped", "family-point-dropped", "stage-eps-changed", "stage-dropped"],
+    ids=[
+        "action-point-dropped", "family-point-dropped", "stage-eps-changed", "stage-dropped",
+        "staged-map-moved", "family-eps-sep-set",
+    ],
 )
 def test_cli_verify_rebuilds_the_stages_from_the_inputs(tmp_path, capsys, kind, edit, expected):
     """A stage that covers other points than the inputs give fails with its inputs.
@@ -469,6 +480,40 @@ def test_cli_verify_rebuilds_the_stages_from_the_inputs(tmp_path, capsys, kind, 
     err = capsys.readouterr().err
     assert code == 4
     assert err.splitlines() == [f"error: {line}" for line in expected]
+
+
+@pytest.mark.parametrize("kind", ["family", "staged"])
+def test_cli_verify_reads_past_the_element_permutations_of_0_6_0(tmp_path, capsys, kind):
+    """A 0.6.0 certificate also holds each stage's elements as ``f_perms``
+    (null for a family).  The hash covers the key, and the verifier ignores
+    it, with the inputs and without."""
+    space_path, maps_path = _write_inputs(tmp_path)
+    steps = [(0, 3, 6), (0, 1)]
+    if kind == "family":
+        maps_path = str(tmp_path / "family.json")
+        space = circle_space(9)
+        save_family(
+            MapFamily.create(space, space, [rotation_perm(9, s) for s in steps[0]]), maps_path
+        )
+    else:
+        _write_staged_action(maps_path, [(steps[0], None), (steps[1], "1/3")])
+    inputs = ["--space", space_path, "--family" if kind == "family" else "--action", maps_path]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+
+    def as_0_6_0(doc):
+        doc["version"] = "0.6.0"
+        for k, stage in enumerate(doc["stages"]):
+            assert "f_perms" not in stage
+            stage["f_perms"] = (
+                None if kind == "family" else [list(rotation_perm(9, s)) for s in steps[k]]
+            )
+
+    _write_rehashed(cert_path, load_certificate(cert_path), as_0_6_0)
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert_path]) == 0
+    assert main(["verify", "--cert", cert_path, *inputs]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_stage_without_points_embeds_and_verifies(tmp_path, capsys):

@@ -310,7 +310,7 @@ def test_orbit_margin_matches_pair_loop(data, r):
     # the ledger's gap, which certificates take as the stage margin, is the
     # margin over the separated pairs; it is the orbit margin when no pair collides
     state = pipeline._BaireState(f, Fraction(1))
-    labels = state.start(pipeline._Stage(fam, tuple(range(n_src))))
+    labels = state.start(pipeline._Stage(fam, tuple(range(n_src)), fam.maps, fam.labels))
     separated = [(a, b) for a, b in unordered if orbit_row(f, fam, a) != orbit_row(f, fam, b)]
     assert state.margin == state.stages[0].gap == naive_margin(f, fam, separated)
     assert (len(set(labels)) == n_src) == (orbit_margin(f, fam) > 0)
@@ -595,7 +595,7 @@ def test_embed_equivariant_rotation_action(rot3_action, circle9):
     assert len(cert.stages) == 1
     stage = cert.stages[0]
     assert stage.points == tuple(range(9))
-    assert stage.f_perms == rot3_action.elements
+    assert stage.maps == rot3_action.elements   # every point: the maps are the elements
     assert stage.eps_sep is None
     assert len(stage.maps) == 3      # the full group: identity and two rotations
     fam = MapFamily.create(circle9, circle9, list(stage.maps))
@@ -665,13 +665,41 @@ def test_embed_equivariant_explicit_stages(circle9):
         assert record.margin > 0
 
 
+@pytest.mark.parametrize("eps_sep", [None, Fraction(1, 2)], ids=["whole-space", "restricted"])
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        # int() would truncate each entry back to the rotation by 3
+        ([v + 0.25 for v in rotation_perm(9, 3)], "stage 0 element 1: expected an integer, got 3.25"),
+        ((0, 1), "stage 0 element 1: not a permutation of 0..8"),
+        (rotation_perm(9, 3) + (9,), "stage 0 element 1: not a permutation of 0..8"),
+    ],
+    ids=["shifted-by-a-quarter", "two-entries", "ten-entries"],
+)
+def test_embed_equivariant_refuses_a_stage_element_that_is_no_permutation(
+    rot3_action, monkeypatch, element, message, eps_sep
+):
+    """Every element of every given stage is a permutation of the space's
+    points, whatever its eps_sep; anything else is refused before the gate."""
+
+    def gate(*_):
+        raise AssertionError("the gate ran before the stages were checked")
+
+    monkeypatch.setattr(pipeline, "check_hypotheses_action", gate)
+    stages = [([identity_perm(9), element], eps_sep)]
+    with pytest.raises(InputError) as err:
+        embed_equivariant(rot3_action, r=1, eps=Fraction(1, 20), seed=0, stages=stages)
+    assert str(err.value) == message
+    assert err.value.exit_code == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_staged_embed_round_trips_through_the_verifier(data):
     """embed_equivariant -> certificate_payload -> verify_certificate on a
     random small staged rotation action, its closure capped or not: the
     verifier finds no issue, and every stage holds the ``action_stages``
-    points, some of them none."""
+    points, some of them none, and maps."""
     n = data.draw(st.integers(4, 10), label="n")
     space = circle_space(n)
     step = data.draw(st.integers(1, n - 1), label="step")
@@ -696,7 +724,10 @@ def test_staged_embed_round_trips_through_the_verifier(data):
     payload["cert_sha256"] = hashlib.sha256(io.canonical_json(payload).encode("ascii")).hexdigest()
     assert verify_certificate(payload, space=space, action=action, stages=stages) == []
     plan = action_stages(action, stages, r)
-    assert [record["points"] for record in payload["stages"]] == [list(pts) for *_, pts in plan]
+    assert [record["points"] for record in payload["stages"]] == [list(pts) for pts, _, _ in plan]
+    assert [record["maps"] for record in payload["stages"]] == [
+        [list(m) for m in maps] for _, maps, _ in plan
+    ]
 
 
 @pytest.mark.parametrize(
