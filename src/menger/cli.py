@@ -35,6 +35,7 @@ from .io import (
     load_observable,
     load_space,
     parse_fraction,
+    require_metric,
     verify_certificate,
     write_certificate,
     write_json,
@@ -64,12 +65,17 @@ def _margin_text(margin_str: str) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # check is the front door for the triangle inequality: the loaders test
+    # only the O(n^2) axioms, and embed and verify need no more
     space = load_space(args.space)
+    require_metric(space, args.space)
     if args.action:
         action, _ = load_action(args.action, space, args.group_cap)
         report = check_hypotheses_action(action, args.r, n_max=args.nmax)
     else:
         family = load_family(args.family, space)
+        if family.source is not space:
+            require_metric(family.source, args.family)
         report = check_hypotheses_family(family, args.r)
     for check in report.checks:
         print(check.describe())

@@ -1,10 +1,12 @@
 """Colored covers: m families of disjoint small sets covering mu times over.
 
 Two backends build them.  ``cells`` clusters the points greedily and copies
-the resulting partition into mu of the m families, so it always succeeds at
-finite scale.  ``bricks`` lays down m diagonally shifted half-open grids over
-declared coordinates and drops the slab of width s/m nearest each cell's far
-face; a point then misses exactly one family per axis, hence is covered by at
+the resulting partition into mu of the m families, so on a metric input it
+always succeeds at finite scale; an input that breaks the triangle
+inequality can leave a cluster too wide, which is refused as input.
+``bricks`` lays down m diagonally shifted half-open grids over declared
+coordinates and drops the slab of width s/m nearest each cell's far face;
+a point then misses exactly one family per axis, hence is covered by at
 least m - D families.  Asking bricks for more multiplicity than m - D, that
 is m - mu + 1 <= D, is refused: that inequality is the finite shadow of the
 dimension obstruction, and the diagnostic says so.
@@ -99,8 +101,11 @@ def diameter_clusters(
     chosen centers (lowest index on ties) until every point sits within
     eps/2 of a center, then assign points to their nearest center (earliest
     center on ties).  Radius eps/2 forces diameter at most eps through the
-    triangle inequality, which holds at float level because the metric was
-    validated with the same arithmetic.
+    triangle inequality, and every cluster's diameter is re-checked, since
+    the loaders test only the O(n^2) axioms.  A cluster wider than eps is
+    an ``InputError`` naming a triangle violation through its center in
+    ``validate_space``'s wording; it is an ``InternalCheckError`` only when
+    no such violation explains it.
 
     Each point's distance to its nearest center so far, and that center,
     are updated once per new center.  Distances are floats, so comparing
@@ -134,11 +139,29 @@ def diameter_clusters(
     groups: dict[int, list[int]] = {c: [] for c in centers}
     for p, c in zip(pts, owner):
         groups[c].append(p)
-    clusters = tuple(frozenset(groups[c]) for c in centers if groups[c])
-    for sub in clusters:
-        if space.diameter(sub) > eps_f:
-            raise InternalCheckError(f"cluster {sorted(sub)} exceeds diameter bound {eps}")
-    return clusters
+    for c, members in groups.items():
+        if space.diameter(members) > eps_f:
+            raise _wide_cluster(rows, c, members, eps)
+    return tuple(frozenset(groups[c]) for c in centers if groups[c])
+
+
+def _wide_cluster(
+    rows: list[list[float]], c: int, members: list[int], eps: float | Fraction
+) -> Exception:
+    """The error for the cluster of center ``c``, ``members`` in increasing order.
+
+    Each member lies within eps/2 of ``c``, so two members more than eps
+    apart break the triangle inequality through ``c``, unless float
+    rounding of the sum hides it.
+    """
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if rows[a][b] > rows[a][c] + rows[c][b]:
+                return InputError(
+                    f"invalid metric space: metric[{a}][{b}]: triangle violation via {c} "
+                    f"({rows[a][b]} > {rows[a][c]} + {rows[c][b]})"
+                )
+    return InternalCheckError(f"cluster {members} exceeds diameter bound {eps}")
 
 
 def build_cover(

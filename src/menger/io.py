@@ -51,6 +51,7 @@ from .space import (
     as_index,
     as_indices,
     as_perm,
+    axiom_issues,
     validate_space,
     within,
 )
@@ -192,7 +193,12 @@ def _numbers(rows: Any, name: str) -> None:
 
 
 def _space_from_doc(doc: Any) -> FiniteSpace:
-    """A validated space from its JSON object (a space file or a family's source)."""
+    """A space from its JSON object (a space file or a family's source).
+
+    The matrix must pass ``axiom_issues``, the O(n^2) axioms.  The cubic
+    triangle scan is left to ``require_metric``: the certified claim, an
+    injective orbit map within eps of f0, reads no distance.
+    """
     metric = _require(doc, "metric")
     _numbers(metric, "metric")
     simplices = doc.get("simplices")
@@ -209,14 +215,25 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
     except (TypeError, ValueError, InputError) as exc:
         raise InputError("dim_labels must be a list of [points, dim] entries") from exc
     space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
-    report = validate_space(space)
-    if not report.ok:
-        raise InputError(f"invalid metric space: {report.issues[0]}")
+    issues = axiom_issues(space.metric)
+    if issues:
+        raise InputError(f"invalid metric space: {issues[0]}")
     return space
 
 
+def require_metric(space: FiniteSpace, path: str) -> None:
+    """Refuse ``space``, loaded from ``path``, unless ``validate_space`` passes it.
+
+    The exhaustive triangle scan, which ``menger check`` runs as the front
+    door; its first issue is the one input error.
+    """
+    report = validate_space(space)
+    if not report.ok:
+        raise InputError(f"{path}: invalid metric space: {report.issues[0]}")
+
+
 def load_space(path: str, record: dict[str, str] | None = None) -> FiniteSpace:
-    """The validated space at ``path``; ``record`` receives its hash as ``"space"``."""
+    """The space at ``path``, its axioms checked; ``record`` receives its hash as ``"space"``."""
     doc = _read_json(path, record, "space")
     with _reading(path):
         return _space_from_doc(doc)

@@ -235,25 +235,26 @@ class ValidationReport:
         return not self.issues
 
 
-def _metric_issues(m: np.ndarray) -> list[str]:
-    """Axiom violations of a distance matrix, each naming its entries.
+def axiom_issues(m: np.ndarray) -> list[str]:
+    """Violations of every metric axiom but the triangle inequality.
 
+    The axioms are finite entries, symmetry, a zero diagonal and positive
+    distances off it, each tested in O(n^2); every issue names its entries.
     A valid matrix passes one test over whole arrays: symmetric, finite,
     zero diagonal and exactly ``n`` entries at or below zero.  Only a matrix
     that fails it is walked entry by entry for the issue list.  Finiteness
     is tested on its own, since a symmetric ``inf`` equals its transpose.
     """
     n = m.shape[0]
-    symmetric = np.array_equal(m, m.T)
     finite = np.isfinite(m)
     nonpositive = m <= 0.0
     if (
-        symmetric
+        np.array_equal(m, m.T)
         and finite.all()
         and not np.diagonal(m).any()
         and np.count_nonzero(nonpositive) == n
     ):
-        return _triangle_issues(m, symmetric)
+        return []
     issues = [f"metric[{i}][{j}]: not a finite number" for i, j in zip(*np.nonzero(~finite))]
     if issues:
         # The axioms compare entries, which means nothing for NaN or inf.
@@ -267,7 +268,21 @@ def _metric_issues(m: np.ndarray) -> list[str]:
             issues.append(f"metric[{i}][{j}]: asymmetric ({m[i, j]} vs {m[j, i]})")
         if nonpositive[i, j]:
             issues.append(f"metric[{i}][{j}]: distinct points at distance {m[i, j]}")
-    return issues + _triangle_issues(m, symmetric)
+    return issues
+
+
+def _metric_issues(m: np.ndarray) -> list[str]:
+    """``axiom_issues`` followed by every triangle violation.
+
+    A matrix with a NaN or infinite entry reports only those.  A matrix
+    that passes the axioms is symmetric, so the scan needs no test for it.
+    """
+    issues = axiom_issues(m)
+    if not issues:
+        return _triangle_issues(m, symmetric=True)
+    if not np.isfinite(m).all():
+        return issues
+    return issues + _triangle_issues(m)
 
 
 # Largest temporary of the triangle scan, in elements.
@@ -325,13 +340,15 @@ def _triangle_issues(m: np.ndarray, symmetric: bool | None = None) -> list[str]:
 
 
 def validate_space(space: FiniteSpace) -> ValidationReport:
-    """Check the metric axioms exhaustively.
+    """Check the metric axioms exhaustively: the full report.
 
     Metric checks cover symmetry, zero diagonal, positivity off the diagonal
     and the triangle inequality over all triples; a matrix with NaN or
     infinite entries reports only those.  A symmetric matrix has its
     triangle violations found over ``k >= i`` and mirrored, in the same
     ``(i, j, k)`` order; one with an asymmetric entry is scanned in full.
+    The scan is cubic, so the loaders check ``axiom_issues`` only, and of
+    the commands ``menger check`` alone runs this.
 
     Dimension needs no check: declared simplices and labels define -1 on
     the empty set and ``max(0, max |face & S| - 1, max label with L <= S)``

@@ -42,6 +42,20 @@ from menger.space import (
 )
 
 
+# Five points that break the triangle inequality: 2 and 4 lie 0.01 from 1
+# but 0.05 apart.  With the family [[3, 0, 2, 1, 4]], r = 1, eps = 1/10 and
+# a constant start, the cells cover at bound 1/40 puts them in the cluster
+# of center 1.
+NON_METRIC_5 = [
+    [0.0, 0.09, 0.09, 0.03, 0.08],
+    [0.09, 0.0, 0.01, 0.03, 0.01],
+    [0.09, 0.01, 0.0, 0.02, 0.05],
+    [0.03, 0.03, 0.02, 0.0, 0.04],
+    [0.08, 0.01, 0.05, 0.04, 0.0],
+]
+NON_METRIC_5_VIOLATION = "metric[2][4]: triangle violation via 1 (0.05 > 0.01 + 0.01)"
+
+
 def euclidean_space(points: list[tuple[float, float]]) -> FiniteSpace:
     """A metric space from planar points; the triangle inequality is free."""
     n = len(points)

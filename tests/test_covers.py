@@ -2,7 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import naive_diameter_clusters, random_euclidean_space
+from helpers import (
+    NON_METRIC_5,
+    NON_METRIC_5_VIOLATION,
+    naive_diameter_clusters,
+    random_euclidean_space,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +22,7 @@ from menger.covers import (
     pull_cover,
     verify_cover,
 )
-from menger.errors import CoverInfeasibleError, InputError, InternalCheckError
+from menger.errors import CoverInfeasibleError, HypothesisError, InputError, InternalCheckError
 from menger.fixtures import (
     circle_coords,
     circle_space,
@@ -27,7 +32,10 @@ from menger.fixtures import (
     path_space,
     rotation_perm,
 )
-from menger.space import GroupAction, restricted_space
+from menger.io import verify_certificate, write_certificate
+from menger.perturb import Observable
+from menger.pipeline import embed_family
+from menger.space import FiniteSpace, GroupAction, MapFamily, restricted_space, validate_space
 
 
 def test_diameter_clusters_partition_with_small_diameter():
@@ -214,3 +222,57 @@ def _cover_of_two(space):
 def test_index_entry_points_refuse_what_int_would_truncate(call, bad):
     with pytest.raises(InputError, match="expected an integer"):
         call(circle_space(9), bad)
+
+
+def test_cells_cover_names_the_triangle_violation_of_a_non_metric_input():
+    """A cluster too wide for its bound is bad input, named as validate_space names it."""
+    space = FiniteSpace.create(NON_METRIC_5)
+    fam = MapFamily.create(space, space, [[3, 0, 2, 1, 4]])
+    f0 = Observable.create(space, [[Fraction(1, 2)]] * 5)
+    violation = NON_METRIC_5_VIOLATION
+    assert violation in validate_space(space).issues
+    with pytest.raises(InputError) as exc:
+        embed_family(fam, 1, Fraction(1, 10), f0=f0)
+    assert str(exc.value) == f"invalid metric space: {violation}"
+    with pytest.raises(InputError) as exc:
+        diameter_clusters(space, [1, 2, 4], Fraction(1, 40))
+    assert str(exc.value) == f"invalid metric space: {violation}"
+
+
+@pytest.mark.parametrize("backend", [BACKEND_CELLS, BACKEND_BRICKS])
+def test_non_metric_inputs_verify_or_are_refused_as_input(tmp_path, backend):
+    """The loaders let a matrix that breaks the triangle inequality through to
+    embed: each one either gives a certificate that verifies or is refused,
+    never with an internal failure."""
+    outcomes: dict[str, int] = {}
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        m = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.uniform(0.001, 0.05)
+        space = FiniteSpace.create(m)
+        if validate_space(space).ok:
+            continue
+        maps = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            maps.append(perm)
+        fam = MapFamily.create(space, space, maps)
+        f0 = Observable.create(space, [[Fraction(1, 2)]] * n)
+        coords = path_coords(n) if backend == BACKEND_BRICKS else None
+        try:
+            cert = embed_family(fam, 1, Fraction(1, 10), f0=f0, backend=backend, coords=coords)
+        except (InputError, CoverInfeasibleError, HypothesisError) as exc:
+            outcome = type(exc).__name__
+        else:
+            payload = write_certificate(str(tmp_path / "cert.json"), cert)
+            assert verify_certificate(payload, space=space, family=fam) == []
+            outcome = "verified"
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert sum(outcomes.values()) >= 100
+    assert outcomes["verified"] >= 20
+    if backend == BACKEND_CELLS:
+        assert outcomes["InputError"] >= 5

@@ -6,12 +6,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import naive_stage_margin, reference_parse_fraction, reference_value_issues
+from helpers import (
+    NON_METRIC_5,
+    NON_METRIC_5_VIOLATION,
+    naive_stage_margin,
+    reference_parse_fraction,
+    reference_value_issues,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from menger import cli as cli_module
 from menger import io as io_module
+from menger import space as space_module
 from menger.cli import main
 from menger.errors import InputError
 from menger.fixtures import antipodal_perm, circle_space, path_space, rotation_perm
@@ -1406,3 +1413,101 @@ def test_cli_reads_each_input_once_and_records_its_bytes(tmp_path, capsys, monke
     assert recorded == {
         role: hashlib.sha256(Path(p).read_bytes()).hexdigest() for role, p in paths.items()
     }
+
+
+def _scan_inputs(tmp_path, kind):
+    """A 9-point circle and the second input of the given kind, with its flag."""
+    space = circle_space(9)
+    space_path = str(tmp_path / "space.json")
+    save_space(space, space_path)
+    path = str(tmp_path / f"{kind}.json")
+    if kind == "family":
+        save_family(MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]), path)
+    elif kind == "action":
+        save_action([rotation_perm(9, 3)], path)
+    elif kind == "staged":
+        _write_staged_action(path, [((0, 3, 6), None), ((0, 1), "1/100")])
+    else:
+        # three points of a path mapped into the circle, the source embedded
+        src = path_space(3)
+        Path(path).write_text(json.dumps({"maps": [[0, 3, 6], [1, 4, 7]],
+                                          "source": {"metric": src.metric.tolist()}}))
+    flag = "--family" if kind in ("family", "source") else "--action"
+    return space_path, flag, path
+
+
+@pytest.mark.parametrize("kind", ["family", "action", "staged", "source"])
+def test_cli_triangle_scan_runs_only_in_check(tmp_path, capsys, monkeypatch, kind):
+    """check scans each distinct space for the triangle inequality once;
+    embed and verify, which load the same files, scan none."""
+    space_path, flag, path = _scan_inputs(tmp_path, kind)
+    scanned: list[int] = []
+    scan = space_module._triangle_issues
+
+    def counting_scan(m, symmetric=None):
+        scanned.append(m.shape[0])
+        return scan(m, symmetric)
+
+    monkeypatch.setattr(space_module, "_triangle_issues", counting_scan)
+    assert main(["check", "--space", space_path, flag, path, "--r", "1"]) == 0
+    assert scanned == ([9, 3] if kind == "source" else [9])
+
+    scanned.clear()
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", "--space", space_path, flag, path, "--r", "1", "--eps", "1/20",
+                 "--seed", "1", "--out", cert_path]) == 0
+    assert main(["verify", "--cert", cert_path, "--space", space_path, flag, path]) == 0
+    assert scanned == []
+    assert capsys.readouterr().out.splitlines()[-1].startswith("certificate OK")
+
+
+def test_cli_check_refuses_a_stretched_space_that_embed_and_verify_accept(tmp_path, capsys):
+    """One distance of the circle stretched to 5.0 passes the axioms: check
+    refuses it in one line naming the file it came from, and embed and
+    verify, which read no triangle, certify it."""
+    circle = circle_space(9)
+    metric = circle.metric.tolist()
+    metric[1][5] = metric[5][1] = 5.0
+    violation = ("metric[1][5]: triangle violation via 0 "
+                 "(5.0 > 0.6840402866513374 + 1.969615506024416)")
+    stretched = str(tmp_path / "stretched.json")
+    Path(stretched).write_text(json.dumps({"metric": metric}))
+    fam_path = str(tmp_path / "family.json")
+    save_family(MapFamily.create(circle, circle, [rotation_perm(9, s) for s in (0, 3, 6)]),
+                fam_path)
+    inputs = ["--space", stretched, "--family", fam_path]
+    assert main(["check", *inputs, "--r", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {stretched}: invalid metric space: {violation}\n"
+    assert captured.out == ""
+
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--seed", "11",
+                 "--out", cert_path]) == 0
+    assert main(["verify", "--cert", cert_path, *inputs]) == 0
+    assert capsys.readouterr().err == ""
+
+    # the same matrix as a family's embedded source: the line names the family file
+    space_path = str(tmp_path / "space.json")
+    save_space(circle, space_path)
+    Path(fam_path).write_text(json.dumps({"maps": [list(rotation_perm(9, s)) for s in (0, 3, 6)],
+                                          "source": {"metric": metric}}))
+    assert main(["check", "--space", space_path, "--family", fam_path, "--r", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {fam_path}: invalid metric space: {violation}\n"
+    assert captured.out == ""
+
+
+def test_cli_embed_refuses_a_non_metric_cover_in_one_line(tmp_path, capsys):
+    """From a constant start the cells cover meets a cluster that only a
+    triangle violation can make too wide: exit 1, one line naming it."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("space", "family", "f0")}
+    Path(paths["space"]).write_text(json.dumps({"metric": NON_METRIC_5}))
+    Path(paths["family"]).write_text(json.dumps({"maps": [[3, 0, 2, 1, 4]]}))
+    Path(paths["f0"]).write_text(json.dumps({"r": 1, "values": [["1/2"]] * 5}))
+    cert_path = tmp_path / "cert.json"
+    code = main(["embed", "--space", paths["space"], "--family", paths["family"],
+                 "--f0", paths["f0"], "--r", "1", "--eps", "1/10", "--out", str(cert_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: invalid metric space: {NON_METRIC_5_VIOLATION}\n"
+    assert not cert_path.exists()
