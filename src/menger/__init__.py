@@ -8,7 +8,7 @@ observable and each stage's points and maps, from which a verifier
 recomputes the exact injectivity margins and the displacement bound.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .covers import (
     BACKEND_BRICKS,
@@ -30,6 +30,12 @@ from .errors import (
     InternalCheckError,
     MengerError,
     VerificationError,
+)
+from .gate import (
+    HypothesisCheck,
+    HypothesisReport,
+    check_hypotheses_action,
+    check_hypotheses_family,
 )
 from .partitions import (
     CoherentBlock,
@@ -55,11 +61,7 @@ from .perturb import (
 from .pipeline import (
     BlockLog,
     EmbeddingCertificate,
-    HypothesisCheck,
-    HypothesisReport,
     StageRecord,
-    check_hypotheses_action,
-    check_hypotheses_family,
     embed_equivariant,
     embed_family,
     margin,

@@ -42,21 +42,16 @@ from .io import (
     write_orbit_csv,
 )
 from .fixtures import run_cover_oracle
-from .pipeline import (
-    check_hypotheses_action,
-    check_hypotheses_family,
-    embed_equivariant,
-    embed_family,
-)
+from .gate import action_stages, check_hypotheses_action, check_hypotheses_family
+from .pipeline import embed_equivariant, embed_family
 from .space import DEFAULT_GROUP_CAP, as_index
 from .witness import run_witness_oracle
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are input errors, so they exit with code 1."""
+    """Argument errors are input errors: one line, exit code 1."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -70,8 +65,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     space = load_space(args.space)
     require_metric(space, args.space)
     if args.action:
-        action, _ = load_action(args.action, space, args.group_cap)
-        report = check_hypotheses_action(action, args.r, n_max=args.nmax)
+        action, stages = load_action(args.action, space, args.group_cap)
+        report = check_hypotheses_action(action, args.r, action_stages(action, stages, args.r))
     else:
         family = load_family(args.family, space)
         if family.source is not space:
@@ -235,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the dimension hypothesis checks")
     add_inputs(check)
     check.add_argument("--r", type=int, required=True, help="target cube dimension")
-    check.add_argument("--nmax", type=int, default=None, help="largest period to check")
     check.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     check.add_argument("--out", help="write the report as JSON here")
     check.set_defaults(func=cmd_check)

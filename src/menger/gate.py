@@ -1,0 +1,168 @@
+"""The dimension hypothesis and the stage plan of an action.
+
+The paper's hypothesis is one bound: the points whose orbit has at most N
+elements have dimension below (r/2) N, and for a map family every realized
+partition class has dimension below (r/2) times its block count.  One
+``HypothesisReport`` states it; ``menger check`` prints it, the embedders
+refuse a run when it fails and record it in the certificate, and the
+verifier recomputes it from the same inputs and the same stage plan.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import Sequence
+
+from .errors import GroupCapError, InputError
+from .partitions import induced_classes
+from .space import (
+    FiniteSpace,
+    GroupAction,
+    MapFamily,
+    Perm,
+    as_perm,
+    orbits,
+    restricted_space,
+)
+
+Stage = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], Fraction | None]
+
+
+@dataclass(frozen=True)
+class HypothesisCheck:
+    kind: str              # "partition" or "periodic"
+    label: str
+    subset_size: int
+    dim: int
+    bound_num: int         # the strict bound is dim < bound_num / 2
+    passed: bool
+
+    def describe(self) -> str:
+        verdict = "ok" if self.passed else "FAIL"
+        return (
+            f"{self.kind} {self.label}: dim {self.dim} < {self.bound_num}/2 "
+            f"[{verdict}]"
+        )
+
+
+@dataclass(frozen=True)
+class HypothesisReport:
+    r: int
+    checks: tuple[HypothesisCheck, ...]
+    passed: bool
+
+    def failures(self) -> tuple[HypothesisCheck, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
+
+def check_hypotheses_family(fam: MapFamily, r: int) -> HypothesisReport:
+    """Check dim(X_P) < (r/2)|P| for every partition P some point realizes.
+
+    The points are grouped by their induced partition in one pass
+    (``induced_classes``), so each class X_P is a lookup, and one check is
+    reported per realized class.
+    A partition no point realizes has the empty class, and dim of the empty
+    set is -1 by construction of the declared dimension (a subspace's
+    included).  Its check, -2 < r|P|, holds for every r >= 1, so it is left
+    out.
+    """
+    if r < 1:
+        raise InputError("r must be at least 1")
+    classes = induced_classes(fam)
+    checks = []
+    for p in sorted(classes, key=lambda q: (len(q.blocks), q.blocks)):
+        xp = frozenset(classes[p])
+        d = fam.source.dim(xp)
+        bound_num = r * p.block_count()
+        checks.append(
+            HypothesisCheck(
+                "partition", str(p.serialize()), len(xp), d, bound_num, 2 * d < bound_num
+            )
+        )
+    return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
+
+
+def check_hypotheses_action(
+    action: GroupAction, r: int, plan: Sequence[Stage]
+) -> HypothesisReport:
+    """Check dim of the n-periodic set against (r/2) n, then each stage of ``plan``.
+
+    n runs up to the largest orbit size; beyond it the periodic sets stop
+    growing while the bound keeps increasing.  Orbit sizes are found once,
+    and the n-periodic set is read off them as the points whose orbit has
+    at most n elements.  Each stage of ``plan`` (``action_stages``) with
+    points is then checked as a family, its maps on the subspace of its
+    points, and its checks are labelled with the stage index.  A stage of
+    every group element at every point, such as the plan of an action
+    without explicit stages, adds no checks: a point whose partition has k
+    blocks has an orbit of k elements, so each of its classes lies in the
+    k-periodic set, whose dimension, no smaller, is already bounded by
+    (r/2) k.
+    """
+    if r < 1:
+        raise InputError("r must be at least 1")
+    sizes = [len(orb) for orb in orbits(action)]
+    checks = []
+    for n in range(1, max(sizes) + 1):
+        pn = frozenset(x for x, size in enumerate(sizes) if size <= n)
+        d = action.space.dim(pn)
+        checks.append(HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n))
+    everything = tuple(range(action.space.n_points))
+    for k, (pts, maps, _) in enumerate(plan):
+        if pts and (pts != everything or set(maps) != set(action.elements or ())):
+            sub, _ = action.space.subspace(pts)
+            report = check_hypotheses_family(MapFamily.create(sub, action.space, maps), r)
+            checks.extend(replace(c, label=f"{c.label} (stage {k})") for c in report.checks)
+    return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
+
+
+def default_stage_n(space: FiniteSpace, r: int) -> int:
+    """Smallest n with 2 dim(X) < r n, used for the separation threshold."""
+    if r < 1:
+        raise InputError("r must be at least 1")
+    d = space.dim(range(space.n_points))
+    return (2 * d) // r + 1
+
+
+def action_stages(
+    action: GroupAction,
+    stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None,
+    r: int,
+) -> list[Stage]:
+    """Each stage of an action as (sorted points, maps, eps_sep or None).
+
+    A stage's maps are its elements read at its points, so a stage without
+    points keeps one empty map per element.  Without explicit stages the
+    whole enumerated group is the one stage; a group whose closure was
+    capped needs them.  Every element the caller gives must be a
+    permutation of the space's points, and every stage needs one; an empty
+    stage list would certify nothing, so it is an input error too.  A
+    stage without eps_sep covers the whole space; one with eps_sep covers
+    the points whose F-orbit equals the full orbit or spreads into at
+    least r*n points pairwise eps_sep-apart, n being ``default_stage_n``,
+    which asks for the space's dimension only when some stage has an
+    eps_sep.
+    """
+    if stages is not None and not stages:
+        raise InputError("stages: the list is empty; pass None to use the whole group")
+    npts = action.space.n_points
+    everything = tuple(range(npts))
+    if stages is None:
+        if action.elements is None:
+            raise GroupCapError(
+                "group closure was capped; pass finite stages (F, eps_sep) explicitly"
+            )
+        return [(everything, action.elements, None)]
+    n = default_stage_n(action.space, r) if any(e is not None for _, e in stages) else 0
+    plan = []
+    for k, (given, eps_sep) in enumerate(stages):
+        elements = [as_perm(p, npts, f"stage {k} element {e}") for e, p in enumerate(given)]
+        if not elements:
+            raise InputError(f"stage {k} elements: the list is empty")
+        pts = everything
+        if eps_sep is not None:
+            eps_sep = Fraction(eps_sep)
+            pts = tuple(sorted(restricted_space(action, elements, eps_sep, r, n)))
+        plan.append((pts, tuple(tuple(p[x] for x in pts) for p in elements), eps_sep))
+    return plan

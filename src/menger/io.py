@@ -31,18 +31,17 @@ import os
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import sub
-from typing import Any, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, TextIO
 
 from .covers import Coords
 from .errors import InputError, VerificationError
-from .perturb import Observable
-from .pipeline import (
-    EmbeddingCertificate,
+from .gate import (
     HypothesisReport,
     action_stages,
     check_hypotheses_action,
     check_hypotheses_family,
 )
+from .perturb import Observable
 from .space import (
     FiniteSpace,
     GroupAction,
@@ -55,6 +54,9 @@ from .space import (
     validate_space,
     within,
 )
+
+if TYPE_CHECKING:
+    from .pipeline import EmbeddingCertificate
 
 CERT_FORMAT = "menger-certificate"
 
@@ -376,21 +378,9 @@ def _values_doc(obs: Observable) -> list[list[str]]:
 
 
 def hypothesis_doc(report: HypothesisReport) -> dict[str, Any]:
-    return {
-        "r": report.r,
-        "passed": report.passed,
-        "checks": [
-            {
-                "kind": c.kind,
-                "label": c.label,
-                "subset_size": c.subset_size,
-                "dim": c.dim,
-                "bound_num": c.bound_num,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
-    }
+    """The report as its record spells it: each check with its fields by name."""
+    checks = [dict(vars(c)) for c in report.checks]
+    return {"r": report.r, "passed": report.passed, "checks": checks}
 
 
 def _stage_doc(
@@ -545,9 +535,10 @@ def verify_certificate(
     and each stage's points, maps and eps_sep are recomputed too: a family
     is one stage over its source points, and an action's stages are rebuilt
     from ``stages`` (as ``load_action`` returns them) by the embedder's own
-    plan, ``action_stages``.  A stage key the format no longer writes, such
-    as 0.6.0's element permutations, is covered by the hash and otherwise
-    ignored.
+    plan, ``action_stages``, on which the action's report is recomputed
+    (``check_hypotheses_action``).  A stage key the format no longer
+    writes, such as 0.6.0's element permutations, is covered by the hash
+    and otherwise ignored.
     """
     issues: list[str] = []
 
@@ -664,9 +655,8 @@ def verify_certificate(
         report = plan = None
         try:
             if cert.get("kind") == "action" and action is not None:
-                # embed_equivariant always checks up to the largest orbit
-                report = check_hypotheses_action(action, r)
                 plan = action_stages(action, stages, r)
+                report = check_hypotheses_action(action, r, plan)
             elif family is not None:
                 report = check_hypotheses_family(family, r)
                 plan = [(tuple(range(family.source.n_points)), family.maps, None)]

@@ -38,11 +38,12 @@ from .covers import (
     diameter_clusters,
     pull_cover,
 )
-from .errors import (
-    GroupCapError,
-    HypothesisError,
-    InputError,
-    InternalCheckError,
+from .errors import HypothesisError, InputError, InternalCheckError
+from .gate import (
+    HypothesisReport,
+    action_stages,
+    check_hypotheses_action,
+    check_hypotheses_family,
 )
 from .partitions import (
     NON_INTERSECTIVE,
@@ -55,7 +56,6 @@ from .partitions import (
     compatible_subset,  # noqa: F401  bench/spans.py patches this name here
     doubled_induced_partition,
     first_fit_block,
-    induced_classes,
     intersective_transport,
     mirror_block,
     occurrence_keys,
@@ -67,12 +67,9 @@ from .space import (
     GroupAction,
     MapFamily,
     Perm,
-    as_perm,
     least_float_at_least,
     orbit,  # noqa: F401  bench/spans.py patches this name here
-    orbits,
     periodic_set,  # noqa: F401  bench/spans.py patches this name here
-    restricted_space,
 )
 from .witness import BipartiteInstance, check_separation
 
@@ -82,88 +79,6 @@ BRANCH_EMPTY = "empty"
 # Only perturbed blocks are logged, so no log carries this branch any more;
 # bench/spans.py still counts it.
 BRANCH_SKIPPED = "already_separated"
-
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    kind: str              # "partition" or "periodic"
-    label: str
-    subset_size: int
-    dim: int
-    bound_num: int         # the strict bound is dim < bound_num / 2
-    passed: bool
-
-    def describe(self) -> str:
-        verdict = "ok" if self.passed else "FAIL"
-        return (
-            f"{self.kind} {self.label}: dim {self.dim} < {self.bound_num}/2 "
-            f"[{verdict}]"
-        )
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    r: int
-    checks: tuple[HypothesisCheck, ...]
-    passed: bool
-
-    def failures(self) -> tuple[HypothesisCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def check_hypotheses_family(fam: MapFamily, r: int) -> HypothesisReport:
-    """Check dim(X_P) < (r/2)|P| for every partition P some point realizes.
-
-    The points are grouped by their induced partition in one pass
-    (``induced_classes``), so each class X_P is a lookup, and one check is
-    reported per realized class.
-    A partition no point realizes has the empty class, and dim of the empty
-    set is -1 by construction of the declared dimension (a subspace's
-    included).  Its check, -2 < r|P|, holds for every r >= 1, so it is left
-    out.
-    """
-    if r < 1:
-        raise InputError("r must be at least 1")
-    classes = induced_classes(fam)
-    checks = []
-    for p in sorted(classes, key=lambda q: (len(q.blocks), q.blocks)):
-        xp = frozenset(classes[p])
-        d = fam.source.dim(xp)
-        bound_num = r * p.block_count()
-        checks.append(
-            HypothesisCheck(
-                "partition", str(p.serialize()), len(xp), d, bound_num, 2 * d < bound_num
-            )
-        )
-    return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
-
-
-def check_hypotheses_action(
-    action: GroupAction, r: int, n_max: int | None = None
-) -> HypothesisReport:
-    """Check dim of the n-periodic set against (r/2) n for n up to n_max.
-
-    The default n_max is the largest orbit size; beyond it the periodic sets
-    stop growing while the bound keeps increasing.  An n_max below 1 would
-    check nothing, so it is an input error.  Orbit sizes are found once,
-    and the n-periodic set is read off them as the points whose orbit has
-    at most n elements.
-    """
-    if r < 1:
-        raise InputError("r must be at least 1")
-    if n_max is not None and n_max < 1:
-        raise InputError(f"n_max must be at least 1, got {n_max}")
-    sizes = [len(orb) for orb in orbits(action)]
-    if n_max is None:
-        n_max = max(sizes)
-    checks = []
-    for n in range(1, n_max + 1):
-        pn = frozenset(x for x, size in enumerate(sizes) if size <= n)
-        d = action.space.dim(pn)
-        checks.append(
-            HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n)
-        )
-    return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
 
 
 def margin(f: Observable, fam: MapFamily, pairs: Iterable[Pair]) -> Fraction | float:
@@ -641,11 +556,11 @@ def _start(
     return eps_f, f0, used_seed
 
 
-def _passed(report: HypothesisReport, what: str) -> HypothesisReport:
+def _passed(report: HypothesisReport) -> HypothesisReport:
     """The report itself; HypothesisError naming its first failure otherwise."""
     if not report.passed:
         raise HypothesisError(
-            f"{what} hypothesis fails: {report.failures()[0].describe()}", report
+            f"dimension hypothesis fails: {report.failures()[0].describe()}", report
         )
     return report
 
@@ -710,62 +625,11 @@ def embed_family(
     eps, both exact.  The family is the one stage, over every source point.
     """
     eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed, backend, coords)
-    report = _passed(check_hypotheses_family(fam, r), "dimension")
+    report = _passed(check_hypotheses_family(fam, r))
     state = _BaireState(f0, eps_f)
     stage = _Stage(fam, tuple(range(fam.source.n_points)), fam.maps, fam.labels)
     _run_stage(state, stage, backend, coords)
     return _certify("family", r, eps_f, used_seed, backend, report, f0, state)
-
-
-def default_stage_n(space: FiniteSpace, r: int) -> int:
-    """Smallest n with 2 dim(X) < r n, used for the separation threshold."""
-    if r < 1:
-        raise InputError("r must be at least 1")
-    d = space.dim(range(space.n_points))
-    return (2 * d) // r + 1
-
-
-def action_stages(
-    action: GroupAction,
-    stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None,
-    r: int,
-) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], Fraction | None]]:
-    """Each stage of an action as (sorted points, maps, eps_sep or None).
-
-    A stage's maps are its elements read at its points, so a stage without
-    points keeps one empty map per element.  Without explicit stages the
-    whole enumerated group is the one stage; a group whose closure was
-    capped needs them.  Every element the caller gives must be a
-    permutation of the space's points, and every stage needs one; an empty
-    stage list would certify nothing, so it is an input error too.  A
-    stage without eps_sep covers the whole space; one with eps_sep covers
-    the points whose F-orbit equals the full orbit or spreads into at
-    least r*n points pairwise eps_sep-apart, n being ``default_stage_n``,
-    which asks for the space's dimension only when some stage has an
-    eps_sep.
-    """
-    if stages is not None and not stages:
-        raise InputError("stages: the list is empty; pass None to use the whole group")
-    npts = action.space.n_points
-    everything = tuple(range(npts))
-    if stages is None:
-        if action.elements is None:
-            raise GroupCapError(
-                "group closure was capped; pass finite stages (F, eps_sep) explicitly"
-            )
-        return [(everything, action.elements, None)]
-    n = default_stage_n(action.space, r) if any(e is not None for _, e in stages) else 0
-    plan = []
-    for k, (given, eps_sep) in enumerate(stages):
-        elements = [as_perm(p, npts, f"stage {k} element {e}") for e, p in enumerate(given)]
-        if not elements:
-            raise InputError(f"stage {k} elements: the list is empty")
-        pts = everything
-        if eps_sep is not None:
-            eps_sep = Fraction(eps_sep)
-            pts = tuple(sorted(restricted_space(action, elements, eps_sep, r, n)))
-        plan.append((pts, tuple(tuple(p[x] for x in pts) for p in elements), eps_sep))
-    return plan
 
 
 def embed_equivariant(
@@ -786,10 +650,12 @@ def embed_equivariant(
     element permutations and a separation scale, and is embedded on the
     subspace of points whose F-orbit either equals the full orbit or spreads
     into at least r*n points pairwise eps_sep-apart (``action_stages``).
+    Raises HypothesisError unless ``check_hypotheses_action`` passes on that
+    plan; the certificate records its report.
     """
     eps_f, f0, used_seed = _start(action.space, r, eps, f0, seed, backend, coords)
     plan = action_stages(action, stages, r)
-    report = _passed(check_hypotheses_action(action, r), "dimension")
+    report = _passed(check_hypotheses_action(action, r, plan))
     state = _BaireState(f0, eps_f)
     for pts, maps, eps_sep in plan:
         names = tuple(f"e{k}" for k in range(len(maps)))
@@ -797,6 +663,5 @@ def embed_equivariant(
         if pts:
             sub, _ = action.space.subspace(pts)
             fam = MapFamily.create(sub, action.space, maps, labels=names)
-            _passed(check_hypotheses_family(fam, r), "stage")
         _run_stage(state, _Stage(fam, pts, maps, names, eps_sep), backend, coords)
     return _certify("action", r, eps_f, used_seed, backend, report, f0, state)

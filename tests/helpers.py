@@ -17,6 +17,7 @@ import numpy as np
 
 from menger import pipeline
 from menger.errors import InputError, VerificationError
+from menger.gate import HypothesisCheck, HypothesisReport, Stage
 from menger.partitions import (
     CoherentBlock,
     DoubledFamily,
@@ -27,8 +28,6 @@ from menger.partitions import (
 )
 from menger.perturb import Observable
 from menger.pipeline import (
-    HypothesisCheck,
-    HypothesisReport,
     _BaireState,
     margin,
     separate_on_block,
@@ -381,10 +380,11 @@ def bell_family_verdict(fam: MapFamily, r: int) -> bool:
     return True
 
 
-def reference_action_report(action: GroupAction, r: int, n_max: int | None = None) -> HypothesisReport:
-    """The action gate with one ``periodic_set`` scan per period."""
-    if n_max is None:
-        n_max = max(len(orbit(action, x)) for x in range(action.space.n_points))
+def reference_action_report(action: GroupAction, r: int, plan: list[Stage]) -> HypothesisReport:
+    """The action gate with one ``periodic_set`` scan per period, then the
+    stage families of ``plan`` through ``reference_family_report``, except a
+    stage that lists every group element, in any order, at every point."""
+    n_max = max(len(orbit(action, x)) for x in range(action.space.n_points))
     checks = []
     for n in range(1, n_max + 1):
         pn = periodic_set(action, n)
@@ -392,6 +392,12 @@ def reference_action_report(action: GroupAction, r: int, n_max: int | None = Non
         checks.append(
             HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n)
         )
+    for k, (pts, maps, _) in enumerate(plan):
+        whole = len(pts) == action.space.n_points and sorted(set(maps)) == sorted(action.elements or ())
+        if pts and not whole:
+            fam = MapFamily.create(action.space.subspace(pts)[0], action.space, maps)
+            for c in reference_family_report(fam, r).checks:
+                checks.append(replace(c, label=f"{c.label} (stage {k})"))
     return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
 
 

@@ -38,6 +38,7 @@ from menger.io import (
     verify_certificate,
     write_certificate,
 )
+from menger.gate import action_stages, check_hypotheses_action
 from menger.partitions import (
     INTERSECTIVE,
     DoubledFamily,
@@ -49,7 +50,6 @@ from menger.perturb import Observable, sample_observable, sup_distance
 from menger.pipeline import (
     BRANCH_EMPTY,
     BRANCH_SKIPPED,
-    check_hypotheses_action,
     embed_equivariant,
     embed_family,
     margin,
@@ -218,7 +218,7 @@ def test_acceptance_5_antipodal_gate_and_embedding(tmp_path, capsys, pipeline_ru
         space8 = circle_space(8)
         action = GroupAction.from_generators(space8, [antipodal_perm(8)])
         assert space8.dim(range(8)) == 1
-        assert check_hypotheses_action(action, 2).passed
+        assert check_hypotheses_action(action, 2, action_stages(action, None, 2)).passed
 
         _, _, _, cert = next(r for r in pipeline_runs if r[0].startswith("antipodal"))
         assert cert.margin > 0

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -21,6 +22,7 @@ from menger import io as io_module
 from menger import space as space_module
 from menger.cli import main
 from menger.errors import InputError
+from menger.gate import action_stages, check_hypotheses_action, check_hypotheses_family
 from menger.fixtures import antipodal_perm, circle_space, path_space, rotation_perm
 from menger.io import (
     CERT_FORMAT,
@@ -28,6 +30,7 @@ from menger.io import (
     certificate_payload,
     fr_str,
     hash_file,
+    hypothesis_doc,
     load_action,
     load_certificate,
     load_family,
@@ -1144,15 +1147,217 @@ def test_cli_certificate_config_holds_only_the_caps(tmp_path, capsys, monkeypatc
     assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
-@pytest.mark.parametrize("nmax", ["0", "-2"])
-def test_cli_check_nmax_below_one_exits_one(tmp_path, capsys, nmax):
-    space_path, action_path = _write_inputs(tmp_path)
-    code = main(["check", "--space", space_path, "--action", action_path,
-                 "--r", "1", "--nmax", nmax])
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["check", "--space", "s.json", "--action", "a.json"],
+         "menger check: error: the following arguments are required: --r"),
+        (["check", "--space", "s.json", "--action", "a.json", "--family", "f.json", "--r", "1"],
+         "menger check: error: argument --family: not allowed with argument --action"),
+        # the largest period is no option: check runs up to the largest orbit
+        (["check", "--space", "s.json", "--action", "a.json", "--r", "1", "--nmax", "1"],
+         "menger: error: unrecognized arguments: --nmax 1"),
+        (["embed", "--space", "s.json", "--action", "a.json", "--r", "1", "--eps", "1/20",
+          "--backend", "nope"],
+         "menger embed: error: argument --backend: invalid choice: 'nope'"),
+    ],
+    ids=["missing-r", "action-and-family", "nmax", "unknown-backend"],
+)
+def test_cli_argument_error_is_one_line(capsys, argv, line):
+    """An argument error is one stderr line, with no usage block, and exits 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     captured = capsys.readouterr()
-    assert code == 1
+    assert exc.value.code == 1
     assert captured.out == ""
-    assert captured.err == f"error: n_max must be at least 1, got {nmax}\n"
+    (got,) = captured.err.splitlines()
+    assert got.startswith(line)
+
+
+def test_cli_check_help_lists_no_nmax(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: menger check")
+    assert "--nmax" not in out
+
+
+def test_cli_check_and_embed_refuse_a_failing_stage_alike(tmp_path, capsys):
+    """A rotation action whose one explicit stage is the identity: the
+    periodic checks pass, the stage's one partition class fails, and check,
+    like embed, exits 2 naming the stage."""
+    space_path, action_path = _write_inputs(tmp_path, n=12, step=1)
+    Path(action_path).write_text(json.dumps({
+        "generators": [list(rotation_perm(12, 1))],
+        "stages": [{"elements": [list(identity_perm(12))], "eps_sep": None}],
+    }))
+    inputs = ["--space", space_path, "--action", action_path, "--r", "1"]
+    assert main(["check", *inputs]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line and "stage" in line] == [
+        "partition [[0]] (stage 0): dim 1 < 1/2 [FAIL]"
+    ]
+    assert out[-1] == "hypotheses: FAIL (13 checks, r=1)"
+    assert main(["embed", *inputs, "--eps", "1/20", "--out", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: dimension hypothesis fails: partition [[0]] (stage 0): dim 1 < 1/2 [FAIL]\n"
+    )
+
+
+def test_cli_check_refuses_a_capped_group_without_stages_like_embed(tmp_path, capsys):
+    space_path, action_path = _write_inputs(tmp_path, n=12, step=1)
+    inputs = ["--space", space_path, "--action", action_path, "--r", "1", "--group-cap", "5"]
+    assert main(["embed", *inputs, "--eps", "1/20", "--out", str(tmp_path / "c.json")]) == 1
+    refused = capsys.readouterr().err
+    assert refused.startswith("error: group closure was capped")
+    assert main(["check", *inputs]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", refused)
+
+
+def _staged_run(tmp_path):
+    """Inputs and certificate of a two-stage rotation action on the 9-point circle."""
+    space_path, action_path = _write_inputs(tmp_path)
+    _write_staged_action(action_path, [((0, 3, 6), None), ((0, 1), None)])
+    inputs = ["--space", space_path, "--action", action_path]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "2", "--eps", "1/20", "--out", cert_path]) == 0
+    return inputs, cert_path
+
+
+def test_cli_staged_certificate_records_the_stage_checks(tmp_path, capsys):
+    inputs, cert_path = _staged_run(tmp_path)
+    labels = [c["label"] for c in load_certificate(cert_path)["hypothesis"]["checks"]]
+    assert labels == [f"N={n}" for n in range(1, 10)] + [
+        "[[0], [1], [2]] (stage 0)", "[[0], [1]] (stage 1)"
+    ]
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert_path, *inputs]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_verify_reports_the_stage_checks_a_0_7_0_certificate_lacks(tmp_path, capsys):
+    """Version 0.7.0 recorded only the periodic checks of a staged action.
+    Its content still verifies alone; with its inputs the report differs."""
+    inputs, cert_path = _staged_run(tmp_path)
+
+    def as_0_7_0(doc):
+        doc["version"] = "0.7.0"
+        hyp = doc["hypothesis"]
+        hyp["checks"] = [c for c in hyp["checks"] if c["kind"] == "periodic"]
+
+    _write_rehashed(cert_path, load_certificate(cert_path), as_0_7_0)
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert_path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert_path, *inputs]) == 4
+    assert capsys.readouterr().err == (
+        "error: hypothesis report does not match the provided inputs\n"
+    )
+
+
+@st.composite
+def _declared_path_spaces(draw) -> FiniteSpace:
+    """A path metric on 2 to 6 points with a few random faces and dimension labels."""
+    n = draw(st.integers(2, 6))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
+    labels = draw(
+        st.lists(st.tuples(st.sets(st.integers(0, n - 1)), st.integers(0, 3)), max_size=2)
+    )
+    metric = [[abs(a - b) for b in range(n)] for a in range(n)]
+    return FiniteSpace.create(metric, simplices=faces, dim_labels=labels)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), r=st.integers(1, 3))
+def test_cli_check_agrees_with_embed(tmp_path, capsys, data, r):
+    """check exits 2 exactly when embed does, and refuses what embed refuses
+    with embed's line; a passing embed verifies with its inputs, which
+    recompute the stored report."""
+    space = data.draw(_declared_path_spaces(), label="space")
+    n = space.n_points
+    perms = st.lists(st.permutations(range(n)).map(list), min_size=1, max_size=3)
+    space_path = str(tmp_path / "space.json")
+    maps_path = str(tmp_path / "maps.json")
+    save_space(space, space_path)
+    kind = data.draw(st.sampled_from(["family", "action"]), label="kind")
+    options = []
+    if kind == "family":
+        doc = {"maps": data.draw(perms, label="maps")}
+    else:
+        doc = {"generators": data.draw(perms, label="generators")}
+        cap = data.draw(st.sampled_from([3, 64]), label="cap")
+        options = ["--group-cap", str(cap)]
+        if data.draw(st.booleans(), label="staged"):
+            eps_seps = st.none() | st.integers(1, n - 1).map(str)
+            doc["stages"] = [
+                {"elements": elements, "eps_sep": eps_sep}
+                for elements, eps_sep in data.draw(
+                    st.lists(st.tuples(perms, eps_seps), min_size=1, max_size=2), label="stages"
+                )
+            ]
+    Path(maps_path).write_text(json.dumps(doc))
+    inputs = ["--space", space_path, f"--{kind}", maps_path]
+    cert_path = str(tmp_path / "cert.json")
+    capsys.readouterr()
+    checked = main(["check", *inputs, "--r", str(r), *options])
+    check_err = capsys.readouterr().err
+    embedded = main(["embed", *inputs, "--r", str(r), "--eps", "1/20", *options,
+                     "--out", cert_path])
+    embed_err = capsys.readouterr().err
+    assert embedded in (0, 1, 2)
+    assert (checked == 2) == (embedded == 2)
+    if embedded == 1:
+        assert (checked, check_err) == (1, embed_err)
+        return
+    assert checked == embedded
+    if embedded == 0:
+        assert main(["verify", "--cert", cert_path, *inputs]) == 0
+        loaded = load_space(space_path)
+        if kind == "family":
+            report = check_hypotheses_family(load_family(maps_path, loaded), r)
+        else:
+            action, stages = load_action(maps_path, loaded, cap)
+            report = check_hypotheses_action(action, r, action_stages(action, stages, r))
+        assert load_certificate(cert_path)["hypothesis"] == hypothesis_doc(report)
+
+
+def _runtime_imports(path: Path) -> list[str]:
+    """The modules a ``menger`` source file imports outside ``if TYPE_CHECKING:``,
+    relative imports resolved within the package."""
+    found: list[str] = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"menger.{base}".rstrip(".")
+            found.extend([base] if node.module else [f"{base}.{a.name}" for a in node.names])
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+@pytest.mark.parametrize("name", ["io.py", "gate.py"])
+def test_verifier_side_does_not_import_the_construction(name):
+    """``io`` and ``gate``, which the verifier runs, import neither the
+    construction nor the witness search outside ``if TYPE_CHECKING:``."""
+    import menger
+
+    imports = _runtime_imports(Path(menger.__file__).parent / name)
+    assert "menger.space" in imports
+    assert not {"menger.pipeline", "menger.witness"} & set(imports)
 
 
 _EMPTY_COARSE_CHECK = {
@@ -1219,12 +1424,13 @@ def test_cli_repeated_calls_do_not_leak_defaults(tmp_path, capsys, monkeypatch):
     for _ in range(2):
         assert main(embed + ["--seed", "7", "--out", "seeded.json"]) == 0
         assert main(embed) == 0
-        assert main(check + ["--nmax", "1"]) == 0
         assert main(check) == 0
-        out = capsys.readouterr().out
-        # --nmax 1 checks one period, the default checks up to the orbit size 3
-        assert "hypotheses: PASS (1 checks, r=1)" in out
-        assert "hypotheses: PASS (3 checks, r=1)" in out
+        assert main(check + ["--group-cap", "2"]) == 1
+        captured = capsys.readouterr()
+        # the default cap enumerates the group of order 3; a cap of 2 left
+        # from the call before would refuse it
+        assert "hypotheses: PASS (3 checks, r=1)" in captured.out
+        assert captured.err.startswith("error: group closure was capped")
         assert load_certificate("seeded.json")["seed"] == 7
         assert load_certificate("certificate.json")["seed"] == 0
         with pytest.raises(SystemExit) as exc:

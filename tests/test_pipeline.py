@@ -37,6 +37,12 @@ from menger.errors import (
 from menger.fixtures import antipodal_perm, circle_space, path_coords, path_space, rotation_perm
 from menger import io, pipeline
 from menger.io import hypothesis_doc, verify_certificate, write_certificate
+from menger.gate import (
+    action_stages,
+    check_hypotheses_action,
+    check_hypotheses_family,
+    default_stage_n,
+)
 from menger.partitions import (
     INTERSECTIVE,
     DoubledFamily,
@@ -48,18 +54,14 @@ from menger.partitions import (
 from menger.perturb import Observable, sample_observable, sup_distance
 from menger.pipeline import (
     BRANCH_SKIPPED,
-    action_stages,
-    check_hypotheses_action,
-    check_hypotheses_family,
     colliding_pair_classes,
-    default_stage_n,
     embed_equivariant,
     embed_family,
     _eta_threshold,
     margin,
     separate_on_block,
 )
-from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm, orbit
+from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm
 
 
 def _assert_orbit_injective(cert, fam):
@@ -103,17 +105,21 @@ def test_family_hypotheses_report_names_the_failure():
     assert bad.describe() == "partition [[0, 1]]: dim 1 < 1/2 [FAIL]"
 
 
+def _whole_group_report(action, r):
+    return check_hypotheses_action(action, r, action_stages(action, None, r))
+
+
 def test_action_hypotheses_antipodal_fails_at_r_one(antipodal_action):
-    report = check_hypotheses_action(antipodal_action, 1)
+    report = _whole_group_report(antipodal_action, 1)
     assert not report.passed
     failing = report.failures()
     assert [c.label for c in failing] == ["N=2"]
     assert failing[0].describe() == "periodic N=2: dim 1 < 2/2 [FAIL]"
-    assert check_hypotheses_action(antipodal_action, 2).passed
+    assert _whole_group_report(antipodal_action, 2).passed
 
 
 def test_action_hypotheses_rotation_passes_at_r_one(rot3_action):
-    report = check_hypotheses_action(rot3_action, 1)
+    report = _whole_group_report(rot3_action, 1)
     assert report.passed
     assert [c.label for c in report.checks] == ["N=1", "N=2", "N=3"]
     assert [c.subset_size for c in report.checks] == [0, 0, 9]
@@ -181,20 +187,60 @@ def test_family_gate_on_subspace_asks_the_dim_oracle_alike(lo, hi, data, r):
     assert all(got_calls)
 
 
+def stage_lists(n: int, max_stages: int = 2) -> st.SearchStrategy:
+    """Explicit stages on n points: element permutations, each stage with an
+    integer eps_sep (a distance of ``simplicial_spaces``' path metric) or none."""
+    elements = st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)
+    eps_seps = st.none() | st.integers(1, max(1, n - 1)).map(Fraction)
+    return st.lists(st.tuples(elements, eps_seps), min_size=1, max_size=max_stages)
+
+
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), r=st.integers(1, 4), extra=st.integers(1, 3))
-def test_action_gate_matches_per_period_scan(data, r, extra):
+@given(data=st.data(), r=st.integers(1, 4))
+def test_action_gate_matches_per_period_scan(data, r):
     n = data.draw(st.integers(1, 8))
     space = data.draw(simplicial_spaces(n))
     gens = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
     action = GroupAction.from_generators(space, gens, cap=64)
-    got = hypothesis_doc(check_hypotheses_action(action, r))
-    assert got == hypothesis_doc(reference_action_report(action, r))
-    # an explicit bound past the largest orbit keeps adding full-space checks
-    n_max = max(len(orbit(action, x)) for x in range(n)) + extra
-    got = hypothesis_doc(check_hypotheses_action(action, r, n_max))
-    assert got == hypothesis_doc(reference_action_report(action, r, n_max))
-    assert got["checks"][-1]["subset_size"] == n
+    stages = None
+    if action.elements is None or data.draw(st.booleans()):
+        stages = data.draw(stage_lists(n))
+    plan = action_stages(action, stages, r)
+    got = hypothesis_doc(check_hypotheses_action(action, r, plan))
+    assert got == hypothesis_doc(reference_action_report(action, r, plan))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4))
+def test_action_gate_implies_the_whole_group_family_gate(data, r):
+    """The gate skips the family checks of a whole-group stage: whenever the
+    periodic checks pass, the family of every group element over every
+    point passes too, in any order of the elements."""
+    n = data.draw(st.integers(1, 8))
+    space = data.draw(simplicial_spaces(n))
+    gens = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    action = GroupAction.from_generators(space, gens, cap=64)
+    assume(action.elements is not None)
+    report = check_hypotheses_action(action, r, action_stages(action, None, r))
+    assert all(c.kind == "periodic" for c in report.checks)
+    elements = data.draw(st.permutations(action.elements))
+    if report.passed:
+        assert check_hypotheses_family(MapFamily.create(space, space, elements), r).passed
+    # listed explicitly, every element at every point adds no check either
+    plan = action_stages(action, [(elements, None)], r)
+    assert check_hypotheses_action(action, r, plan) == report
+
+
+def test_action_gate_labels_each_explicit_stage_check(circle9):
+    action = GroupAction.from_generators(circle9, [rotation_perm(9, 1)], cap=5)
+    stages = [([rotation_perm(9, s) for s in (0, 3, 6)], None), ([identity_perm(9)], None)]
+    report = check_hypotheses_action(action, 1, action_stages(action, stages, 1))
+    assert [c.label for c in report.checks] == [f"N={n}" for n in range(1, 10)] + [
+        "[[0], [1], [2]] (stage 0)",
+        "[[0]] (stage 1)",
+    ]
+    (bad,) = report.failures()
+    assert bad.describe() == "partition [[0]] (stage 1): dim 1 < 1/2 [FAIL]"
 
 
 @pytest.mark.parametrize("n, bell", enumerate([1, 1, 2, 5, 15, 52, 203, 877, 4140]))
