@@ -14,6 +14,9 @@ Input file formats (one JSON object per file):
   coords:     {"dim": int, "points": [[float]]}
   observable: {"r": int, "values": [[str|int|float]]}
 
+orjson decodes the space, family and coords files, json the rest, whose
+exact integers orjson could turn into floats (see ``_read_json``).
+
 A certificate file is a single JSON object carrying the claim and what it
 is checked from: the run configuration, the hypothesis report, the initial
 and final observables, one record per stage (its points, maps and margin),
@@ -32,6 +35,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from operator import sub
 from typing import TYPE_CHECKING, Any, Iterator, Sequence, TextIO
+
+import numpy as np
+import orjson
 
 from .covers import Coords
 from .errors import InputError, VerificationError
@@ -121,15 +127,44 @@ def _read_bytes(path: str) -> bytes:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _read_json(path: str, record: dict[str, str] | None = None, role: str = "") -> Any:
+# orjson decodes with one native stack frame per nesting level (about 64
+# bytes each in orjson 3.8) and no depth limit of its own, so a deep enough
+# document crashes the interpreter.  Nesting depth is at most the number of
+# opening brackets; 10 000 levels need well under 1 MiB of stack, and a
+# document with more brackets goes to json, whose recursion limit refuses
+# deep nesting in one line.
+_ORJSON_MAX_OPENERS = 10_000
+
+
+def _openers(data: bytes) -> int:
+    """The number of ``[`` and ``{`` bytes in ``data``, strings included."""
+    b = np.frombuffer(data, np.uint8)
+    return int(np.count_nonzero(b == ord("[")) + np.count_nonzero(b == ord("{")))
+
+
+def _read_json(
+    path: str, record: dict[str, str] | None = None, role: str = "", fast: bool = False
+) -> Any:
     """The JSON document at ``path``, read once.
 
     With ``record``, the SHA-256 of exactly the bytes parsed is stored
-    there under ``role``.
+    there under ``role``.  With ``fast``, orjson decodes the bytes first.
+    It gives json's value, type for type, for every document it accepts,
+    except that an integer literal outside [-2**63, 2**64) comes back as a
+    float.  So only files of floats and indices (space, family and coords)
+    set it, never a file whose exact integers must survive (f0, action and
+    certificate).  A document orjson refuses (NaN, 1e400, invalid UTF-8, a
+    lone surrogate, ...), or one with more opening brackets than
+    ``_ORJSON_MAX_OPENERS``, is read by json as without ``fast``.
     """
     data = _read_bytes(path)
     if record is not None:
         record[role] = hashlib.sha256(data).hexdigest()
+    if fast and _openers(data) <= _ORJSON_MAX_OPENERS:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass    # json reads it, or refuses it with its own message
     try:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:   # bad JSON or UTF-8, or an integer past int's digit limit
@@ -179,6 +214,8 @@ def _reading(path: str) -> Iterator[None]:
         raise InputError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed document: {exc}") from exc
+    except RecursionError:  # repr or str of a value nested past the recursion limit
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _numbers(rows: Any, name: str) -> None:
@@ -236,7 +273,7 @@ def require_metric(space: FiniteSpace, path: str) -> None:
 
 def load_space(path: str, record: dict[str, str] | None = None) -> FiniteSpace:
     """The space at ``path``, its axioms checked; ``record`` receives its hash as ``"space"``."""
-    doc = _read_json(path, record, "space")
+    doc = _read_json(path, record, "space", fast=True)
     with _reading(path):
         return _space_from_doc(doc)
 
@@ -252,7 +289,7 @@ def save_space(space: FiniteSpace, path: str) -> None:
 
 def load_coords(path: str, record: dict[str, str] | None = None) -> Coords:
     """The declared coordinates at ``path``; ``record`` receives their hash as ``"coords"``."""
-    doc = _read_json(path, record, "coords")
+    doc = _read_json(path, record, "coords", fast=True)
     with _reading(path):
         points = [
             _list(p, f"points[{k}]") for k, p in enumerate(_list(_require(doc, "points"), "points"))
@@ -265,7 +302,7 @@ def load_family(
     path: str, space: FiniteSpace, record: dict[str, str] | None = None
 ) -> MapFamily:
     """The map family at ``path`` into ``space``; ``record`` receives its hash as ``"family"``."""
-    doc = _read_json(path, record, "family")
+    doc = _read_json(path, record, "family", fast=True)
     with _reading(path):
         maps = [_list(m, f"maps[{k}]") for k, m in enumerate(_list(_require(doc, "maps"), "maps"))]
         labels = doc.get("labels")

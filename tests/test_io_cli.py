@@ -3,6 +3,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -770,6 +773,81 @@ def test_cli_deeply_nested_json_exits_one(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_cli_deeply_nested_family_maps_exit_one(tmp_path, capsys, command, depth):
+    """Maps nested past the recursion limit are one input error, whether orjson
+    decodes the family (5 000 brackets) or json does (100 000, past the
+    bracket bound): the loader's repr of the deep map is the recursion."""
+    space_path = str(tmp_path / "space.json")
+    ok_path = str(tmp_path / "identity.json")
+    save_space(path_space(2), space_path)
+    save_family(MapFamily.create(path_space(2), path_space(2), [[0, 1]]), ok_path)
+    path = tmp_path / "family.json"
+    path.write_text('{"maps": [' + "[" * depth + "]" * depth + "]}")
+    if command == "check":
+        args = ["check", "--space", space_path, "--family", str(path), "--r", "1"]
+    else:
+        cert_path = str(tmp_path / "cert.json")
+        embed = ["embed", "--space", space_path, "--family", ok_path, "--r", "3",
+                 "--eps", "1/20", "--seed", "1", "--out", cert_path]
+        assert main(embed) == 0
+        capsys.readouterr()
+        args = ["verify", "--cert", cert_path, "--space", space_path, "--family", str(path)]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+
+def _note_space(tmp_path, note: str) -> tuple[str, str]:
+    """A 2-point space file with ``note`` as an unread key, and a family on it."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text('{"metric": [[0, 1], [1, 0]], "note": ' + note + "}")
+    fam_path = str(tmp_path / "family.json")
+    save_family(MapFamily.create(path_space(2), path_space(2), [[0, 1]]), fam_path)
+    return str(space_path), fam_path
+
+
+def test_cli_unread_key_nested_past_the_recursion_limit_loads(tmp_path, capsys):
+    """A deliberate change: orjson has no recursion limit, so a space whose
+    unread key nests 5 000 deep loads, where json refused the whole file."""
+    space_path, fam_path = _note_space(tmp_path, "[" * 5000 + "]" * 5000)
+    assert main(["check", "--space", space_path, "--family", fam_path, "--r", "1"]) == 0
+    assert load_space(space_path).n_points == 2
+    capsys.readouterr()
+
+
+def test_cli_dim_label_past_64_bits_is_refused_as_not_an_integer(tmp_path, capsys):
+    """A deliberate change: orjson reads 2**70 as a float, so a dimension that
+    large is one input error (exit 1) where json's integer failed the gate (exit 2)."""
+    space_path = tmp_path / "space.json"
+    space_path.write_text('{"metric": [[0, 1], [1, 0]], "dim_labels": [[[0, 1], 1180591620717411303424]]}')
+    fam_path = str(tmp_path / "family.json")
+    save_family(MapFamily.create(path_space(2), path_space(2), [[0, 1]]), fam_path)
+    code = main(["check", "--space", str(space_path), "--family", fam_path, "--r", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {space_path}: dim_labels[0].dim: expected an integer, got 1.1805916207174113e+21\n"
+    )
+
+
+def test_cli_nesting_past_the_bracket_bound_is_one_line_not_a_crash(tmp_path):
+    """orjson recurses on the native stack, so a million brackets would crash
+    the interpreter; past the bracket bound json reads the file and refuses
+    it in one line.  A subprocess keeps a crash from taking the suite down."""
+    space_path, fam_path = _note_space(tmp_path, "[" * 10**6 + "]" * 10**6)
+    src = os.path.dirname(os.path.dirname(io_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "menger.cli", "check", "--space", space_path,
+         "--family", fam_path, "--r", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {space_path}: invalid JSON: nested too deeply\n"
 
 
 _FULL_WIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
@@ -1717,3 +1795,40 @@ def test_cli_embed_refuses_a_non_metric_cover_in_one_line(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == f"error: invalid metric space: {NON_METRIC_5_VIOLATION}\n"
     assert not cert_path.exists()
+
+
+def test_cli_seed_past_64_bits_round_trips(tmp_path, capsys):
+    """The certificate records the seed as a JSON integer; read back as a float,
+    as orjson reads an integer past 2**64, its re-hash would not match."""
+    c = circle_space(9)
+    space_path, fam_path = str(tmp_path / "space.json"), str(tmp_path / "family.json")
+    cert_path = str(tmp_path / "cert.json")
+    save_space(c, space_path)
+    save_family(MapFamily.create(c, c, [rotation_perm(9, s) for s in (0, 3, 6)]), fam_path)
+    embed = ["embed", "--space", space_path, "--family", fam_path, "--r", "1",
+             "--eps", "1/20", "--seed", str(2**70), "--out", cert_path]
+    assert main(embed) == 0
+    assert load_certificate(cert_path)["seed"] == 2**70
+    assert main(["verify", "--cert", cert_path]) == 0
+    assert main(["verify", "--cert", cert_path, "--space", space_path, "--family", fam_path]) == 0
+    capsys.readouterr()
+
+
+def test_load_action_reads_an_integer_eps_sep_past_64_bits_exactly(tmp_path):
+    path = tmp_path / "action.json"
+    path.write_text(
+        '{"generators": [[1, 2, 0]], "stages": [{"elements": [[0, 1, 2]], '
+        '"eps_sep": 1180591620717411303424}]}'
+    )
+    _, stages = load_action(str(path), path_space(3), group_cap=5)
+    ((_, eps_sep),) = stages
+    assert eps_sep == Fraction(2**70) and type(eps_sep) is Fraction
+
+
+def test_observable_error_names_an_integer_past_64_bits_exactly(tmp_path):
+    """Read as a float, as orjson reads it, 2**70 + 1 would be named 1180591620717411300000."""
+    path = tmp_path / "f0.json"
+    path.write_text('{"r": 1, "values": [[0], [1180591620717411303425], [1]]}')
+    with pytest.raises(InputError) as got:
+        load_observable(str(path), path_space(3))
+    assert str(got.value) == f"{path}: values[1][0]: 1180591620717411303425 outside [0, 1]"

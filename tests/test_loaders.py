@@ -1,14 +1,19 @@
 """Malformed input files: every loader failure is one input error, never a traceback."""
 
 import json
+import math
+from unittest.mock import patch
 
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from menger import io as io_module
 from menger.cli import main
+from menger.errors import InputError
 from menger.fixtures import circle_space, rotation_perm
-from menger.io import save_space
+from menger.io import load_coords, load_family, load_space, save_space
 
 N = 6
 
@@ -244,3 +249,149 @@ def test_cli_embed_survives_any_value_swapped_into_an_input(tmp_path, capsys, da
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+# Decoder equivalence: space, family and coords files are decoded by orjson,
+# everything else by json; both must give the same values.  Documents are
+# drawn as JSON text, so that one value can be spelled several ways.
+
+def _float_text(x: float, style: int) -> str:
+    """``x`` in its shortest spelling, with 17 significant digits, or with 40."""
+    return (repr(x), f"{x:.17g}", f"{x:.16e}", f"{x:.40e}")[style]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)     # subnormals and -0.0 included
+_FLOAT_TEXT = st.builds(_float_text, _FINITE, st.integers(0, 3))
+_INT_TEXT = st.one_of(
+    st.integers(-(2**63), 2**64 - 1), st.integers(-(10**308), 10**308)
+).map(str)
+_STRING_TEXT = st.builds(
+    lambda s, ascii_only: json.dumps(s, ensure_ascii=ascii_only),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),   # orjson refuses lone surrogates
+    st.booleans(),
+)
+_VALUE_TEXT = st.recursive(
+    _FLOAT_TEXT | _INT_TEXT | _STRING_TEXT,
+    lambda inner: st.lists(inner, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]")
+    | st.lists(st.tuples(_STRING_TEXT, inner), max_size=3).map(
+        lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"
+    ),
+    max_leaves=8,
+)
+
+
+def _same_value(fast, slow) -> bool:
+    """Whether orjson's ``fast`` is json's ``slow``, type for type and bit for bit.
+
+    The one allowed difference: an integer literal outside [-2**63, 2**64)
+    comes back as ``float(int)``.
+    """
+    if type(slow) is int and not -(2**63) <= slow < 2**64:
+        return type(fast) is float and fast == float(slow)
+    if type(fast) is not type(slow):
+        return False
+    if isinstance(slow, float):
+        return math.copysign(1.0, fast) == math.copysign(1.0, slow) and fast == slow
+    if isinstance(slow, list):
+        return len(fast) == len(slow) and all(map(_same_value, fast, slow))
+    if isinstance(slow, dict):
+        return list(fast) == list(slow) and all(_same_value(fast[k], slow[k]) for k in slow)
+    return fast == slow
+
+
+def _both_decoders(load, path):
+    """``load(path)`` with orjson decoding the file, then with json."""
+    fast = load(path)
+    with patch.object(io_module, "_ORJSON_MAX_OPENERS", -1):
+        return fast, load(path)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_VALUE_TEXT)
+def test_fast_decoder_returns_json_values_type_for_type(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    orjson.loads(path.read_bytes())     # accepted: the fast path decodes it
+    fast = io_module._read_json(str(path), fast=True)
+    assert _same_value(fast, json.loads(text))
+
+
+@pytest.mark.parametrize("literal", [
+    "2.2250738585072011e-308",      # the largest subnormal, spelled past it
+    "2.2250738585072014e-308",      # the smallest normal
+    "2.4703282292062327e-324",      # just under half the smallest subnormal: 0.0
+    "2.4703282292062328e-324",      # just over it: the smallest subnormal
+    "1.00000000000000011102230246251565404236316680908203125",   # halfway: rounds to even
+    "1.00000000000000011102230246251565404236316680908203126",   # just past halfway
+    "9007199254740993",             # 2**53 + 1, an integer literal
+    "9007199254740993.0",           # the same as a float: 2**53
+    "1.7976931348623157e308",
+    "-0.0",
+    "-0",
+    "0.1e-999",
+])
+def test_fast_decoder_reads_hard_literals_as_json_does(tmp_path, literal):
+    path = tmp_path / "doc.json"
+    path.write_text(f"[{literal}]")
+    orjson.loads(path.read_bytes())     # accepted: the fast path decodes it
+    fast = io_module._read_json(str(path), fast=True)
+    assert _same_value(fast, json.loads(f"[{literal}]"))
+
+
+def _spelled(x) -> st.SearchStrategy[str]:
+    """Some JSON spelling of the number ``x``."""
+    if isinstance(x, int):
+        return st.sampled_from([str(x), f"{x}.0", f"{x}e0", f"{x}0e-1"])
+    return st.integers(0, 3).map(lambda style: _float_text(x, style))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(2, 5))
+def test_loaders_build_the_same_objects_from_both_decoders(tmp_path, data, n):
+    """A symmetric metric whose two halves are spelled independently, a family
+    with escaped labels and a coords file load to equal objects either way;
+    the metric is bitwise equal."""
+    positive = st.floats(5e-324, 1e308) | st.integers(1, 2**70)
+    upper = {(i, j): data.draw(positive) for i in range(n) for j in range(i + 1, n)}
+    rows = [
+        [
+            data.draw(st.sampled_from(["0", "0.0", "-0.0", "0e0"])) if i == j
+            else data.draw(_spelled(upper[min(i, j), max(i, j)]))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    note = data.draw(_VALUE_TEXT)
+    metric = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    space_path = tmp_path / "space.json"
+    space_path.write_text(f'{{"metric": {metric}, "simplices": [[0, 1]], "note": {note}}}')
+    fast, slow = _both_decoders(load_space, str(space_path))
+    assert fast.metric.tobytes() == slow.metric.tobytes()
+    assert (fast.simplices, fast.dim_labels) == (slow.simplices, slow.dim_labels)
+
+    maps = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3, unique_by=tuple))
+    labels = [data.draw(_STRING_TEXT) for _ in maps]
+    family_path = tmp_path / "family.json"
+    family_path.write_text(
+        f'{{"maps": {json.dumps(maps)}, "labels": [{", ".join(labels)}], '
+        f'"source": {{"metric": {metric}}}, "note": {note}}}'
+    )
+    try:
+        fast_fam, slow_fam = _both_decoders(lambda p: load_family(p, slow), str(family_path))
+    except InputError as exc:     # labels that coincide: json refuses them too
+        with patch.object(io_module, "_ORJSON_MAX_OPENERS", -1), pytest.raises(InputError) as ref:
+            load_family(str(family_path), slow)
+        assert str(ref.value) == str(exc)
+    else:
+        assert (fast_fam.maps, fast_fam.labels) == (slow_fam.maps, slow_fam.labels)
+        assert fast_fam.source.metric.tobytes() == slow_fam.source.metric.tobytes()
+
+    dim = data.draw(st.integers(1, 3))
+    points = [[data.draw(_FLOAT_TEXT | _INT_TEXT) for _ in range(dim)] for _ in range(n)]
+    coords_path = tmp_path / "coords.json"
+    coords_path.write_text(
+        f'{{"dim": {dim}, "points": [{", ".join("[" + ", ".join(p) + "]" for p in points)}], '
+        f'"note": {note}}}'
+    )
+    fast_co, slow_co = _both_decoders(load_coords, str(coords_path))
+    assert fast_co == slow_co
