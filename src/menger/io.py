@@ -33,6 +33,7 @@ import math
 import os
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from operator import sub
 from typing import TYPE_CHECKING, Any, Iterator, Sequence, TextIO
 
@@ -439,6 +440,7 @@ def certificate_payload(
     """The serializable body of a certificate, without its content hash."""
     from . import __version__
 
+    f0_values = _values_doc(cert.f0)
     return {
         "format": CERT_FORMAT,
         "version": __version__,
@@ -450,8 +452,11 @@ def certificate_payload(
         "config": dict(config or {}),
         "inputs": dict(input_hashes or {}),
         "hypothesis": hypothesis_doc(cert.hypothesis),
-        "f0_values": _values_doc(cert.f0),
-        "observable_values": _values_doc(cert.observable),
+        "f0_values": f0_values,
+        # an observable no block perturbed is f0 itself, spelled once
+        "observable_values": (
+            f0_values if cert.observable is cert.f0 else _values_doc(cert.observable)
+        ),
         "stages": [
             {
                 **_stage_doc(s.points, s.maps, s.eps_sep),
@@ -506,6 +511,32 @@ def _ratio_rows(doc: Any, n: int, r: int, where: str) -> list[list[tuple[int, in
     return rows
 
 
+def _same_table(a: Any, b: Any) -> bool:
+    """Whether two value tables are equal entry for entry and type for type.
+
+    ``==`` alone would match ``true``, which ``parse_ratio`` refuses, with
+    ``1``; and an integer with the float of its value, which it reads
+    through the float's shortest decimal (1e23 as 10**23).
+    """
+    return a == b and list(map(type, chain.from_iterable(a))) == list(
+        map(type, chain.from_iterable(b))
+    )
+
+
+def _stage_tuples(
+    cols: list[list[int]], maps: list[tuple[int, ...]], count: int
+) -> list[tuple[int, ...]]:
+    """The orbit tuple of each of a stage's ``count`` points.
+
+    ``cols`` holds one column of numerators per coordinate; each is read at
+    every map's values in C, and the columns zip into tuples in map order,
+    then coordinate order.  Without maps or coordinates every tuple is empty.
+    """
+    if not (maps and cols):
+        return [()] * count
+    return list(zip(*[map(col.__getitem__, m) for m in maps for col in cols]))
+
+
 def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
     """Least L-infinity distance between two of the points; None for fewer than two.
 
@@ -513,8 +544,10 @@ def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
     never checked by the code that made it.  Sorted, each point is compared
     with its predecessors, nearest first, until their first coordinates
     differ by at least the best distance so far: every earlier point is at
-    least that far away in that coordinate alone.  Empty tuples (a stage
-    without maps) all coincide.
+    least that far away in that coordinate alone.  A predecessor whose
+    second or third coordinate differs by the best distance is passed over
+    without its full distance, which could not be smaller.  Empty tuples (a
+    stage without maps) all coincide.
     """
     pts = sorted(points)
     if len(pts) < 2:
@@ -522,13 +555,17 @@ def _closest_gap(points: list[tuple[int, ...]]) -> int | None:
     best = max(map(abs, map(sub, pts[0], pts[1])), default=0)
     if best == 0:
         return 0
+    width = len(pts[0])
+    second, third = min(1, width - 1), min(2, width - 1)
     for j in range(2, len(pts)):
         q = pts[j]
-        head = q[0]
+        head, q2, q3 = q[0], q[second], q[third]
         for i in range(j - 1, -1, -1):
             p = pts[i]
             if head - p[0] >= best:
                 break
+            if abs(q2 - p[second]) >= best or abs(q3 - p[third]) >= best:
+                continue
             d = max(map(abs, map(sub, p, q)))
             if d < best:
                 best = d
@@ -567,9 +604,12 @@ def verify_certificate(
     Returns the list of mismatches (empty means the certificate is sound).
     The content hash is checked first; then every recomputed quantity, the
     margins and the displacement, must match the stored strings exactly,
-    and every stage margin must be positive.  When the original input
+    every stage margin must be positive, ``eps`` must be positive and
+    ``kind`` must be "family" or "action".  When the original input
     objects are supplied, the hypothesis report, the recorded input hashes
-    and each stage's points, maps and eps_sep are recomputed too: a family
+    and each stage's points, maps and eps_sep are recomputed too, and
+    ``kind`` must name the input given; each input rebuilds its own plan,
+    whatever ``kind`` says: a family
     is one stage over its source points, and an action's stages are rebuilt
     from ``stages`` (as ``load_action`` returns them) by the embedder's own
     plan, ``action_stages``, on which the action's report is recomputed
@@ -597,13 +637,23 @@ def verify_certificate(
         return [f"certificate is missing required data: {exc}"]
     try:
         eps = parse_fraction(cert["eps"], "eps")
-        n = len(cert["observable_values"])
-        f0_rows = _ratio_rows(cert["f0_values"], n, r, "f0_values")
-        new_rows = _ratio_rows(cert["observable_values"], n, r, "observable_values")
+        f0_doc, new_doc = cert["f0_values"], cert["observable_values"]
+        n = len(new_doc)
+        f0_rows = _ratio_rows(f0_doc, n, r, "f0_values")
+        # an unperturbed observable is parsed once
+        new_rows = (
+            f0_rows if _same_table(f0_doc, new_doc)
+            else _ratio_rows(new_doc, n, r, "observable_values")
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return [f"certificate is missing required data: {exc}"]
     except InputError as exc:
         return [str(exc)]
+    kind = cert.get("kind")
+    if kind not in ("family", "action"):
+        issues.append(f"kind: expected 'family' or 'action', got {kind!r}")
+    if eps <= 0:
+        issues.append(f"eps {fr_str(eps)} is not positive")
 
     for name, rows in (("f0", f0_rows), ("observable", new_rows)):
         for y, row in enumerate(rows):
@@ -612,15 +662,13 @@ def verify_certificate(
                     issues.append(f"{name} value out of [0, 1] at point {y}")
 
     # One common denominator turns the displacement and the margins into
-    # integer comparisons.
+    # integer comparisons, made on one numerator column per coordinate.
     den = math.lcm(*(q for rows in (f0_rows, new_rows) for row in rows for _, q in row))
-    f0_nums = [[p * (den // q) for p, q in row] for row in f0_rows]
-    num_rows = [tuple(p * (den // q) for p, q in row) for row in new_rows]
-
-    gap = max(
-        (abs(a - b) for row0, row1 in zip(f0_nums, num_rows) for a, b in zip(row0, row1)),
-        default=0,
+    cols = [[p * (den // q) for p, q in col] for col in zip(*new_rows)]
+    f0_cols = (
+        cols if new_rows is f0_rows else [[p * (den // q) for p, q in col] for col in zip(*f0_rows)]
     )
+    gap = max((max(map(abs, map(sub, c0, c1))) for c0, c1 in zip(f0_cols, cols)), default=0)
     displacement = Fraction(gap, den)
     if fr_str(displacement) != cert.get("displacement"):
         issues.append(
@@ -658,9 +706,7 @@ def verify_certificate(
             issues.extend(f"{where}: {msg}" for msg in shape)
             complete = False
             continue
-        best = _closest_gap(
-            [tuple(v for m in maps for v in num_rows[m[u]]) for u in range(len(pts))]
-        )
+        best = _closest_gap(_stage_tuples(cols, maps, len(pts)))
         stage_margin = math.inf if best is None else Fraction(best, den)
         stage_margins.append(stage_margin)
         if _margin_str(stage_margin) != st.get("margin"):
@@ -687,22 +733,25 @@ def verify_certificate(
                 elif recorded[key] != value:
                     issues.append(f"input hash mismatch for {key!r}")
 
-    if space is not None and (action is not None or family is not None):
-        stored = cert.get("hypothesis", {})
-        report = plan = None
+    # each input given rebuilds its own plan, whatever the certificate's kind says
+    for name, given in (("action", action), ("family", family)):
+        if space is None or given is None:
+            continue
+        if kind != name:
+            issues.append(f"kind: {kind!r} does not match the {name} given")
         try:
-            if cert.get("kind") == "action" and action is not None:
-                plan = action_stages(action, stages, r)
-                report = check_hypotheses_action(action, r, plan)
-            elif family is not None:
-                report = check_hypotheses_family(family, r)
-                plan = [(tuple(range(family.source.n_points)), family.maps, None)]
+            if isinstance(given, GroupAction):
+                plan = action_stages(given, stages, r)
+                report = check_hypotheses_action(given, r, plan)
+            else:
+                report = check_hypotheses_family(given, r)
+                plan = [(tuple(range(given.source.n_points)), given.maps, None)]
         except InputError as exc:
             issues.append(f"recomputation from the inputs failed: {exc}")
-        if report is not None and hypothesis_doc(report) != stored:
+            continue
+        if hypothesis_doc(report) != cert.get("hypothesis", {}):
             issues.append("hypothesis report does not match the provided inputs")
-        if plan is not None:
-            issues.extend(_stage_input_issues(stages_doc, [_stage_doc(*s) for s in plan]))
+        issues.extend(_stage_input_issues(stages_doc, [_stage_doc(*s) for s in plan]))
 
     return issues
 

@@ -110,17 +110,25 @@ def _closest_gap(points: Iterable[tuple[int, ...]]) -> int | None:
     Sort, then sweep (Hinrichs, Nievergelt and Schorn 1988): each point is
     compared with its predecessors, nearest first, until their first
     coordinates differ by at least the best distance so far; every earlier
-    point is at least that far away in that coordinate alone.
+    point is at least that far away in that coordinate alone.  Inside that
+    window a predecessor whose second or third coordinate already differs by
+    the best distance cannot lower it, so its full distance is never taken.
     """
     pts = sorted(points)
+    if len(pts) < 2:
+        return None
+    last = len(pts[0]) - 1
+    a, b = min(1, last), min(2, last)   # narrower tuples repeat a coordinate
     best = math.inf
     for j in range(1, len(pts)):
         q = pts[j]
-        head = q[0]
+        head, qa, qb = q[0], q[a], q[b]
         for i in range(j - 1, -1, -1):
             p = pts[i]
             if head - p[0] >= best:
                 break
+            if abs(qa - p[a]) >= best or abs(qb - p[b]) >= best:
+                continue
             d = max(map(abs, map(sub, p, q)))
             if d < best:
                 best = d
@@ -413,12 +421,13 @@ def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
     """Each source point's orbit tuple (f(g(x)))_g, flattened over the maps.
 
     Entries are integer numerators over the observable's common denominator.
+    Each coordinate's column is read at every map's values in C, and the
+    columns zip into tuples in map order, then coordinate order.
     """
-    rows = f.rows
-    maps = fam.maps
-    return [
-        tuple(v for g in maps for v in rows[g[x]]) for x in range(fam.source.n_points)
-    ]
+    if not fam.maps:
+        return [()] * fam.source.n_points
+    cols = list(zip(*f.rows))
+    return list(zip(*[map(col.__getitem__, g) for g in fam.maps for col in cols]))
 
 
 def _labelled(f: Observable, fam: MapFamily) -> tuple[list[int], dict[tuple[int, ...], int]]:

@@ -54,6 +54,67 @@ from menger.pipeline import embed_equivariant, embed_family
 from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm
 
 
+# Every name ``menger`` exported, by its module, when the package imported them eagerly.
+_PACKAGE_EXPORTS = {
+    "covers": "BACKEND_BRICKS BACKEND_CELLS ColoredCover Coords build_cover diameter_clusters "
+              "pull_cover verify_cover",
+    "errors": "BudgetError ConstructionError CoverInfeasibleError GroupCapError HypothesisError "
+              "InputError InternalCheckError MengerError VerificationError",
+    "gate": "HypothesisCheck HypothesisReport check_hypotheses_action check_hypotheses_family",
+    "partitions": "CoherentBlock DoubledFamily Partition classify coherent_decomposition "
+                  "compatible_subset doubled_induced_partition induced_partition "
+                  "intersective_transport refines",
+    "perturb": "Observable ValueAssignment assign_values modulus perturb sample_observable "
+               "sup_distance",
+    "pipeline": "BlockLog EmbeddingCertificate StageRecord embed_equivariant embed_family margin "
+                "separate_on_block",
+    "space": "FiniteSpace GroupAction MapFamily orbit periodic_set restricted_space validate_space",
+    "witness": "BipartiteInstance SeparationProof Witness check_separation find_witness "
+               "run_witness_oracle",
+}
+
+
+def _fresh_python(code):
+    """Standard output of ``code`` run in a new interpreter that imports this ``menger``."""
+    src = os.path.dirname(os.path.dirname(io_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_verifier_loads_no_construction_module():
+    # the submodule menger.perturb is loaded, and the package's name still
+    # means the function, as it did when the package imported it eagerly
+    out = _fresh_python(
+        "import sys, menger.io; from menger import perturb; assert callable(perturb); "
+        "print(sorted(m for m in sys.modules if m.startswith('menger')))"
+    )
+    loaded = set(ast.literal_eval(out))
+    assert "menger.io" in loaded
+    assert not loaded & {"menger.pipeline", "menger.witness", "menger.fixtures", "menger.cli"}
+
+
+def test_every_package_export_resolves_to_its_module():
+    names = [(module, name) for module, line in _PACKAGE_EXPORTS.items() for name in line.split()]
+    code = "; ".join(
+        [f"from menger import {name} as x{k}" for k, (_, name) in enumerate(names)]
+        + ["import importlib, menger"]
+        + [
+            f"assert x{k} is importlib.import_module('menger.{module}').{name}"
+            for k, (module, name) in enumerate(names)
+        ]
+        + ["from menger import *", "print(menger.__version__, sorted(menger.__all__))"]
+    )
+    version, exported = _fresh_python(code).split(" ", 1)
+    assert version == __import__("menger").__version__
+    assert set(ast.literal_eval(exported)) == {"__version__", *(name for _, name in names)}
+    with pytest.raises(ImportError):
+        exec("from menger import no_such_name", {})
+
+
 def test_parse_fraction_semantics():
     assert parse_fraction("0.05") == Fraction(1, 20)
     assert parse_fraction(0.05) == Fraction(1, 20)      # via shortest decimal
@@ -418,6 +479,31 @@ def _write_staged_action(path, stages):
     Path(path).write_text(json.dumps(doc))
 
 
+def _embedded(tmp_path, kind):
+    """The verify inputs and certificate path of a 9-point circle embed: a
+    family of three rotations, an action of rotations by 3, or the rotations
+    by 1 in two explicit stages."""
+    space_path, maps_path = _write_inputs(tmp_path)
+    if kind == "family":
+        maps_path = str(tmp_path / "family.json")
+        space = circle_space(9)
+        save_family(
+            MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]), maps_path
+        )
+    elif kind == "staged":
+        _write_staged_action(maps_path, [((0, 3, 6), None), ((0, 1), "1/3")])
+    inputs = ["--space", space_path, "--family" if kind == "family" else "--action", maps_path]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+    return inputs, cert_path
+
+
+def _verify_lines(capsys, cert_path, inputs=()):
+    capsys.readouterr()
+    code = main(["verify", "--cert", cert_path, *inputs])
+    return code, capsys.readouterr().err.splitlines()
+
+
 def _drop_last_point(doc):
     """Cut the only stage to all but its last point, keeping the margins consistent."""
     values = [[Fraction(v) for v in row] for row in doc["observable_values"]]
@@ -471,18 +557,7 @@ def test_cli_verify_rebuilds_the_stages_from_the_inputs(tmp_path, capsys, kind, 
     Each forged certificate is consistent in itself (its margins are
     recomputed for the cut stage), so only the inputs can expose it.
     """
-    space_path, maps_path = _write_inputs(tmp_path)
-    if kind == "family":
-        maps_path = str(tmp_path / "family.json")
-        space = circle_space(9)
-        save_family(
-            MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]), maps_path
-        )
-    elif kind == "staged":
-        _write_staged_action(maps_path, [((0, 3, 6), None), ((0, 1), "1/3")])
-    inputs = ["--space", space_path, "--family" if kind == "family" else "--action", maps_path]
-    cert_path = str(tmp_path / "cert.json")
-    assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path]) == 0
+    inputs, cert_path = _embedded(tmp_path, kind)
     assert main(["verify", "--cert", cert_path, *inputs]) == 0
     forged = str(tmp_path / "forged.json")
     _write_rehashed(forged, load_certificate(cert_path), edit)
@@ -493,6 +568,84 @@ def test_cli_verify_rebuilds_the_stages_from_the_inputs(tmp_path, capsys, kind, 
     err = capsys.readouterr().err
     assert code == 4
     assert err.splitlines() == [f"error: {line}" for line in expected]
+
+
+@pytest.mark.parametrize("kind", ["x", "family"])
+def test_cli_verify_rebuilds_the_action_plan_whatever_the_kind(tmp_path, capsys, kind):
+    """A staged certificate re-hashed with another kind and one stage dropped
+    is consistent in itself; the action input still rebuilds both stages."""
+    inputs, cert_path = _embedded(tmp_path, "staged")
+
+    def edit(doc):
+        doc["kind"] = kind
+        doc["stages"] = doc["stages"][:1]
+        doc["margin"] = doc["stages"][0]["margin"]
+
+    _write_rehashed(cert_path, load_certificate(cert_path), edit)
+    assert _verify_lines(capsys, cert_path)[0] == (0 if kind == "family" else 4)
+    expected = [
+        f"kind: {kind!r} does not match the action given",
+        "stages: the certificate holds 1 stage records, the inputs give 2",
+    ]
+    if kind == "x":
+        expected.insert(0, "kind: expected 'family' or 'action', got 'x'")
+    assert _verify_lines(capsys, cert_path, inputs) == (4, [f"error: {e}" for e in expected])
+
+
+@pytest.mark.parametrize("kind", ["x", "action"])
+def test_cli_verify_rebuilds_the_family_plan_whatever_the_kind(tmp_path, capsys, kind):
+    inputs, cert_path = _embedded(tmp_path, "family")
+
+    def edit(doc):
+        doc["kind"] = kind
+        _drop_last_point(doc)
+
+    _write_rehashed(cert_path, load_certificate(cert_path), edit)
+    expected = [
+        f"kind: {kind!r} does not match the family given",
+        "stage 0: 'points' does not match the provided inputs",
+        "stage 0: 'maps' does not match the provided inputs",
+    ]
+    if kind == "x":
+        expected.insert(0, "kind: expected 'family' or 'action', got 'x'")
+    assert _verify_lines(capsys, cert_path, inputs) == (4, [f"error: {e}" for e in expected])
+
+
+@pytest.mark.parametrize("kind", ["x", None, 5, "Family"])
+def test_cli_verify_refuses_an_unknown_kind_without_inputs(tmp_path, capsys, kind):
+    _, cert_path = _embedded(tmp_path, "family")
+    _write_rehashed(cert_path, load_certificate(cert_path), _set("kind", kind))
+    assert _verify_lines(capsys, cert_path) == (
+        4, [f"error: kind: expected 'family' or 'action', got {kind!r}"]
+    )
+
+
+@pytest.mark.parametrize("made, kind", [("action", "family"), ("family", "action")])
+def test_cli_verify_kind_must_match_the_input_given(tmp_path, capsys, made, kind):
+    """Apart from its kind the certificate matches its inputs: that one field is the issue."""
+    inputs, cert_path = _embedded(tmp_path, made)
+    assert _verify_lines(capsys, cert_path, inputs) == (0, [])
+    _write_rehashed(cert_path, load_certificate(cert_path), _set("kind", kind))
+    assert _verify_lines(capsys, cert_path) == (0, [])
+    assert _verify_lines(capsys, cert_path, inputs) == (
+        4, [f"error: kind: {kind!r} does not match the {made} given"]
+    )
+
+
+@pytest.mark.parametrize(
+    "eps, expected",
+    [
+        ("0", ["eps 0 is not positive"]),
+        ("-1/20", ["eps -1/20 is not positive", "displacement 0 exceeds eps -1/20"]),
+    ],
+)
+def test_cli_verify_refuses_an_eps_that_is_not_positive(tmp_path, capsys, eps, expected):
+    """A seeded start that no block perturbs has displacement 0, within any eps >= 0."""
+    inputs, cert_path = _embedded(tmp_path, "family")
+    assert load_certificate(cert_path)["displacement"] == "0"
+    _write_rehashed(cert_path, load_certificate(cert_path), _set("eps", eps))
+    for given in ((), inputs):
+        assert _verify_lines(capsys, cert_path, given) == (4, [f"error: {e}" for e in expected])
 
 
 @pytest.mark.parametrize("kind", ["family", "staged"])
@@ -675,6 +828,7 @@ def test_verify_recomputes_stage_margins_like_a_pair_loop(data, r):
         )
     doc = {
         "format": CERT_FORMAT,
+        "kind": "family",
         "r": r,
         "eps": "1",
         "f0_values": strs,
@@ -731,6 +885,77 @@ def test_cli_verify_refuses_a_changed_or_unreadable_value(tmp_path, capsys, valu
         expected = [f"f0_values[1]: cannot parse {value!r} as a rational"]
     assert code == 4
     assert err.splitlines() == [f"error: {line}" for line in expected]
+
+
+def test_verify_an_observable_without_coordinates_separates_nothing():
+    """At r = 0 every orbit tuple is empty, so two stage points always share one."""
+    doc = {
+        "format": CERT_FORMAT, "kind": "family", "r": 0, "eps": "1",
+        "f0_values": [[], []], "observable_values": [[], []], "displacement": "0",
+        "stages": [{"points": [0, 1], "maps": [[0, 1]], "margin": "inf"}], "margin": "inf",
+    }
+    doc["cert_sha256"] = hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
+    assert verify_certificate(doc) == [
+        "stage 0: margin mismatch: recomputed 0, stored inf",
+        "stage 0: margin is 0: two stage points share an orbit tuple",
+        "margin mismatch: recomputed 0, stored inf",
+    ]
+
+
+def _unperturbed_payload():
+    """The payload of a seeded three-rotation embed that perturbs no block."""
+    space = circle_space(9)
+    fam = MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)])
+    cert = embed_family(fam, r=1, eps=Fraction(1, 20), seed=0)
+    assert not cert.blocks
+    return certificate_payload(cert)
+
+
+def test_certificate_spells_an_unperturbed_observable_once():
+    payload = _unperturbed_payload()
+    assert payload["observable_values"] is payload["f0_values"]
+    perturbed = certificate_payload(_small_family_cert()[2])
+    assert perturbed["observable_values"] != perturbed["f0_values"]
+
+
+def test_verify_parses_an_observable_true_beside_an_f0_one(tmp_path):
+    """True == 1, so the two tables compare equal; the observable's true is
+    still refused, as it is on its own."""
+    path = str(tmp_path / "cert.json")
+
+    def edit(doc):
+        doc["f0_values"][0][0] = 1
+        doc["observable_values"][0][0] = True
+
+    _write_rehashed(path, _unperturbed_payload(), edit)
+    doc = load_certificate(path)
+    assert doc["f0_values"] == doc["observable_values"]
+    assert verify_certificate(doc) == ["observable_values[0]: cannot parse True as a rational"]
+
+
+@pytest.mark.parametrize(
+    "f0_value, value",
+    [("3/2", "3/2"), (99999999999999991611392, 1e23)],
+    ids=["same-string", "int-equal-to-float"],
+)
+def test_verify_reads_equal_tables_like_the_fraction_reference(tmp_path, f0_value, value):
+    """A value out of [0, 1] in both tables is reported for both.  An integer
+    equals the float 1e23, yet the float reads as its shortest decimal 10**23,
+    so the tables differ by 8388608 at that point."""
+    path = str(tmp_path / "cert.json")
+
+    def edit(doc):
+        doc["f0_values"][1][0] = f0_value
+        doc["observable_values"][1][0] = value
+
+    _write_rehashed(path, _unperturbed_payload(), edit)
+    doc = load_certificate(path)
+    assert doc["f0_values"] == doc["observable_values"]
+    issues = verify_certificate(doc)
+    assert issues[:2] == [
+        "f0 value out of [0, 1] at point 1", "observable value out of [0, 1] at point 1"
+    ]
+    assert issues == reference_value_issues(doc)
 
 
 def test_cli_verify_certificate_holding_nan_exits_four(tmp_path, capsys):

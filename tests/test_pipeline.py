@@ -305,9 +305,10 @@ def test_margin_matches_fraction_loop():
 @given(data=st.data())
 def test_closest_gap_sweeps_match_pair_loop(closest_gap, data):
     """The embedder's and the verifier's sweeps on raw integer tuples: narrow
-    value ranges give ties and equal tuples, wide ones long sweeps."""
-    width = data.draw(st.integers(1, 4))
-    hi = data.draw(st.sampled_from([2, 20, 1000]))
+    value ranges give ties and equal tuples, wide ones long sweeps.  Widths
+    up to 8 (gate-wide's) reach the window's second- and third-coordinate skips."""
+    width = data.draw(st.integers(1, 8))
+    hi = data.draw(st.sampled_from([0, 2, 20, 1000]))
     points = data.draw(
         st.lists(st.tuples(*[st.integers(-hi, hi)] * width), max_size=30)
     )
@@ -320,13 +321,36 @@ def test_closest_gap_of_distinct_points_matches_distinct_pair_loop(data):
     """The ledger's sweep runs on the distinct orbit tuples: narrow value
     ranges give many equal points and ties, and None when at most one point
     is distinct."""
-    width = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(1, 8))
     hi = data.draw(st.sampled_from([0, 2, 20, 1000]))
     points = data.draw(st.lists(st.tuples(*[st.integers(-hi, hi)] * width), max_size=30))
     got = pipeline._closest_gap(list(set(points)))
     assert got == naive_distinct_gap(points)
     if len(set(points)) < 2:
         assert got is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), r=st.integers(1, 3), n=st.integers(1, 6))
+def test_gathered_orbit_tuples_match_the_per_point_generator(data, r, n):
+    """The ledger's and the verifier's C-level gathers give each point's
+    tuple in map order, then coordinate order; no maps give empty tuples."""
+    rows = [tuple(data.draw(st.integers(0, 4)) for _ in range(r)) for _ in range(n)]
+    count = data.draw(st.integers(1, n))
+    maps = [
+        tuple(data.draw(st.permutations(range(n)))[:count])
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    expected = [tuple(v for g in maps for v in rows[g[x]]) for x in range(count)]
+    target = FiniteSpace.create([[float(a != b) for b in range(n)] for a in range(n)])
+    source = FiniteSpace.create([[float(a != b) for b in range(count)] for a in range(count)])
+    f = Observable(target, r, 4, tuple(rows))
+    fam = MapFamily(source, target, tuple(maps), tuple(f"g{k}" for k in range(len(maps))))
+    assert pipeline._orbit_tuples(f, fam) == expected
+    cols = [list(col) for col in zip(*rows)]
+    assert io._stage_tuples(cols, maps, count) == expected
+    # a certificate may claim r = 0: no column, so every tuple is empty and they coincide
+    assert io._stage_tuples([], maps, count) == [()] * count
 
 
 # Few values with mixed denominators: equal orbit tuples, equal gaps and a
