@@ -26,7 +26,27 @@ from .space import (
     restricted_space,
 )
 
-Stage = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], Fraction | None]
+
+@dataclass(frozen=True, eq=False)
+class Stage:
+    """One stage of a run, built once and read by the gate, the run and the verifier.
+
+    ``points`` are sorted ambient indices, each of ``maps`` is read at those
+    points and named by ``labels``, and ``eps_sep`` is the separation scale
+    of a restricted stage (None otherwise).  ``family`` is the maps as a
+    family from the subspace of the points; a stage without points has none.
+    """
+
+    points: tuple[int, ...]
+    maps: tuple[tuple[int, ...], ...]
+    labels: tuple[str, ...]
+    eps_sep: Fraction | None
+    family: MapFamily | None
+
+
+def family_stage(fam: MapFamily) -> Stage:
+    """A family's one stage: every source point, the family's maps and labels."""
+    return Stage(tuple(range(fam.source.n_points)), fam.maps, fam.labels, None, fam)
 
 
 @dataclass(frozen=True)
@@ -92,13 +112,12 @@ def check_hypotheses_action(
     growing while the bound keeps increasing.  Orbit sizes are found once,
     and the n-periodic set is read off them as the points whose orbit has
     at most n elements.  Each stage of ``plan`` (``action_stages``) with
-    points is then checked as a family, its maps on the subspace of its
-    points, and its checks are labelled with the stage index.  A stage of
-    every group element at every point, such as the plan of an action
-    without explicit stages, adds no checks: a point whose partition has k
-    blocks has an orbit of k elements, so each of its classes lies in the
-    k-periodic set, whose dimension, no smaller, is already bounded by
-    (r/2) k.
+    points is then checked through its family, and its checks are labelled
+    with the stage index.  A stage of every group element at every point,
+    such as the plan of an action without explicit stages, adds no checks:
+    a point whose partition has k blocks has an orbit of k elements, so
+    each of its classes lies in the k-periodic set, whose dimension, no
+    smaller, is already bounded by (r/2) k.
     """
     if r < 1:
         raise InputError("r must be at least 1")
@@ -108,11 +127,10 @@ def check_hypotheses_action(
         pn = frozenset(x for x, size in enumerate(sizes) if size <= n)
         d = action.space.dim(pn)
         checks.append(HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n))
-    everything = tuple(range(action.space.n_points))
-    for k, (pts, maps, _) in enumerate(plan):
-        if pts and (pts != everything or set(maps) != set(action.elements or ())):
-            sub, _ = action.space.subspace(pts)
-            report = check_hypotheses_family(MapFamily.create(sub, action.space, maps), r)
+    for k, stage in enumerate(plan):
+        # maps equal to the group's elements are read at every point
+        if stage.family is not None and set(stage.maps) != set(action.elements or ()):
+            report = check_hypotheses_family(stage.family, r)
             checks.extend(replace(c, label=f"{c.label} (stage {k})") for c in report.checks)
     return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
 
@@ -130,39 +148,42 @@ def action_stages(
     stages: Sequence[tuple[Sequence[Perm], Fraction | float | None]] | None,
     r: int,
 ) -> list[Stage]:
-    """Each stage of an action as (sorted points, maps, eps_sep or None).
+    """Each stage of an action as a ``Stage``, its family built here once.
 
-    A stage's maps are its elements read at its points, so a stage without
-    points keeps one empty map per element.  Without explicit stages the
-    whole enumerated group is the one stage; a group whose closure was
-    capped needs them.  Every element the caller gives must be a
-    permutation of the space's points, and every stage needs one; an empty
-    stage list would certify nothing, so it is an input error too.  A
-    stage without eps_sep covers the whole space; one with eps_sep covers
-    the points whose F-orbit equals the full orbit or spreads into at
-    least r*n points pairwise eps_sep-apart, n being ``default_stage_n``,
-    which asks for the space's dimension only when some stage has an
-    eps_sep.
+    Without explicit stages the whole enumerated group is the one stage; a
+    group whose closure was capped needs them.  Every element the caller
+    gives must be a permutation of the space's points, and every stage needs
+    one; an empty stage list would certify nothing, so it is an input error
+    too.  A stage without eps_sep covers the whole space, whose subspace
+    copies no metric; one with eps_sep covers the points whose F-orbit
+    equals the full orbit or spreads into at least r*n points pairwise
+    eps_sep-apart, n being ``default_stage_n``, asked for only when some
+    stage has an eps_sep.  A stage's maps are its elements read at its
+    points, labelled e0, e1, ...; a stage without points keeps one empty
+    map per element and has no family.
     """
     if stages is not None and not stages:
         raise InputError("stages: the list is empty; pass None to use the whole group")
-    npts = action.space.n_points
-    everything = tuple(range(npts))
-    if stages is None:
-        if action.elements is None:
-            raise GroupCapError(
-                "group closure was capped; pass finite stages (F, eps_sep) explicitly"
-            )
-        return [(everything, action.elements, None)]
-    n = default_stage_n(action.space, r) if any(e is not None for _, e in stages) else 0
+    if stages is None and action.elements is None:
+        raise GroupCapError("group closure was capped; pass finite stages (F, eps_sep) explicitly")
+    space = action.space
+    everything = tuple(range(space.n_points))
+    n = default_stage_n(space, r) if any(e is not None for _, e in stages or ()) else 0
     plan = []
-    for k, (given, eps_sep) in enumerate(stages):
-        elements = [as_perm(p, npts, f"stage {k} element {e}") for e, p in enumerate(given)]
+    for k, (given, eps_sep) in enumerate(stages or [(action.elements, None)]):
+        # the enumerated group's elements are permutations already
+        elements = given if stages is None else [
+            as_perm(p, space.n_points, f"stage {k} element {e}") for e, p in enumerate(given)
+        ]
         if not elements:
             raise InputError(f"stage {k} elements: the list is empty")
-        pts = everything
+        # read at every point, each element is its own map
+        pts, maps = everything, tuple(elements)
         if eps_sep is not None:
             eps_sep = Fraction(eps_sep)
             pts = tuple(sorted(restricted_space(action, elements, eps_sep, r, n)))
-        plan.append((pts, tuple(tuple(p[x] for x in pts) for p in elements), eps_sep))
+            maps = tuple(tuple(p[x] for x in pts) for p in elements)
+        labels = tuple(f"e{e}" for e in range(len(maps)))
+        family = MapFamily.create(space.subspace(pts)[0], space, maps, labels) if pts else None
+        plan.append(Stage(pts, maps, labels, eps_sep, family))
     return plan

@@ -44,9 +44,11 @@ from .covers import Coords
 from .errors import InputError, VerificationError
 from .gate import (
     HypothesisReport,
+    Stage,
     action_stages,
     check_hypotheses_action,
     check_hypotheses_family,
+    family_stage,
 )
 from .perturb import Observable
 from .space import (
@@ -421,14 +423,12 @@ def hypothesis_doc(report: HypothesisReport) -> dict[str, Any]:
     return {"r": report.r, "passed": report.passed, "checks": checks}
 
 
-def _stage_doc(
-    points: Sequence[int], maps: Sequence[Sequence[int]], eps_sep: Fraction | None
-) -> dict[str, Any]:
+def _stage_doc(stage: Stage) -> dict[str, Any]:
     """A stage's points, maps and eps_sep as its record spells them."""
     return {
-        "points": list(points),
-        "maps": [list(m) for m in maps],
-        "eps_sep": None if eps_sep is None else fr_str(eps_sep),
+        "points": list(stage.points),
+        "maps": [list(m) for m in stage.maps],
+        "eps_sep": None if stage.eps_sep is None else fr_str(stage.eps_sep),
     }
 
 
@@ -459,8 +459,8 @@ def certificate_payload(
         ),
         "stages": [
             {
-                **_stage_doc(s.points, s.maps, s.eps_sep),
-                "labels": list(s.labels),
+                **_stage_doc(s.stage),
+                "labels": list(s.stage.labels),
                 "margin": _margin_str(s.margin),
             }
             for s in cert.stages
@@ -504,6 +504,8 @@ def _ratio_rows(doc: Any, n: int, r: int, where: str) -> list[list[tuple[int, in
         raise VerificationError(f"{where}: expected {n} value rows")
     rows = []
     for y, row in enumerate(doc):
+        if not isinstance(row, list):
+            raise VerificationError(f"{where}: row {y} is not a list of values")
         if len(row) != r:
             raise VerificationError(f"{where}: row {y} has {len(row)} values, expected {r}")
         at = f"{where}[{y}]"
@@ -601,21 +603,22 @@ def verify_certificate(
 ) -> list[str]:
     """Re-derive everything checkable from a certificate document.
 
-    Returns the list of mismatches (empty means the certificate is sound).
-    The content hash is checked first; then every recomputed quantity, the
+    Returns the list of mismatches (empty means the certificate is sound);
+    a malformed document gives issues too, never an exception.  The
+    content hash is checked first; then every recomputed quantity, the
     margins and the displacement, must match the stored strings exactly,
     every stage margin must be positive, ``eps`` must be positive and
-    ``kind`` must be "family" or "action".  When the original input
-    objects are supplied, the hypothesis report, the recorded input hashes
-    and each stage's points, maps and eps_sep are recomputed too, and
-    ``kind`` must name the input given; each input rebuilds its own plan,
-    whatever ``kind`` says: a family
-    is one stage over its source points, and an action's stages are rebuilt
-    from ``stages`` (as ``load_action`` returns them) by the embedder's own
-    plan, ``action_stages``, on which the action's report is recomputed
-    (``check_hypotheses_action``).  A stage key the format no longer
-    writes, such as 0.6.0's element permutations, is covered by the hash
-    and otherwise ignored.
+    ``kind`` must be "family" or "action".  With ``space`` each value
+    table holds one row per point.  When the original input objects are
+    supplied, the hypothesis report, the recorded input hashes and each
+    stage's points, maps and eps_sep are recomputed too, and ``kind`` must
+    name the input given; each input rebuilds its own plan, whatever
+    ``kind`` says: a family's one stage (``family_stage``), or an action's
+    stages from ``stages`` (as ``load_action`` returns them) by the
+    embedder's own plan, ``action_stages``, on which the action's report
+    is recomputed (``check_hypotheses_action``).  A stage key the format no
+    longer writes, such as 0.6.0's element permutations, is covered by the
+    hash and otherwise ignored.
     """
     issues: list[str] = []
 
@@ -638,7 +641,7 @@ def verify_certificate(
     try:
         eps = parse_fraction(cert["eps"], "eps")
         f0_doc, new_doc = cert["f0_values"], cert["observable_values"]
-        n = len(new_doc)
+        n = len(new_doc) if space is None else space.n_points
         f0_rows = _ratio_rows(f0_doc, n, r, "f0_values")
         # an unperturbed observable is parsed once
         new_rows = (
@@ -647,7 +650,7 @@ def verify_certificate(
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return [f"certificate is missing required data: {exc}"]
-    except InputError as exc:
+    except (InputError, VerificationError) as exc:
         return [str(exc)]
     kind = cert.get("kind")
     if kind not in ("family", "action"):
@@ -744,14 +747,15 @@ def verify_certificate(
                 plan = action_stages(given, stages, r)
                 report = check_hypotheses_action(given, r, plan)
             else:
+                plan = [family_stage(given)]
                 report = check_hypotheses_family(given, r)
-                plan = [(tuple(range(given.source.n_points)), given.maps, None)]
         except InputError as exc:
             issues.append(f"recomputation from the inputs failed: {exc}")
             continue
-        if hypothesis_doc(report) != cert.get("hypothesis", {}):
+        # compared as text, since == takes true for 1 and 9.0 for 9
+        if canonical_json(hypothesis_doc(report)) != canonical_json(cert.get("hypothesis", {})):
             issues.append("hypothesis report does not match the provided inputs")
-        issues.extend(_stage_input_issues(stages_doc, [_stage_doc(*s) for s in plan]))
+        issues.extend(_stage_input_issues(stages_doc, [_stage_doc(s) for s in plan]))
 
     return issues
 

@@ -25,7 +25,7 @@ verifier re-checks injectivity and displacement without replaying the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import sub
 from typing import Iterable, Sequence
@@ -41,9 +41,11 @@ from .covers import (
 from .errors import HypothesisError, InputError, InternalCheckError
 from .gate import (
     HypothesisReport,
+    Stage,
     action_stages,
     check_hypotheses_action,
     check_hypotheses_family,
+    family_stage,
 )
 from .partitions import (
     NON_INTERSECTIVE,
@@ -323,12 +325,9 @@ def separate_on_block(
 
 @dataclass(frozen=True, eq=False)
 class StageRecord:
-    """One processed stage: its ambient points, maps, map labels, eps_sep and orbit margin."""
+    """One processed stage and its orbit margin under the final observable."""
 
-    points: tuple[int, ...]
-    maps: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    eps_sep: Fraction | None
+    stage: Stage
     margin: Fraction | float
 
 
@@ -349,22 +348,12 @@ class EmbeddingCertificate:
 
 
 @dataclass(eq=False)
-class _Stage:
-    """One stage of a run: what its record states, and its ledger entry.
+class _Entry:
+    """A stage in the ledger: its family's current orbit labels and the least
+    gap between distinct orbit tuples (none and infinite without a family)."""
 
-    ``points``, ``maps``, ``names`` (the maps' labels) and ``eps_sep`` go
-    into the stage record as given.  A stage with points has a family of
-    those maps, whose current orbit labels and least gap between distinct
-    orbit tuples the ledger keeps; a stage without points has one empty
-    map per element, no family, no labels and an infinite gap.
-    """
-
-    fam: MapFamily | None
-    points: tuple[int, ...]
-    maps: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...]
-    eps_sep: Fraction | None = None
-    labels: list[int] = field(default_factory=list)
+    stage: Stage
+    labels: list[int]
     gap: Fraction | float = math.inf
 
 
@@ -382,39 +371,38 @@ class _BaireState:
     def __init__(self, f: Observable, eps: Fraction):
         self.f = f
         self.geom = eps / 2
-        self.stages: list[_Stage] = []
+        self.stages: list[_Entry] = []
         self.margin: Fraction | float = math.inf
         self.logs: list[BlockLog] = []
 
-    def start(self, stage: _Stage) -> list[int]:
+    def start(self, stage: Stage) -> list[int]:
         """Add a stage to the ledger; return its orbit labels (none without a family)."""
-        self.stages.append(stage)
-        if stage.fam is not None:
-            stage.labels, distinct = _labelled(self.f, stage.fam)
-            stage.gap = _gap(self.f, distinct)
-            self.margin = min(self.margin, stage.gap)
-        return stage.labels
+        self.stages.append(_Entry(stage, [0] * len(stage.points)))
+        return self._label(self.stages[-1])
 
     def relabel(self) -> list[int]:
-        """Recompute every stage's labels and the margin; return the last stage's.
-
-        Monotone progress: the new labels must refine the old ones, so a
-        pair separated before stays separated.  Each new label then meets
-        exactly one old label.
-        """
+        """Recompute every stage's labels and the margin; return the last stage's."""
         self.margin = math.inf
-        for stage in self.stages:
-            if stage.fam is None:
-                continue
-            new, distinct = _labelled(self.f, stage.fam)
-            if len(set(zip(new, stage.labels))) != len(set(new)):
+        for entry in self.stages:
+            self._label(entry)
+        return self.stages[-1].labels
+
+    def _label(self, entry: _Entry) -> list[int]:
+        """Relabel a stage under ``f``, fold its gap into the margin, return its labels.
+
+        Monotone progress: the new labels must refine the old ones, so each
+        new label meets exactly one old one; a stage joins with one label.
+        """
+        if entry.stage.family is not None:
+            new, distinct = _labelled(self.f, entry.stage.family)
+            if len(set(zip(new, entry.labels))) != len(set(new)):
                 raise InternalCheckError(
                     "monotone progress violated: a previously separated pair collided"
                 )
-            stage.labels = new
-            stage.gap = _gap(self.f, distinct)
-            self.margin = min(self.margin, stage.gap)
-        return self.stages[-1].labels
+            entry.labels = new
+            entry.gap = _gap(self.f, distinct)
+            self.margin = min(self.margin, entry.gap)
+        return entry.labels
 
 
 def _orbit_tuples(f: Observable, fam: MapFamily) -> list[tuple[int, ...]]:
@@ -472,7 +460,7 @@ def colliding_pair_classes(df: DoubledFamily, labels: Sequence[int]) -> dict[Par
 
 def _run_stage(
     state: _BaireState,
-    stage: _Stage,
+    stage: Stage,
     backend: str,
     coords: Coords | None,
 ) -> None:
@@ -502,9 +490,9 @@ def _run_stage(
     Only perturbed blocks are logged, each with the ledger margin after it.
     """
     labels = state.start(stage)
-    if stage.fam is None:
+    if stage.family is None:
         return
-    df = DoubledFamily(stage.fam)
+    df = DoubledFamily(stage.family)
 
     classes = colliding_pair_classes(df, labels)
     ordered = sorted(classes, key=lambda p: (-len(p.blocks), p.blocks))
@@ -565,39 +553,32 @@ def _start(
     return eps_f, f0, used_seed
 
 
-def _passed(report: HypothesisReport) -> HypothesisReport:
-    """The report itself; HypothesisError naming its first failure otherwise."""
+def _run(
+    kind: str,
+    r: int,
+    start: tuple[Fraction, Observable, int | None],
+    plan: Sequence[Stage],
+    report: HypothesisReport,
+    backend: str,
+    coords: Coords | None,
+) -> EmbeddingCertificate:
+    """The run both entry points end in, from ``start`` (what ``_start``
+    returns): a failed ``report`` raises HypothesisError naming its first
+    failure; otherwise every stage of ``plan`` runs on one ledger.  Each
+    stage margin is its ledger gap under the final observable, its orbit
+    margin once every stage point has its own label, which is checked here,
+    as is the total displacement staying within eps.
+    """
     if not report.passed:
         raise HypothesisError(
             f"dimension hypothesis fails: {report.failures()[0].describe()}", report
         )
-    return report
-
-
-def _certify(
-    kind: str,
-    r: int,
-    eps: Fraction,
-    seed: int | None,
-    backend: str,
-    report: HypothesisReport,
-    f0: Observable,
-    state: _BaireState,
-) -> EmbeddingCertificate:
-    """The certificate of a finished run, one stage record per ledger stage.
-
-    Each stage margin is its ledger gap under the final
-    observable; it is the stage's orbit margin once every source point has
-    its own label, which is checked here.  The total displacement must stay
-    within eps.
-    """
-    records = []
-    for stage in state.stages:
-        if len(set(stage.labels)) < len(stage.labels):
-            raise InternalCheckError("stage margin is zero; some pair was never separated")
-        records.append(
-            StageRecord(stage.points, stage.maps, stage.names, stage.eps_sep, stage.gap)
-        )
+    eps, f0, seed = start
+    state = _BaireState(f0, eps)
+    for stage in plan:
+        _run_stage(state, stage, backend, coords)
+    if any(len(set(entry.labels)) < len(entry.labels) for entry in state.stages):
+        raise InternalCheckError("stage margin is zero; some pair was never separated")
     displacement = sup_distance(state.f, f0)
     if displacement > eps:
         raise InternalCheckError(f"total displacement {displacement} exceeds eps {eps}")
@@ -611,8 +592,8 @@ def _certify(
         f0=f0,
         observable=state.f,
         blocks=tuple(state.logs),
-        stages=tuple(records),
-        margin=min((s.margin for s in records), default=math.inf),
+        stages=tuple(StageRecord(entry.stage, entry.gap) for entry in state.stages),
+        margin=state.margin,
         displacement=displacement,
     )
 
@@ -633,12 +614,9 @@ def embed_family(
     whose margin is strictly positive and whose displacement stays within
     eps, both exact.  The family is the one stage, over every source point.
     """
-    eps_f, f0, used_seed = _start(fam.target, r, eps, f0, seed, backend, coords)
-    report = _passed(check_hypotheses_family(fam, r))
-    state = _BaireState(f0, eps_f)
-    stage = _Stage(fam, tuple(range(fam.source.n_points)), fam.maps, fam.labels)
-    _run_stage(state, stage, backend, coords)
-    return _certify("family", r, eps_f, used_seed, backend, report, f0, state)
+    start = _start(fam.target, r, eps, f0, seed, backend, coords)
+    report = check_hypotheses_family(fam, r)
+    return _run("family", r, start, [family_stage(fam)], report, backend, coords)
 
 
 def embed_equivariant(
@@ -662,15 +640,7 @@ def embed_equivariant(
     Raises HypothesisError unless ``check_hypotheses_action`` passes on that
     plan; the certificate records its report.
     """
-    eps_f, f0, used_seed = _start(action.space, r, eps, f0, seed, backend, coords)
+    start = _start(action.space, r, eps, f0, seed, backend, coords)
     plan = action_stages(action, stages, r)
-    report = _passed(check_hypotheses_action(action, r, plan))
-    state = _BaireState(f0, eps_f)
-    for pts, maps, eps_sep in plan:
-        names = tuple(f"e{k}" for k in range(len(maps)))
-        fam = None
-        if pts:
-            sub, _ = action.space.subspace(pts)
-            fam = MapFamily.create(sub, action.space, maps, labels=names)
-        _run_stage(state, _Stage(fam, pts, maps, names, eps_sep), backend, coords)
-    return _certify("action", r, eps_f, used_seed, backend, report, f0, state)
+    report = check_hypotheses_action(action, r, plan)
+    return _run("action", r, start, plan, report, backend, coords)

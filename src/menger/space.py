@@ -199,17 +199,20 @@ class FiniteSpace:
         """Restriction to ``points``: the metric, the faces and the labels.
 
         Returns the restricted space plus the sorted ambient index tuple; the
-        restricted space numbers its points 0..k-1 in that order.  Each face
-        becomes its intersection with the points (empty ones are dropped;
-        the rest need not be maximal, which changes no dimension), and a
-        label is kept when its subset lies inside the points, so every
-        local subset has the dimension of its image in this space.
+        restricted space numbers its points 0..k-1 in that order, and every
+        point gives the space itself, uncopied.  Each face becomes its
+        intersection with the points (empty ones are dropped; the rest need
+        not be maximal, which changes no dimension), and a label is kept when
+        its subset lies inside the points, so every local subset has the
+        dimension of its image in this space.
         """
         pts = tuple(sorted(set(as_indices(points, "subspace points"))))
         if not pts:
             raise InputError("subspace needs at least one point")
         if not all(0 <= p < self.n_points for p in pts):
             raise InputError("subspace point out of range")
+        if len(pts) == self.n_points:
+            return self, pts
         sub = self.metric[np.ix_(pts, pts)].copy()
         sub.setflags(write=False)
         local = {p: u for u, p in enumerate(pts)}

@@ -392,7 +392,8 @@ def reference_action_report(action: GroupAction, r: int, plan: list[Stage]) -> H
         checks.append(
             HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n)
         )
-    for k, (pts, maps, _) in enumerate(plan):
+    for k, stage in enumerate(plan):
+        pts, maps = stage.points, stage.maps
         whole = len(pts) == action.space.n_points and sorted(set(maps)) == sorted(action.elements or ())
         if pts and not whole:
             fam = MapFamily.create(action.space.subspace(pts)[0], action.space, maps)
@@ -569,6 +570,8 @@ def _reference_value_rows(doc, n: int, r: int, where: str) -> list[list[Fraction
         raise VerificationError(f"{where}: expected {n} value rows")
     rows = []
     for y, row in enumerate(doc):
+        if not isinstance(row, list):
+            raise VerificationError(f"{where}: row {y} is not a list of values")
         if len(row) != r:
             raise VerificationError(f"{where}: row {y} has {len(row)} values, expected {r}")
         rows.append([reference_parse_fraction(v, f"{where}[{y}]") for v in row])

@@ -123,7 +123,7 @@ def pipeline_runs():
     )
     eps8 = Fraction(1, 8)
     cert8 = embed_equivariant(act8, 2, eps8, f0=orbit_const)
-    fam8 = MapFamily.create(space8, space8, list(cert8.stages[0].maps))
+    fam8 = MapFamily.create(space8, space8, list(cert8.stages[0].stage.maps))
     runs.append(("antipodal, orbit-constant start", fam8, eps8, cert8))
 
     seeded = embed_family(fam9, 1, Fraction(1, 20), seed=7)

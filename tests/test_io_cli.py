@@ -447,6 +447,11 @@ def test_verify_rehashed_inputs_and_hypothesis_of_the_wrong_type(tmp_path):
     _write_rehashed(path, payload, _set("hypothesis", 5))
     issues = verify_certificate(load_certificate(path), space=space, action=action)
     assert issues == ["hypothesis report does not match the provided inputs"]
+    # equal under ==, yet another value: true is refused where 1 is read, and back
+    for edit in (_set("hypothesis", "passed", 1), _set("hypothesis", "checks", 0, "dim", float)):
+        _write_rehashed(path, payload, edit)
+        issues = verify_certificate(load_certificate(path), space=space, action=action)
+        assert issues == ["hypothesis report does not match the provided inputs"]
 
 
 @pytest.mark.parametrize("kind", ["family", "action"])
@@ -464,6 +469,134 @@ def test_cli_verify_rehashed_certificate_without_inputs(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert code == 4
     assert err == f"error: inputs: certificate records no hash for '{kind}'\n"
+
+
+def _small_family_files(tmp_path):
+    """The space and family files of ``_small_family_cert``, the certificate
+    written from it, and the payload written."""
+    space, fam, cert = _small_family_cert()
+    space_path, fam_path = str(tmp_path / "space.json"), str(tmp_path / "family.json")
+    save_space(space, space_path)
+    save_family(fam, fam_path)
+    path = str(tmp_path / "cert.json")
+    return ["--space", space_path, "--family", fam_path], path, write_certificate(path, cert)
+
+
+def test_verify_refuses_a_value_row_that_is_not_a_list(tmp_path, capsys):
+    """A row written as an object would be read through its keys, which here
+    spell the row's own values, so the claim would check."""
+
+    def edit(doc):
+        for key in ("f0_values", "observable_values"):
+            doc[key] = [{row[0]: 7} for row in doc[key]]
+
+    inputs, path, payload = _small_family_files(tmp_path)
+    _write_rehashed(path, payload, edit)
+    _, fam, _ = _small_family_cert()
+    issues = verify_certificate(load_certificate(path), space=fam.source, family=fam)
+    assert issues == ["f0_values: row 0 is not a list of values"]
+    code, lines = _verify_lines(capsys, path, inputs)
+    assert (code, lines) == (4, ["error: f0_values: row 0 is not a list of values"])
+
+
+def test_verify_refuses_value_tables_longer_than_the_space(tmp_path, capsys):
+    """One in-range row more in both tables: the stages never read it, so
+    only the space given can tell that the tables do not fit it."""
+
+    def edit(doc):
+        for key in ("f0_values", "observable_values"):
+            doc[key].append(["1/2"])
+
+    inputs, path, payload = _small_family_files(tmp_path)
+    _write_rehashed(path, payload, edit)
+    doc = load_certificate(path)
+    assert verify_certificate(doc) == []
+    assert verify_certificate(doc, space=circle_space(9)) == ["f0_values: expected 9 value rows"]
+    code, lines = _verify_lines(capsys, path, inputs)
+    assert (code, lines) == (4, ["error: f0_values: expected 9 value rows"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("r", 0), "f0_values: row 0 has 1 values, expected 0"),
+        (_set("f0_values", 3, lambda row: row * 2), "f0_values: row 3 has 2 values, expected 1"),
+        (_set("f0_values", 5), "f0_values: expected 9 value rows"),
+    ],
+    ids=["r-zero", "row-too-wide", "table-not-a-list"],
+)
+def test_verify_returns_a_malformed_value_table_as_an_issue(tmp_path, capsys, edit, message):
+    """``verify_certificate`` returns every issue, never raises; the command
+    prints the same line and exits 4."""
+    _, path, payload = _small_family_files(tmp_path)
+    _write_rehashed(path, payload, edit)
+    assert verify_certificate(load_certificate(path)) == [message]
+    assert _verify_lines(capsys, path) == (4, [f"error: {message}"])
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Calls of ``FiniteSpace.subspace`` and ``MapFamily.create``, and the
+    subspaces that copied a metric, counted from here on."""
+    counts = {"subspace": 0, "copies": 0, "create": 0}
+    subspace, create = FiniteSpace.subspace, MapFamily.create
+
+    def counted_subspace(self, points):
+        counts["subspace"] += 1
+        sub, pts = subspace(self, points)
+        counts["copies"] += sub is not self
+        return sub, pts
+
+    def counted_create(*args, **kwargs):
+        counts["create"] += 1
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(FiniteSpace, "subspace", counted_subspace)
+    monkeypatch.setattr(MapFamily, "create", staticmethod(counted_create))
+    return counts
+
+
+def _staged_circle48(tmp_path):
+    """Inputs of a 48-point circle whose rotation group is capped at 5
+    elements, in two stages over every point: four rotations without an
+    eps_sep and three with eps_sep 1/20."""
+    space_path, action_path = str(tmp_path / "space48.json"), str(tmp_path / "staged48.json")
+    save_space(circle_space(48), space_path)
+    rotations = {s: list(rotation_perm(48, s)) for s in range(48)}
+    doc = {
+        "generators": [rotations[1]],
+        "stages": [
+            {"elements": [rotations[s] for s in steps], "eps_sep": eps_sep}
+            for steps, eps_sep in (((0, 12, 24, 36), None), ((0, 16, 32), "1/20"))
+        ],
+    }
+    Path(action_path).write_text(json.dumps(doc))
+    return ["--space", space_path, "--action", action_path, "--group-cap", "5"]
+
+
+def test_each_command_builds_each_stage_family_once(tmp_path, capsys, build_counts):
+    """check, embed and verify each build one subspace and one family per
+    stage with points, and a stage over every point copies no metric."""
+    inputs = _staged_circle48(tmp_path)
+    cert_path = str(tmp_path / "cert48.json")
+    commands = {
+        "check": ["check", *inputs, "--r", "1"],
+        "embed": ["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path],
+        "verify": ["verify", "--cert", cert_path, *inputs[:4]],
+    }
+    for name, argv in commands.items():
+        build_counts.update(subspace=0, copies=0, create=0)
+        assert main(argv) == 0, (name, capsys.readouterr().err)
+        assert build_counts == {"subspace": 2, "copies": 0, "create": 2}, name
+
+
+def test_unstaged_action_embed_copies_no_metric(build_counts):
+    space = circle_space(9)
+    action = GroupAction.from_generators(space, [rotation_perm(9, 3)])
+    cert = embed_equivariant(action, r=1, eps=Fraction(1, 20), seed=7)
+    assert build_counts == {"subspace": 1, "copies": 0, "create": 1}
+    (record,) = cert.stages
+    assert record.stage.family.source is space
 
 
 def _write_staged_action(path, stages):
@@ -1229,6 +1362,174 @@ def test_cli_verify_catches_any_single_byte_mutation(antipodal_cli_run, capsys, 
         assert err and all(line.startswith("error: ") for line in err.splitlines())
 
 
+# Fields the certified claim does not read, so a mutation confined to them may
+# still verify; README's "What `verify` trusts" lists the same.  Beside these,
+# a stage's labels and an eps raised above the stored one are unread, and so
+# is the recorded hash of an input not given (here f0).  Without inputs, the
+# hypothesis report, the input hashes and each stage's eps_sep are unread too.
+UNREAD = ("version", "seed", "backend", "config")
+UNREAD_WITHOUT_INPUTS = UNREAD + ("hypothesis", "inputs")
+_DELETED = object()
+_JSON_TYPES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-3, 2**65),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers(-1, 9) | st.text(max_size=3), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(-1, 9), max_size=2),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    """For a 3-rotation family and a two-stage capped action on the 9-point
+    circle, each embedded from the constant 1/2: the verify arguments, the
+    loaded inputs for ``verify_certificate``, and the certificate."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    space = circle_space(9)
+    paths = {name: str(folder / f"{name}.json") for name in ("space", "family", "action", "f0")}
+    save_space(space, paths["space"])
+    save_family(MapFamily.create(space, space, [rotation_perm(9, s) for s in (0, 3, 6)]),
+                paths["family"])
+    _write_staged_action(paths["action"], [((0, 3, 6), None), ((0, 2, 4, 6), "1/3")])
+    save_observable(Observable.create(space, [[Fraction(1, 2)]] * 9), paths["f0"])
+    runs = {}
+    for kind in ("family", "action"):
+        argv = ["--space", paths["space"], f"--{kind}", paths[kind]]
+        cert_path = str(folder / f"{kind}.cert.json")
+        assert main(["embed", *argv, "--r", "1", "--eps", "1/10", "--f0", paths["f0"],
+                     "--group-cap", "5", "--out", cert_path]) == 0
+        hashes: dict[str, str] = {}
+        loaded = load_space(paths["space"], record=hashes)
+        inputs = {"space": loaded, "input_hashes": hashes}
+        if kind == "family":
+            inputs["family"] = load_family(paths["family"], loaded, record=hashes)
+        else:
+            inputs["action"], inputs["stages"] = load_action(paths["action"], loaded, 5, record=hashes)
+        runs[kind] = argv, inputs, load_certificate(cert_path)
+    return runs
+
+
+def _lookalike(old, kind):
+    """``old`` converted to the type ``kind`` (``True`` to 1, 9 to 9.0, 5 to
+    "5"), a value that ``==`` or a loose reader may take for it; null where
+    no finite conversion exists."""
+    try:
+        value = kind(old)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _json_paths(node, path=()):
+    """The key path of every node below ``node``, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _may_verify(doc, mutations, inputs):
+    """Whether a certificate mutated as listed may still verify.
+
+    Each mutation must be confined to a field the claim does not read, or
+    lie in the value tables or, without inputs, in the stage records, and
+    leave a certificate that the Fraction reference checks clean: it then
+    states another claim, which holds.  A deleted eps_sep that was null
+    reads as null.
+    """
+    unread = UNREAD if inputs else UNREAD_WITHOUT_INPUTS
+    stage_unread = ("labels",) if inputs else ("labels", "eps_sep")
+    recheck = False
+    for path, old, new in mutations:
+        head = path[0]
+        if type(new) is type(old) and new == old:    # replaced twice, back to its value
+            continue
+        if head in unread or (head == "stages" and len(path) > 2 and path[2] in stage_unread):
+            continue
+        if head == "inputs" and len(path) > 1 and path[1] not in inputs["input_hashes"]:
+            continue
+        if path == ("eps",) and new is not _DELETED:
+            try:
+                if parse_fraction(new) >= parse_fraction(old):
+                    continue
+            except InputError:
+                pass
+            return False
+        if new is _DELETED and path[-1] == "eps_sep" and old is None:
+            continue
+        if head in ("f0_values", "observable_values") or (head == "stages" and not inputs):
+            recheck = True
+            continue
+        return False
+    return not recheck or reference_value_issues(doc) == []
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_verify_survives_structural_mutations(fuzz_runs, tmp_path_factory, capsys, data):
+    """One to three nodes of a valid certificate replaced by a value of
+    another JSON type, or deleted, then re-hashed: ``verify_certificate``
+    returns its issues as one-line strings and never raises, the command
+    exits 0 or 4 with one ``error:`` line per issue, and exit 0 comes only
+    where ``_may_verify`` allows it."""
+    argv, inputs, cert = fuzz_runs[data.draw(st.sampled_from(["family", "action"]))]
+    with_inputs = data.draw(st.booleans())
+    doc = json.loads(canonical_json({k: v for k, v in cert.items() if k != "cert_sha256"}))
+    mutations = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        if data.draw(st.booleans()):
+            new = _DELETED
+            del parent[path[-1]]
+        else:
+            other = data.draw(st.sampled_from([t for t in _JSON_TYPES if t is not type(old)]))
+            new = data.draw(st.one_of(st.just(_lookalike(old, other)), _JSON_TYPES[other]))
+            parent[path[-1]] = new
+        # a replaced node mutated again, or inside a node mutated later, is
+        # one net change from its first value
+        for earlier in [m for m in mutations if m[2] is not _DELETED and m[0][:len(path)] == path]:
+            mutations.remove(earlier)
+            old = earlier[1] if earlier[0] == path else old
+        mutations.append((path, old, new))
+    doc["cert_sha256"] = hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
+    doc = json.loads(canonical_json(doc))     # keys in the order the command reads them
+
+    inputs = inputs if with_inputs else None
+    issues = verify_certificate(doc, **(inputs or {}))
+    assert isinstance(issues, list)
+    assert all(isinstance(msg, str) and msg and "\n" not in msg for msg in issues)
+    if not issues:
+        assert _may_verify(doc, mutations, inputs), mutations
+
+    cert_path = tmp_path_factory.getbasetemp() / "mutated.cert.json"
+    cert_path.write_text(canonical_json(doc))
+    capsys.readouterr()
+    code = main(["verify", "--cert", str(cert_path), *(argv if with_inputs else ())])
+    err = capsys.readouterr().err
+    assert code in (0, 4), err
+    if code == 0:
+        assert err == ""
+        assert _may_verify(doc, mutations, inputs), mutations
+    else:
+        assert err and all(line.startswith("error: ") for line in err.splitlines())
+    # the command loads the action with the group cap the certificate records
+    if not any(path[0] == "config" for path, _, _ in mutations):
+        assert err == "".join(f"error: {msg}\n" for msg in issues)
+
+
 def test_certificate_rejects_wrong_format(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
@@ -1257,7 +1558,7 @@ def test_orbit_csv_layout(tmp_path):
     assert files == [base]
     rows = _read_csv(base)
     assert rows[0] == ["point", "g0[0]", "g1[0]", "g2[0]"]
-    assert rows[1:] == _orbit_rows(cert, cert.stages[0])
+    assert rows[1:] == _orbit_rows(cert, cert.stages[0].stage)
     assert len(rows) == 10
 
 
@@ -1272,15 +1573,15 @@ def test_orbit_csv_multi_stage(tmp_path):
             (thirds, space.distance(0, 3)),     # orbits spread into 3 far points
         ],
     )
-    assert cert.stages[1].points == tuple(range(9))
+    assert cert.stages[1].stage.points == tuple(range(9))
     base = str(tmp_path / "orbits.csv")
     files = write_orbit_csv(base, certificate_payload(cert))
     assert files == [base, str(tmp_path / "orbits.stage1.csv")]
     expected = ["point"] + [f"e{k}[{ell}]" for k in range(3) for ell in range(3)]
-    for name, stage in zip(files, cert.stages):
+    for name, record in zip(files, cert.stages):
         rows = _read_csv(name)
         assert rows[0] == expected
-        assert rows[1:] == _orbit_rows(cert, stage)
+        assert rows[1:] == _orbit_rows(cert, record.stage)
         assert len(rows) == 10
 
 

@@ -42,6 +42,7 @@ from menger.gate import (
     check_hypotheses_action,
     check_hypotheses_family,
     default_stage_n,
+    family_stage,
 )
 from menger.partitions import (
     INTERSECTIVE,
@@ -380,7 +381,7 @@ def test_orbit_margin_matches_pair_loop(data, r):
     # the ledger's gap, which certificates take as the stage margin, is the
     # margin over the separated pairs; it is the orbit margin when no pair collides
     state = pipeline._BaireState(f, Fraction(1))
-    labels = state.start(pipeline._Stage(fam, tuple(range(n_src)), fam.maps, fam.labels))
+    labels = state.start(family_stage(fam))
     separated = [(a, b) for a, b in unordered if orbit_row(f, fam, a) != orbit_row(f, fam, b)]
     assert state.margin == state.stages[0].gap == naive_margin(f, fam, separated)
     assert (len(set(labels)) == n_src) == (orbit_margin(f, fam) > 0)
@@ -634,7 +635,7 @@ def test_embed_family_constant_start_runs_blocks(circle9):
     assert all(b.margin_after > 0 for b in executed)
     _assert_orbit_injective(cert, fam)
     # the one stage covers the whole source through the family's maps
-    stage = cert.stages[0]
+    stage = cert.stages[0].stage
     assert stage.points == tuple(range(9))
     assert stage.maps == fam.maps
 
@@ -663,7 +664,7 @@ def test_embed_equivariant_rotation_action(rot3_action, circle9):
     assert cert.margin > 0
     assert cert.displacement <= eps
     assert len(cert.stages) == 1
-    stage = cert.stages[0]
+    stage = cert.stages[0].stage
     assert stage.points == tuple(range(9))
     assert stage.maps == rot3_action.elements   # every point: the maps are the elements
     assert stage.eps_sep is None
@@ -700,7 +701,7 @@ def test_embed_equivariant_antipodal_intersective_run(circle8, antipodal_action)
     assert cert.margin > 0
     branches = {b.branch for b in cert.blocks}
     assert INTERSECTIVE in branches
-    fam = MapFamily.create(circle8, circle8, list(cert.stages[0].maps))
+    fam = MapFamily.create(circle8, circle8, list(cert.stages[0].stage.maps))
     _assert_orbit_injective(cert, fam)
 
 
@@ -728,9 +729,9 @@ def test_embed_equivariant_explicit_stages(circle9):
     )
     assert cert.margin > 0
     assert len(cert.stages) == 2
-    assert cert.stages[0].eps_sep is None
-    assert cert.stages[1].eps_sep == Fraction(sep)
-    assert cert.stages[0].points == tuple(range(9))
+    assert cert.stages[0].stage.eps_sep is None
+    assert cert.stages[1].stage.eps_sep == Fraction(sep)
+    assert cert.stages[0].stage.points == tuple(range(9))
     for record in cert.stages:
         assert record.margin > 0
 
@@ -794,9 +795,9 @@ def test_staged_embed_round_trips_through_the_verifier(data):
     payload["cert_sha256"] = hashlib.sha256(io.canonical_json(payload).encode("ascii")).hexdigest()
     assert verify_certificate(payload, space=space, action=action, stages=stages) == []
     plan = action_stages(action, stages, r)
-    assert [record["points"] for record in payload["stages"]] == [list(pts) for pts, _, _ in plan]
+    assert [record["points"] for record in payload["stages"]] == [list(s.points) for s in plan]
     assert [record["maps"] for record in payload["stages"]] == [
-        [list(m) for m in maps] for _, maps, _ in plan
+        [list(m) for m in s.maps] for s in plan
     ]
 
 
