@@ -213,13 +213,22 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(
+    commands: dict[str, argparse.ArgumentParser] | None = None,
+) -> argparse.ArgumentParser:
+    """The full parser; ``commands``, when given, receives each command's parser by name."""
     parser = _Parser(
         prog="menger",
         description="Certified injective orbit maps on finite metric samples.",
     )
     parser.add_argument("--version", action="version", version=f"menger {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    if commands is None:
+        commands = {}
+
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
 
     def add_inputs(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--space", required=True, help="metric space JSON file")
@@ -227,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--action", help="group action JSON file (generators)")
         group.add_argument("--family", help="map family JSON file")
 
-    check = sub.add_parser("check", help="run the dimension hypothesis checks")
+    check = add_command("check", "run the dimension hypothesis checks")
     add_inputs(check)
     check.add_argument("--r", type=int, required=True, help="target cube dimension")
     check.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     check.add_argument("--out", help="write the report as JSON here")
     check.set_defaults(func=cmd_check)
 
-    embed = sub.add_parser("embed", help="construct a certified injective orbit map")
+    embed = add_command("embed", "construct a certified injective orbit map")
     add_inputs(embed)
     embed.add_argument("--r", type=int, required=True)
     embed.add_argument("--eps", required=True, help="perturbation budget, e.g. 0.05 or 1/20")
@@ -248,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--out", help="certificate path (default certificate.json)")
     embed.set_defaults(func=cmd_embed)
 
-    verify = sub.add_parser("verify", help="re-verify a certificate bit-exactly")
+    verify = add_command("verify", "re-verify a certificate bit-exactly")
     verify.add_argument("--cert", required=True, help="certificate JSON file")
     verify.add_argument("--space", help="metric space JSON file")
     verify.add_argument("--action", help="group action JSON file")
     verify.add_argument("--family", help="map family JSON file")
     verify.set_defaults(func=cmd_verify)
 
-    oracle = sub.add_parser("oracle", help="run the exhaustive self-test oracles")
+    oracle = add_command("oracle", "run the exhaustive self-test oracles")
     oracle.add_argument("--scope", choices=["lemmas", "covers", "all"], default="all")
     oracle.add_argument("--out", help="write the summary as JSON here")
     oracle.set_defaults(func=cmd_oracle)
@@ -263,17 +272,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later call.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each command's parser by name, built on first use
+    and shared by every later call.
 
     Reuse is safe: each parse starts from a fresh namespace filled from the
     declared defaults, none of which is mutable.
     """
-    return build_parser()
+    commands: dict[str, argparse.ArgumentParser] = {}
+    return build_parser(commands), commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser would, with one pass for a named command.
+
+    The full parser hands a command's arguments to that command's parser, so
+    a command named first goes there directly; what it leaves over is
+    refused by the full parser's own message.  Anything else (no command, an
+    unknown one, ``--version``, ``-h``) goes to the full parser.
+    """
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except MengerError as exc:

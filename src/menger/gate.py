@@ -109,23 +109,31 @@ def check_hypotheses_action(
     """Check dim of the n-periodic set against (r/2) n, then each stage of ``plan``.
 
     n runs up to the largest orbit size; beyond it the periodic sets stop
-    growing while the bound keeps increasing.  Orbit sizes are found once,
-    and the n-periodic set is read off them as the points whose orbit has
-    at most n elements.  Each stage of ``plan`` (``action_stages``) with
-    points is then checked through its family, and its checks are labelled
-    with the stage index.  A stage of every group element at every point,
-    such as the plan of an action without explicit stages, adds no checks:
-    a point whose partition has k blocks has an orbit of k elements, so
-    each of its classes lies in the k-periodic set, whose dimension, no
-    smaller, is already bounded by (r/2) k.
+    growing while the bound keeps increasing.  Orbit sizes are found once
+    and the points sorted by them, so the n-periodic set, the points whose
+    orbit has at most n elements, is a prefix; it and its dimension are
+    built only at the sizes that occur and kept for the n in between.
+    Each stage of ``plan`` (``action_stages``) with points is then checked
+    through its family, and its checks are labelled with the stage index.
+    A stage of every group element at every point, such as the plan of an
+    action without explicit stages, adds no checks: a point whose partition
+    has k blocks has an orbit of k elements, so each of its classes lies in
+    the k-periodic set, whose dimension, no smaller, is already bounded by
+    (r/2) k.
     """
     if r < 1:
         raise InputError("r must be at least 1")
     sizes = [len(orb) for orb in orbits(action)]
+    by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
     checks = []
+    count, pn, d = 0, frozenset(), -1     # no point yet: the empty set, of dim -1
     for n in range(1, max(sizes) + 1):
-        pn = frozenset(x for x, size in enumerate(sizes) if size <= n)
-        d = action.space.dim(pn)
+        start = count
+        while count < len(by_size) and sizes[by_size[count]] == n:
+            count += 1
+        if count > start:
+            pn = frozenset(by_size[:count])
+            d = action.space.dim(pn)
         checks.append(HypothesisCheck("periodic", f"N={n}", len(pn), d, r * n, 2 * d < r * n))
     for k, stage in enumerate(plan):
         # maps equal to the group's elements are read at every point
@@ -160,7 +168,9 @@ def action_stages(
     eps_sep-apart, n being ``default_stage_n``, asked for only when some
     stage has an eps_sep.  A stage's maps are its elements read at its
     points, labelled e0, e1, ...; a stage without points keeps one empty
-    map per element and has no family.
+    map per element and has no family.  The enumerated group's elements
+    are compositions of checked permutations, so its family is built
+    without ``MapFamily.create``'s checks; a caller's stages get them all.
     """
     if stages is not None and not stages:
         raise InputError("stages: the list is empty; pass None to use the whole group")
@@ -184,6 +194,11 @@ def action_stages(
             pts = tuple(sorted(restricted_space(action, elements, eps_sep, r, n)))
             maps = tuple(tuple(p[x] for x in pts) for p in elements)
         labels = tuple(f"e{e}" for e in range(len(maps)))
-        family = MapFamily.create(space.subspace(pts)[0], space, maps, labels) if pts else None
+        if not pts:
+            family = None
+        elif stages is None:
+            family = MapFamily(space.subspace(pts)[0], space, maps, labels)
+        else:
+            family = MapFamily.create(space.subspace(pts)[0], space, maps, labels)
         plan.append(Stage(pts, maps, labels, eps_sep, family))
     return plan

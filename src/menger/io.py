@@ -59,7 +59,6 @@ from .space import (
     as_index,
     as_indices,
     as_perm,
-    axiom_issues,
     validate_space,
     within,
 )
@@ -158,12 +157,16 @@ def _read_json(
     set it, never a file whose exact integers must survive (f0, action and
     certificate).  A document orjson refuses (NaN, 1e400, invalid UTF-8, a
     lone surrogate, ...), or one with more opening brackets than
-    ``_ORJSON_MAX_OPENERS``, is read by json as without ``fast``.
+    ``_ORJSON_MAX_OPENERS``, is read by json as without ``fast``; a document
+    no longer than that many bytes is not counted.
     """
     data = _read_bytes(path)
     if record is not None:
         record[role] = hashlib.sha256(data).hexdigest()
-    if fast and _openers(data) <= _ORJSON_MAX_OPENERS:
+    # a document of at most _ORJSON_MAX_OPENERS bytes holds no more openers
+    if fast and (
+        len(data) <= _ORJSON_MAX_OPENERS or _openers(data) <= _ORJSON_MAX_OPENERS
+    ):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:
@@ -225,10 +228,19 @@ def _numbers(rows: Any, name: str) -> None:
     """Refuse an entry of a list of lists that is not a JSON int or float.
 
     ``float`` and numpy would read the strings "1.0" and " 1e0 " and the
-    bool true as 1.0.  One C-level pass over each row's entry types settles
-    a clean row.  Rows that are not lists are left to the caller's shape checks.
+    bool true as 1.0.  One C-level pass over the entry types of all rows
+    settles a clean matrix; only a matrix that fails it is walked row by row
+    to name its first bad entry, in row-major order.  Rows that are not
+    lists are left to the caller's shape checks.
     """
-    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+    if not isinstance(rows, list):
+        return
+    try:
+        if set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            return
+    except TypeError:   # a row that is not iterable, skipped below
+        pass
+    for i, row in enumerate(rows):
         if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
             j, v = next((j, v) for j, v in enumerate(row) if type(v) not in (int, float))
             raise InputError(f"{name} must be a matrix of numbers: {name}[{i}][{j}] is {v!r}")
@@ -257,7 +269,7 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
     except (TypeError, ValueError, InputError) as exc:
         raise InputError("dim_labels must be a list of [points, dim] entries") from exc
     space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
-    issues = axiom_issues(space.metric)
+    issues = space.axiom_issues()
     if issues:
         raise InputError(f"invalid metric space: {issues[0]}")
     return space
@@ -641,7 +653,12 @@ def verify_certificate(
     try:
         eps = parse_fraction(cert["eps"], "eps")
         f0_doc, new_doc = cert["f0_values"], cert["observable_values"]
-        n = len(new_doc) if space is None else space.n_points
+        if space is not None:
+            n = space.n_points
+        elif isinstance(new_doc, list):
+            n = len(new_doc)
+        else:
+            raise VerificationError("observable_values: expected a list of value rows")
         f0_rows = _ratio_rows(f0_doc, n, r, "f0_values")
         # an unperturbed observable is parsed once
         new_rows = (
@@ -781,7 +798,10 @@ def write_orbit_csv(path: str, payload: dict[str, Any]) -> list[str]:
     Columns: the point index, then for every map of the stage (enumeration
     order) its r observable coordinates, exact "p/q" strings read from
     ``observable_values`` at the map's value.  Returns the list of files
-    written; stages beyond the first get a numbered suffix.
+    written; stages beyond the first get a numbered suffix.  The header,
+    which holds the map labels, goes through ``csv.writer``; a body field is
+    a point index or an ``fr_str`` spelling, neither of which ever needs
+    quoting, so each body row is joined as the writer would spell it.
     """
     values = payload["observable_values"]
     r = int(payload["r"])
@@ -795,13 +815,14 @@ def write_orbit_csv(path: str, payload: dict[str, Any]) -> list[str]:
         for label in st["labels"]:
             for ell in range(r):
                 header.append(f"{label}[{ell}]")
+        lines = []
+        for u, point in enumerate(st["points"]):
+            row = [str(point)]
+            for m in st["maps"]:
+                row.extend(values[m[u]])
+            lines.append(",".join(row) + "\r\n")
         with _output(target, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for u, point in enumerate(st["points"]):
-                row: list[Any] = [point]
-                for m in st["maps"]:
-                    row.extend(values[m[u]])
-                writer.writerow(row)
+            csv.writer(fh).writerow(header)
+            fh.write("".join(lines))
         written.append(target)
     return written

@@ -99,6 +99,7 @@ class FiniteSpace:
     simplices: tuple[frozenset[int], ...] | None = None
     dim_labels: tuple[tuple[frozenset[int], int], ...] | None = None
     _rows: list[list[float]] | None = field(default=None, init=False, repr=False)
+    _axioms: tuple[str, ...] | None = field(default=None, init=False, repr=False)
 
     @staticmethod
     def create(
@@ -162,6 +163,12 @@ class FiniteSpace:
         if self._rows is None:
             object.__setattr__(self, "_rows", self.metric.tolist())
         return self._rows
+
+    def axiom_issues(self) -> tuple[str, ...]:
+        """``axiom_issues`` of the metric, computed on first use and kept like ``rows``."""
+        if self._axioms is None:
+            object.__setattr__(self, "_axioms", tuple(axiom_issues(self.metric)))
+        return self._axioms
 
     def distance(self, i: int, j: int) -> float:
         return self.rows()[i][j]
@@ -274,13 +281,14 @@ def axiom_issues(m: np.ndarray) -> list[str]:
     return issues
 
 
-def _metric_issues(m: np.ndarray) -> list[str]:
-    """``axiom_issues`` followed by every triangle violation.
+def _metric_issues(m: np.ndarray, axioms: Sequence[str] | None = None) -> list[str]:
+    """``axiom_issues`` (or ``axioms``, when already known) followed by every
+    triangle violation.
 
     A matrix with a NaN or infinite entry reports only those.  A matrix
     that passes the axioms is symmetric, so the scan needs no test for it.
     """
-    issues = axiom_issues(m)
+    issues = list(axiom_issues(m) if axioms is None else axioms)
     if not issues:
         return _triangle_issues(m, symmetric=True)
     if not np.isfinite(m).all():
@@ -351,13 +359,15 @@ def validate_space(space: FiniteSpace) -> ValidationReport:
     triangle violations found over ``k >= i`` and mirrored, in the same
     ``(i, j, k)`` order; one with an asymmetric entry is scanned in full.
     The scan is cubic, so the loaders check ``axiom_issues`` only, and of
-    the commands ``menger check`` alone runs this.
+    the commands ``menger check`` alone runs this.  The axioms are the
+    space's own kept verdict (``FiniteSpace.axiom_issues``), so a loaded
+    space is not tested for them twice.
 
     Dimension needs no check: declared simplices and labels define -1 on
     the empty set and ``max(0, max |face & S| - 1, max label with L <= S)``
     otherwise, which grows with S by construction.
     """
-    return ValidationReport(tuple(_metric_issues(space.metric)))
+    return ValidationReport(tuple(_metric_issues(space.metric, space.axiom_issues())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -418,11 +418,16 @@ def test_cli_verify_rehashed_certificate_missing_stage_points(tmp_path, capsys):
         ("family", _set("stages", 0, "points", 1, 0), "stage 0: points are not strictly increasing"),
         ("family", _set("stages", 0, "points", 8, 2**64), "stage 0: a point lies outside 0..8"),
         ("family", _set("stages", 0, "points", lambda pts: pts[::-1]), "stage 0: points are not strictly increasing"),
+        # without a space the row count comes from observable_values, which must be a list
+        ("family", _set("observable_values", 5), "observable_values: expected a list of value rows"),
+        ("action", _set("observable_values", "abc"), "observable_values: expected a list of value rows"),
+        ("family", _set("observable_values", {"0": ["1/2"]}), "observable_values: expected a list of value rows"),
     ],
     ids=[
         "map-past-end", "map-negative", "stages-not-list", "point-past-end", "r-not-int",
         "value-not-rational", "format-changed", "map-value-float", "point-bool", "r-float", "r-bool",
         "family-point-negative", "family-point-repeated", "family-point-past-uint64", "family-points-descending",
+        "values-int", "values-string", "values-object",
     ],
 )
 def test_cli_verify_rehashed_malformed_certificate_exits_four(tmp_path, capsys, kind, edit, message):
@@ -576,25 +581,37 @@ def _staged_circle48(tmp_path):
 
 def test_each_command_builds_each_stage_family_once(tmp_path, capsys, build_counts):
     """check, embed and verify each build one subspace and one family per
-    stage with points, and a stage over every point copies no metric."""
+    stage with points, and a stage over every point copies no metric.  The
+    family of an action without explicit stages, the enumerated group, is
+    built without ``MapFamily.create``'s re-check of its elements."""
     inputs = _staged_circle48(tmp_path)
+    space_path, action_path = _write_inputs(tmp_path)
+    unstaged = ["--space", space_path, "--action", action_path]
     cert_path = str(tmp_path / "cert48.json")
+    unstaged_cert = str(tmp_path / "cert9.json")
     commands = {
-        "check": ["check", *inputs, "--r", "1"],
-        "embed": ["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path],
-        "verify": ["verify", "--cert", cert_path, *inputs[:4]],
+        "check": (["check", *inputs, "--r", "1"], 2),
+        "embed": (["embed", *inputs, "--r", "1", "--eps", "1/20", "--out", cert_path], 2),
+        "verify": (["verify", "--cert", cert_path, *inputs[:4]], 2),
+        "unstaged check": (["check", *unstaged, "--r", "1"], 0),
+        "unstaged embed": (
+            ["embed", *unstaged, "--r", "1", "--eps", "1/20", "--out", unstaged_cert], 0
+        ),
+        "unstaged verify": (["verify", "--cert", unstaged_cert, *unstaged], 0),
     }
-    for name, argv in commands.items():
+    for name, (argv, creates) in commands.items():
         build_counts.update(subspace=0, copies=0, create=0)
         assert main(argv) == 0, (name, capsys.readouterr().err)
-        assert build_counts == {"subspace": 2, "copies": 0, "create": 2}, name
+        stages = 2 if creates else 1
+        assert build_counts == {"subspace": stages, "copies": 0, "create": creates}, name
 
 
 def test_unstaged_action_embed_copies_no_metric(build_counts):
     space = circle_space(9)
     action = GroupAction.from_generators(space, [rotation_perm(9, 3)])
     cert = embed_equivariant(action, r=1, eps=Fraction(1, 20), seed=7)
-    assert build_counts == {"subspace": 1, "copies": 0, "create": 1}
+    # the enumerated group's family skips MapFamily.create's checks
+    assert build_counts == {"subspace": 1, "copies": 0, "create": 0}
     (record,) = cert.stages
     assert record.stage.family.source is space
 
@@ -1585,6 +1602,55 @@ def test_orbit_csv_multi_stage(tmp_path):
         assert len(rows) == 10
 
 
+def _csv_writer_tables(path, payload):
+    """The orbit tables as ``csv.writer`` spells every row, header and body alike."""
+    values, r = payload["observable_values"], int(payload["r"])
+    root, ext = os.path.splitext(path)
+    for s_idx, st in enumerate(payload["stages"]):
+        target = f"{root}{ext}" if s_idx == 0 else f"{root}.stage{s_idx}{ext}"
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["point"] + [f"{label}[{ell}]" for label in st["labels"] for ell in range(r)])
+            for u, point in enumerate(st["points"]):
+                writer.writerow([point] + [v for m in st["maps"] for v in values[m[u]]])
+
+
+def _staged_r2_payload():
+    """A 9-point rotation action at r = 2 in two stages, the second without points."""
+    space = circle_space(9)
+    action = GroupAction.from_generators(space, [rotation_perm(9, 1)], cap=5)
+    thirds = [rotation_perm(9, s) for s in (0, 3, 6)]
+    cert = embed_equivariant(
+        action, r=2, eps=Fraction(1, 10), seed=2, stages=[(thirds, None), (thirds, Fraction(100))]
+    )
+    assert [len(s.stage.points) for s in cert.stages] == [9, 0]
+    return certificate_payload(cert)
+
+
+@pytest.mark.parametrize("labels", [
+    None,
+    ["a,b", 'say "hi"', "two\nlines"],
+    ["\u03c0", "na\u00efve", "carriage\rreturn"],
+    ["", " ", "x"],
+])
+@pytest.mark.parametrize("kind", ["family", "staged-r2"])
+def test_orbit_csv_bytes_equal_the_csv_writers(tmp_path, kind, labels):
+    """Joined body rows are byte for byte what csv.writer writes, whatever
+    the labels in the header hold."""
+    payload = certificate_payload(_small_family_cert()[2]) if kind == "family" else _staged_r2_payload()
+    if labels is not None:
+        for st in payload["stages"]:
+            st["labels"] = labels
+    (tmp_path / "got").mkdir()
+    (tmp_path / "want").mkdir()
+    files = write_orbit_csv(str(tmp_path / "got" / "orbits.csv"), payload)
+    _csv_writer_tables(str(tmp_path / "want" / "orbits.csv"), payload)
+    assert len(files) == len(payload["stages"])
+    assert sorted(os.listdir(tmp_path / "got")) == sorted(os.listdir(tmp_path / "want"))
+    for name in os.listdir(tmp_path / "want"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
 def _write_inputs(tmp_path, n=9, step=3):
     space_path = str(tmp_path / "space.json")
     action_path = str(tmp_path / "action.json")
@@ -1776,6 +1842,104 @@ def test_cli_argument_error_is_one_line(capsys, argv, line):
     assert captured.out == ""
     (got,) = captured.err.splitlines()
     assert got.startswith(line)
+
+
+def _outcome(capsys, call):
+    """Exit code, standard output and standard error of ``call``."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_INPUTS = ["--space", "s.json", "--action", "a.json"]
+_PARITY_ARGV = {
+    "no-command": [],
+    "unknown-command": ["bogus", "--r", "1"],
+    "version": ["--version"],
+    "version-after-command": ["check", *_INPUTS, "--r", "1", "--version"],
+    "help": ["-h"],
+    "check-help": ["check", "-h"],
+    "embed-help": ["embed", "--help"],
+    "verify-help": ["verify", "-h"],
+    "oracle-help": ["oracle", "-h"],
+    "missing-required": ["embed", *_INPUTS, "--r", "1"],
+    "no-arguments": ["verify"],
+    "bad-backend": ["embed", *_INPUTS, "--r", "1", "--eps", "1/20", "--backend", "nope"],
+    "r-not-integer": ["check", *_INPUTS, "--r", "two"],
+    "unknown-option": ["check", *_INPUTS, "--r", "1", "--nmax", "1"],
+    "stray-positional": ["verify", "--cert", "c.json", "extra"],
+    "action-and-family": ["check", *_INPUTS, "--family", "f.json", "--r", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_PARITY_ARGV.values()), ids=list(_PARITY_ARGV))
+def test_main_parses_arguments_as_the_full_parser_does(capsys, argv):
+    """Every argument outcome main gives, its exit code, output and one error
+    line, is the full parser's, though a named command is parsed by its own
+    parser alone."""
+    full = cli_module.build_parser()
+    want = _outcome(capsys, lambda: full.parse_args(argv))
+    assert want[0] in (0, 1)
+    assert _outcome(capsys, lambda: main(argv)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", *_INPUTS, "--r", "2", "--group-cap", "7", "--out", "r.json"],
+    ["embed", "--space", "s.json", "--family", "f.json", "--r", "1", "--eps", "1/20",
+     "--seed", "3", "--backend", "bricks", "--coords", "c.json"],
+    ["verify", "--cert", "c.json", "--space", "s.json", "--action", "a.json"],
+    ["oracle", "--scope", "covers"],
+])
+def test_a_named_command_parses_to_the_full_parsers_namespace(argv):
+    assert vars(cli_module._parse(argv)) == vars(cli_module.build_parser().parse_args(argv))
+
+
+def test_a_named_command_never_reaches_the_full_parser(tmp_path, capsys, monkeypatch):
+    """One argparse pass: the command's own parser reads its arguments, and
+    the full parser only refuses what it leaves over."""
+    parser, _ = cli_module._parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser parsed a named command")
+
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    space_path, action_path = _write_inputs(tmp_path)
+    check = ["check", "--space", space_path, "--action", action_path, "--r", "1"]
+    assert main(check) == 0
+    capsys.readouterr()
+    code, out, err = _outcome(capsys, lambda: main(check + ["--nmax", "1"]))
+    assert (code, out, err) == (1, "", "menger: error: unrecognized arguments: --nmax 1\n")
+
+
+def test_check_tests_the_axioms_once_per_space(tmp_path, capsys, monkeypatch):
+    """The loader's axiom verdict is kept by the space, and check's full
+    report reuses it: one verdict for the space file and one for a family's
+    embedded source."""
+    calls = []
+    axiom_issues = space_module.axiom_issues
+
+    def counted(m):
+        calls.append(m.shape[0])
+        return axiom_issues(m)
+
+    # counted under any module name it is called by
+    monkeypatch.setattr(space_module, "axiom_issues", counted)
+    monkeypatch.setattr(io_module, "axiom_issues", counted, raising=False)
+    space_path, action_path = _write_inputs(tmp_path)
+    assert main(["check", "--space", space_path, "--action", action_path, "--r", "1"]) == 0
+    assert calls == [9]
+
+    calls.clear()
+    metric = json.loads(Path(space_path).read_text())["metric"]
+    source = {"metric": [row[:3] for row in metric[:3]]}
+    family_path = tmp_path / "sourced.json"
+    family_path.write_text(json.dumps({"maps": [[0, 1, 2], [3, 4, 5]], "source": source}))
+    assert main(["check", "--space", space_path, "--family", str(family_path), "--r", "1"]) == 0
+    assert calls == [9, 3]
+    capsys.readouterr()
 
 
 def test_cli_check_help_lists_no_nmax(capsys):

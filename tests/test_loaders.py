@@ -395,3 +395,89 @@ def test_loaders_build_the_same_objects_from_both_decoders(tmp_path, data, n):
     )
     fast_co, slow_co = _both_decoders(load_coords, str(coords_path))
     assert fast_co == slow_co
+
+
+def _padded_space(path, size):
+    """A valid 3-point space file of exactly ``size`` bytes, padded by an unread key."""
+    doc = '{"metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "note": "%s"}'
+    path.write_text(doc % ("x" * (size - len(doc % ""))))
+    assert len(path.read_bytes()) == size
+
+
+@pytest.mark.parametrize("size, counted", [(200, 0), (10_000, 0), (10_001, 1), (30_000, 1)])
+def test_only_a_document_longer_than_the_opener_bound_is_counted(tmp_path, size, counted):
+    """A document of at most _ORJSON_MAX_OPENERS bytes cannot hold more
+    openers, so it goes to orjson uncounted; a longer one is counted once."""
+    path = tmp_path / "space.json"
+    _padded_space(path, size)
+    calls = []
+    openers = io_module._openers
+
+    def counted_openers(data):
+        calls.append(len(data))
+        return openers(data)
+
+    with patch.object(io_module, "_openers", counted_openers):
+        space = load_space(str(path))
+    assert space.n_points == 3
+    assert len(calls) == counted
+
+
+@pytest.mark.parametrize("size", [200, 10_000, 10_001])
+def test_a_bound_of_minus_one_sends_every_document_to_json(tmp_path, size):
+    path = tmp_path / "space.json"
+    _padded_space(path, size)
+    with patch.object(io_module, "_ORJSON_MAX_OPENERS", -1), \
+            patch.object(io_module.orjson, "loads", side_effect=AssertionError("orjson used")):
+        assert load_space(str(path)).n_points == 3
+
+
+def _reference_numbers(rows, name):
+    """The per-row scan: the first entry, row-major, that is not a JSON number."""
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        if isinstance(row, list):
+            for j, v in enumerate(row):
+                if type(v) not in (int, float):
+                    raise InputError(f"{name} must be a matrix of numbers: {name}[{i}][{j}] is {v!r}")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [1, "1.0"]], "metric[1][1] is '1.0'"),
+    ([[0, True], [None, 0]], "metric[0][1] is True"),
+    ([[0, 1.5], [1, 0], [None, 0]], "metric[2][0] is None"),
+    ([[0, 1], [[1], 0]], "metric[1][0] is [1]"),
+    # rows that are not lists are the shape checks' to refuse, and skipped here
+    ([[0, 1], "ab", [1, "x"]], "metric[2][1] is 'x'"),
+    ([[0, 1], 5, [False, 0]], "metric[2][0] is False"),
+    ([[0, 1], {"k": 1}, [1, 0, []]], "metric[2][2] is []"),
+    ([[0, 1], None, [1, 0]], None),
+    ([[0, 1], "", {}], None),
+    ("not rows", None),
+])
+def test_numbers_names_the_first_bad_entry_in_row_major_order(rows, message):
+    for check in (io_module._numbers, _reference_numbers):
+        if message is None:
+            check(rows, "metric")
+        else:
+            with pytest.raises(InputError) as exc:
+                check(rows, "metric")
+            assert str(exc.value) == f"metric must be a matrix of numbers: {message}"
+
+
+_ENTRY = st.integers(-3, 3) | st.floats(allow_nan=False) | st.sampled_from(
+    ["1.0", " 1e0 ", True, False, None, [], [1], {}]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_ENTRY, max_size=4) | st.sampled_from([5, "ab", None, {}]), max_size=5))
+def test_numbers_refuses_as_the_per_row_scan_does(rows):
+    outcomes = []
+    for check in (io_module._numbers, _reference_numbers):
+        try:
+            check(rows, "points")
+        except InputError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]

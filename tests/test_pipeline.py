@@ -38,6 +38,7 @@ from menger.fixtures import antipodal_perm, circle_space, path_coords, path_spac
 from menger import io, pipeline
 from menger.io import hypothesis_doc, verify_certificate, write_certificate
 from menger.gate import (
+    HypothesisCheck,
     action_stages,
     check_hypotheses_action,
     check_hypotheses_family,
@@ -62,7 +63,7 @@ from menger.pipeline import (
     margin,
     separate_on_block,
 )
-from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm
+from menger.space import FiniteSpace, GroupAction, MapFamily, identity_perm, orbit
 
 
 def _assert_orbit_injective(cert, fam):
@@ -209,6 +210,54 @@ def test_action_gate_matches_per_period_scan(data, r):
     plan = action_stages(action, stages, r)
     got = hypothesis_doc(check_hypotheses_action(action, r, plan))
     assert got == hypothesis_doc(reference_action_report(action, r, plan))
+
+
+def _cycles_perm(lengths: list[int]) -> tuple[int, ...]:
+    """One permutation made of consecutive cycles of the given lengths."""
+    perm, start = [], 0
+    for k in lengths:
+        perm.extend(start + (i + 1) % k for i in range(k))
+        start += k
+    return tuple(perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    lengths=st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=1, max_size=5),
+    r=st.integers(1, 4),
+)
+def test_periodic_checks_match_the_per_n_sets_across_orbit_size_gaps(data, lengths, r):
+    """Orbits of sizes such as 1, 3 and 7 leave every other N between them
+    without a new periodic point: each N keeps its check, equal to the one
+    built from all points at that N, and dim is asked once per orbit size
+    that occurs, not once per N."""
+    n = sum(lengths)
+    space = data.draw(simplicial_spaces(n))
+    shuffle = data.draw(st.permutations(range(n)))
+    cycles = _cycles_perm(lengths)
+    # the same cycle type on shuffled points, so orbits are not contiguous
+    gen = tuple(shuffle[cycles[shuffle.index(x)]] for x in range(n))
+    action = GroupAction.from_generators(space, [gen])
+    calls = []
+    dim = FiniteSpace.dim
+
+    def recording_dim(self, subset):
+        calls.append(frozenset(subset))
+        return dim(self, subset)
+
+    with mock.patch.object(FiniteSpace, "dim", recording_dim):
+        got = check_hypotheses_action(action, r, [])
+    assert len(calls) == len(set(lengths))
+    expected = []
+    for big_n in range(1, max(lengths) + 1):
+        pn = frozenset(x for x in range(n) if len(orbit(action, x)) <= big_n)
+        d = space.dim(pn)
+        expected.append(
+            HypothesisCheck("periodic", f"N={big_n}", len(pn), d, r * big_n, 2 * d < r * big_n)
+        )
+    assert got.checks == tuple(expected)
+    assert got.passed == all(c.passed for c in expected)
 
 
 @settings(max_examples=60, deadline=None)
