@@ -31,10 +31,11 @@ import hashlib
 import json
 import math
 import os
+import struct
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
-from operator import sub
+from itertools import chain, starmap
+from operator import getitem, sub
 from typing import TYPE_CHECKING, Any, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -138,10 +139,17 @@ def _read_bytes(path: str) -> bytes:
 _ORJSON_MAX_OPENERS = 10_000
 
 
+# Bytes compared at a time by ``_openers``, the size of its largest temporary.
+_OPENER_SLICE = 1 << 20
+
+
 def _openers(data: bytes) -> int:
     """The number of ``[`` and ``{`` bytes in ``data``, strings included."""
     b = np.frombuffer(data, np.uint8)
-    return int(np.count_nonzero(b == ord("[")) + np.count_nonzero(b == ord("{")))
+    return int(sum(
+        np.count_nonzero(s == ord("[")) + np.count_nonzero(s == ord("{"))
+        for s in (b[k:k + _OPENER_SLICE] for k in range(0, len(b), _OPENER_SLICE))
+    ))
 
 
 def _read_json(
@@ -246,18 +254,49 @@ def _numbers(rows: Any, name: str) -> None:
             raise InputError(f"{name} must be a matrix of numbers: {name}[{i}][{j}] is {v!r}")
 
 
-def _space_from_doc(doc: Any) -> FiniteSpace:
-    """A space from its JSON object (a space file or a family's source).
+def _packed(metric: Any) -> np.ndarray | None:
+    """``metric`` as a read-only n x n float64 array, packed row by row in C.
 
-    The matrix must pass ``axiom_issues``, the O(n^2) axioms.  The cubic
-    triangle scan is left to ``require_metric``: the certified claim, an
-    injective orbit map within eps of f0, reads no distance.
+    Only a list of n rows, each a list of n entries, is packed.  ``struct``
+    refuses a string, null, list or object, and an int past float range;
+    such a matrix, or any other shape, gives None.  It reads an int as
+    ``float`` does, which is what ``np.array`` gives, and keeps the bits of
+    -0.0 and NaN; but it also reads false as 0.0 and true as 1.0, which
+    ``_hides_bool`` looks for.
     """
-    metric = _require(doc, "metric")
-    _numbers(metric, "metric")
+    if not isinstance(metric, list) or not metric:
+        return None
+    n = len(metric)
+    try:
+        buf = b"".join(starmap(struct.Struct(f"{n}d").pack, metric))
+    except (struct.error, TypeError, OverflowError):
+        return None
+    return np.ndarray((n, n), float, buf)
+
+
+def _hides_bool(metric: list[list[Any]], m: np.ndarray) -> bool:
+    """Whether a bool sits in ``metric``, packed as ``m``, which passes the axioms.
+
+    A bool packs to 0.0 or 1.0.  Under the axioms 0.0 sits on the diagonal
+    only, so the diagonal's types and those of the entries equal to 1.0
+    settle it, in place of every entry's.
+    """
+    n = len(metric)
+    if bool in map(type, map(getitem, metric, range(n))):
+        return True
+    ones = m == 1.0
+    if not np.count_nonzero(ones):
+        return False
+    return any(type(metric[k // n][k % n]) is bool for k in np.flatnonzero(ones).tolist())
+
+
+def _dimension_data(doc: dict[str, Any]) -> tuple[list | None, list | None]:
+    """A space object's ``simplices`` and ``dim_labels``, checked to be lists of lists.
+
+    ``FiniteSpace.create`` reads the point indices and dimensions themselves.
+    """
     simplices = doc.get("simplices")
     dim_labels = doc.get("dim_labels")
-    # FiniteSpace.create reads the point indices and dimensions themselves
     try:
         if simplices is not None:
             simplices = [_list(s, "simplices") for s in _list(simplices, "simplices")]
@@ -268,7 +307,35 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
             dim_labels = [(_list(s, "dim_labels"), d) for s, d in _list(dim_labels, "dim_labels")]
     except (TypeError, ValueError, InputError) as exc:
         raise InputError("dim_labels must be a list of [points, dim] entries") from exc
-    space = FiniteSpace.create(metric, simplices=simplices, dim_labels=dim_labels)
+    return simplices, dim_labels
+
+
+def _space_from_doc(doc: Any) -> FiniteSpace:
+    """A space from its JSON object (a space file or a family's source).
+
+    The matrix must pass ``axiom_issues``, the O(n^2) axioms.  The cubic
+    triangle scan is left to ``require_metric``: the certified claim, an
+    injective orbit map within eps of f0, reads no distance.
+
+    A clean matrix is packed in one pass (``_packed``) and its entries'
+    types are read only where a bool can hide.  Any other matrix takes the
+    walk of ``_numbers`` first, which names its first bad entry, and then
+    the checks in the same order as for a clean one.
+    """
+    metric = _require(doc, "metric")
+    packed = _packed(metric)
+    space = None
+    if packed is not None:
+        try:
+            space = FiniteSpace.create(packed, *_dimension_data(doc))
+        except (InputError, RecursionError):    # raised again below, after the walk
+            pass
+        else:
+            if not space.axiom_issues() and not _hides_bool(metric, packed):
+                return space
+    _numbers(metric, "metric")
+    if space is None:
+        space = FiniteSpace.create(metric, *_dimension_data(doc))
     issues = space.axiom_issues()
     if issues:
         raise InputError(f"invalid metric space: {issues[0]}")

@@ -107,10 +107,19 @@ class FiniteSpace:
         simplices: Iterable[Iterable[int]] | None = None,
         dim_labels: Iterable[tuple[Iterable[int], int]] | None = None,
     ) -> "FiniteSpace":
-        try:
-            arr = np.array(metric, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"metric must be a matrix of numbers: {exc}") from exc
+        """A space over ``metric``, read into a read-only float64 array.
+
+        A float64 array over immutable bytes, as the loader packs it, cannot
+        change and is kept as it is; anything else is copied.
+        """
+        over_bytes = isinstance(metric, np.ndarray) and isinstance(metric.base, bytes)
+        if over_bytes and metric.dtype == float:
+            arr = metric
+        else:
+            try:
+                arr = np.array(metric, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"metric must be a matrix of numbers: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError(f"metric must be a square matrix, got shape {arr.shape}")
         n = arr.shape[0]

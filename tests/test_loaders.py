@@ -14,6 +14,7 @@ from menger.cli import main
 from menger.errors import InputError
 from menger.fixtures import circle_space, rotation_perm
 from menger.io import load_coords, load_family, load_space, save_space
+from menger.space import FiniteSpace, axiom_issues
 
 N = 6
 
@@ -481,3 +482,212 @@ def test_numbers_refuses_as_the_per_row_scan_does(rows):
         else:
             outcomes.append(None)
     assert outcomes[0] == outcomes[1]
+
+
+# A metric that packs is read without its per-entry walk.  The reference is
+# the loader before packing: the walk over every entry, the faces, the rows
+# through np.array, then the axioms.  Both must give the same matrix, bit for
+# bit, or the same exception with the same text.
+
+def _reference_space(doc):
+    metric = io_module._require(doc, "metric")
+    _reference_numbers(metric, "metric")
+    space = FiniteSpace.create(metric, *io_module._dimension_data(doc))
+    issues = axiom_issues(space.metric)
+    if issues:
+        raise InputError(f"invalid metric space: {issues[0]}")
+    return space
+
+
+def _outcome(load, *args):
+    try:
+        space = load(*args)
+    except Exception as exc:    # InputError, or what _reading turns into one
+        return type(exc), str(exc)
+    if not isinstance(space, FiniteSpace):
+        space = space.source
+    assert not space.metric.flags.writeable
+    return space.metric.tobytes(), space.metric.shape, space.simplices, space.dim_labels
+
+
+# Entries a metric may hold after decoding: JSON numbers, including ints
+# around 2**53 and in the uint64 range orjson returns as ints, and values of
+# every other JSON type, bools first.
+_ODD_ENTRY = st.sampled_from([
+    True, False, None, "1.0", " 1e0 ", "", [], [1], [[0]], {}, {"a": 1},
+    math.nan, math.inf, -math.inf, -0.0, 0, 0.0, 1, 1.0, -1, 5,
+    2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**400, 1e308,
+])
+_DISTANCE = {
+    "float": st.floats(1e-3, 10.0) | st.sampled_from([1.0, 2.0, 0.5]),
+    "int": st.integers(1, 2**64 + 5) | st.sampled_from([1, 2**53 + 1, 2**63, 2**64 - 1]),
+    "discrete": st.sampled_from([1, 1.0]),
+}
+
+
+@st.composite
+def _space_docs(draw):
+    """A space object: a metric, usually a valid one with a few entries swapped
+    for odd values, at times misshapen, and at times simplices."""
+    n = draw(st.integers(1, 5))
+    distance = _DISTANCE[draw(st.sampled_from(sorted(_DISTANCE)))]
+    upper = {(i, j): draw(distance) for i in range(n) for j in range(i + 1, n)}
+    rows = [
+        [draw(st.sampled_from([0, 0.0, -0.0])) if i == j else upper[min(i, j), max(i, j)]
+         for j in range(n)]
+        for i in range(n)
+    ]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(index), draw(index)
+        rows[i][j] = draw(_ODD_ENTRY | st.integers(-(2**65), 2**65) | st.floats())
+        if draw(st.booleans()):
+            rows[j][i] = rows[i][j]
+    shape = draw(st.sampled_from(["square"] * 6 + ["ragged", "empty row", "extra row", "not a row"]))
+    if shape == "ragged":
+        rows[draw(index)].append(1.0)
+    elif shape == "empty row":
+        rows[draw(index)] = []
+    elif shape == "extra row":
+        rows.append([1.0] * n)
+    elif shape == "not a row":
+        rows[draw(index)] = draw(st.sampled_from([5, "ab", None, {}, True]))
+    doc = {"metric": draw(st.sampled_from([rows] * 8 + [[], 5, "ab", None, {}, [[]], [[], []]]))}
+    simplices = draw(st.sampled_from([None, None, [[0]], [[0, 9]], [[True]], "ab", [5]]))
+    if simplices is not None:
+        doc["simplices"] = simplices
+    return doc
+
+
+def _assert_loaders_match_the_reference(tmp_path, doc, text):
+    assert _outcome(io_module._space_from_doc, doc) == _outcome(_reference_space, doc)
+    space_path = tmp_path / "space.json"
+    space_path.write_text(text)
+    family_path = tmp_path / "family.json"
+    metric = doc["metric"]
+    k = len(metric) if isinstance(metric, list) and 0 < len(metric) <= 8 else 1
+    family_path.write_text(f'{{"maps": [{list(range(k))}], "source": {text}}}')
+    target = circle_space(8)
+    fast = [_outcome(load_space, str(space_path)), _outcome(load_family, str(family_path), target)]
+    with patch.object(io_module, "_space_from_doc", _reference_space):
+        reference = [_outcome(load_space, str(space_path)),
+                     _outcome(load_family, str(family_path), target)]
+    assert fast == reference
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_space_docs())
+def test_packed_metric_loads_as_the_walk_then_array_did(tmp_path, doc):
+    """Each space object, read directly, from a space file and as a family's
+    source, gives the same matrix bytes or the same exception and text as
+    the walk-then-np.array reference.  NaN and the infinities are written
+    as json spells them, so json reads those files after orjson refuses them."""
+    _assert_loaders_match_the_reference(tmp_path, doc, json.dumps(doc))
+
+
+_NOT_A_NUMBER = "metric must be a matrix of numbers: "
+
+
+@pytest.mark.parametrize("metric, message", [
+    # a false off the diagonal of a matrix whose diagonal is also bad
+    ("[[5, 1, false], [1, 0, 1], [false, 1, 0]]", _NOT_A_NUMBER + "metric[0][2] is False"),
+    ("[[0, 1, 1], [1, false, 1], [1, 1, 0]]", _NOT_A_NUMBER + "metric[1][1] is False"),
+    ("[[0, 1, 1], [1, 0, true], [1, 1.0, 0]]", _NOT_A_NUMBER + "metric[1][2] is True"),
+    ("[[0, 1.0, 1.0], [1.0, 0, 1.0], [true, 1.0, 0]]", _NOT_A_NUMBER + "metric[2][0] is True"),
+    ("[[false, 2], [2, 0]]", _NOT_A_NUMBER + "metric[0][0] is False"),
+    ("[[0, 2], [2, 0], [1, 1]]", "metric must be a square matrix, got shape (3, 2)"),
+    ("[[0, 1e400], [1e400, 0]]", "invalid metric space: metric[0][1]: not a finite number"),
+    ("[[0, NaN], [1, 0]]", "invalid metric space: metric[0][1]: not a finite number"),
+    ("[[0, Infinity], [-Infinity, 0]]", "invalid metric space: metric[0][1]: not a finite number"),
+    ("[[0, 1e400], [1e400, 0], true]", _NOT_A_NUMBER),
+    ("[[0, %s], [1, 0]]" % ("9" * 4301), "invalid JSON: "),
+    ("[[0, %s], [1, 0]]" % ("9" * 400), "malformed document: "),
+    ("[[0, 9007199254740993], [9007199254740993, 0]]", None),
+    ("[[0, 18446744073709551615], [18446744073709551615, 0]]", None),
+    ("[[0, 18446744073709551616], [18446744073709551616, 0]]", None),
+    ("[[-0.0, 1], [1, -0.0]]", None),
+    ("[[0, 1, 1], [1, 0, 1], [1, 1, 0]]", None),
+    ("[]", "metric must be a square matrix, got shape (0,)"),
+])
+def test_hard_metrics_load_as_the_walk_then_array_did(tmp_path, metric, message):
+    """Literals that only json reads (NaN, Infinity, 1e400, past the int digit
+    limit), ints at the edges of float and uint64, bools where the packed
+    matrix reads 0.0 or 1.0: the same outcome as the reference, and the
+    message expected (None: the space loads)."""
+    text = f'{{"metric": {metric}}}'
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    outcome = _outcome(load_space, str(path))
+    if message is None:
+        assert isinstance(outcome[0], bytes)
+    else:
+        assert outcome[0] is InputError and message in outcome[1]
+    try:
+        doc = io_module._read_json(str(path), fast=True)
+    except InputError:
+        return      # refused before any loader sees it
+    _assert_loaders_match_the_reference(tmp_path, doc, text)
+
+
+def test_a_clean_matrix_is_never_walked(tmp_path, capsys):
+    """check, embed and verify read a clean space file and a family's source
+    without the per-entry walk, floats and int distances of 1 alike; a bool
+    among the 1.0 distances is walked once and named."""
+    walked = []
+    numbers = io_module._numbers
+
+    def counted(rows, name):
+        walked.append(name)
+        return numbers(rows, name)
+
+    save_space(circle_space(N), str(tmp_path / "space.json"))
+    source = json.loads((tmp_path / "space.json").read_text())
+    family = {"maps": [_rotation(s) for s in (0, 2, 4)], "source": source}
+    (tmp_path / "family.json").write_text(json.dumps(family))
+    (tmp_path / "int3.json").write_text('{"metric": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}')
+    (tmp_path / "identity3.json").write_text('{"maps": [[0, 1, 2]]}')
+    runs = [("space.json", "family.json"), ("int3.json", "identity3.json")]
+    with patch.object(io_module, "_numbers", counted):
+        for space, family in runs:
+            inputs = ["--space", str(tmp_path / space), "--family", str(tmp_path / family)]
+            cert = str(tmp_path / f"{space}.cert.json")
+            assert main(["check", *inputs, "--r", "1"]) == 0
+            assert main(["embed", *inputs, "--r", "1", "--eps", "1/20", "--seed", "1", "--out", cert]) == 0
+            assert main(["verify", "--cert", cert, *inputs]) == 0
+        assert "metric" not in walked
+
+        (tmp_path / "true3.json").write_text('{"metric": [[0, 1.0, 1.0], [1.0, 0, true], [1.0, 1.0, 0]]}')
+        assert main(["check", "--space", str(tmp_path / "true3.json"),
+                     "--family", str(tmp_path / "identity3.json"), "--r", "1"]) == 1
+        assert walked.count("metric") == 1
+    assert capsys.readouterr().err.endswith(_NOT_A_NUMBER + "metric[1][2] is True\n")
+
+
+@pytest.mark.parametrize("at", [io_module._OPENER_SLICE - 1, io_module._OPENER_SLICE,
+                                io_module._OPENER_SLICE + 1])
+def test_openers_are_counted_across_slice_edges(at):
+    data = bytearray(b" " * (2 * io_module._OPENER_SLICE + 3))
+    for k, c in ((0, b"["), (at - 1, b"{"), (at, b"["), (at + 1, b"{"), (len(data) - 1, b"[")):
+        data[k:k + 1] = c
+    data = bytes(data)
+    assert io_module._openers(data) == data.count(b"[") + data.count(b"{") == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(max_size=64), size=st.integers(1, 9))
+def test_openers_count_every_slice_as_the_whole(data, size):
+    with patch.object(io_module, "_OPENER_SLICE", size):
+        assert io_module._openers(data) == data.count(b"[") + data.count(b"{")
+
+
+def test_a_bool_is_named_before_a_face_nested_too_deeply(tmp_path):
+    """A face whose repr passes the recursion limit fails while the packed
+    matrix is built into a space; the walk still names the bool first."""
+    deep = "[" * 3000 + "]" * 3000
+    text = f'{{"metric": [[0, true], [true, 0]], "simplices": [{deep}]}}'
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        load_space(str(path))
+    assert str(exc.value).endswith(_NOT_A_NUMBER + "metric[0][1] is True")
+    _assert_loaders_match_the_reference(tmp_path, io_module._read_json(str(path), fast=True), text)
