@@ -54,7 +54,6 @@ _EXPORTS = {
     ),
     "witness": (
         "BipartiteInstance", "SeparationProof", "Witness", "check_separation", "find_witness",
-        "run_witness_oracle",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,4 @@
-"""Command line interface: check, embed, verify, oracle.
+"""Command line interface: check, embed, verify.
 
 Exit codes are a total function of the outcome class: 0 success, 1 input
 error, 2 hypothesis failure, 3 construction failure, 4 verification
@@ -41,11 +41,9 @@ from .io import (
     write_json,
     write_orbit_csv,
 )
-from .fixtures import run_cover_oracle
 from .gate import action_stages, check_hypotheses_action, check_hypotheses_family
 from .pipeline import embed_equivariant, embed_family
 from .space import DEFAULT_GROUP_CAP, as_index
-from .witness import run_witness_oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,36 +181,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    failures = 0
-    summary: dict[str, Any] = {}
-    if args.scope in ("lemmas", "all"):
-        res = run_witness_oracle(4, 3, 3)
-        print(
-            f"witness oracle: {len(res.failures)} failures / {res.instances} instances "
-            f"(kind A: {res.a_witnesses}, kind B: {res.b_witnesses})"
-        )
-        failures += len(res.failures)
-        summary["lemmas"] = {
-            "instances": res.instances,
-            "a_witnesses": res.a_witnesses,
-            "b_witnesses": res.b_witnesses,
-            "failures": list(res.failures),
-        }
-    if args.scope in ("covers", "all"):
-        res = run_cover_oracle()
-        print(f"cover oracle: {res.violations} violations / {res.builds} builds")
-        failures += res.violations
-        summary["covers"] = {
-            "builds": res.builds,
-            "violations": res.violations,
-            "details": list(res.details),
-        }
-    if args.out:
-        write_json(args.out, summary)
-    return EXIT_OK if failures == 0 else 3
-
-
 def build_parser(
     commands: dict[str, argparse.ArgumentParser] | None = None,
 ) -> argparse.ArgumentParser:
@@ -264,10 +232,6 @@ def build_parser(
     verify.add_argument("--family", help="map family JSON file")
     verify.set_defaults(func=cmd_verify)
 
-    oracle = add_command("oracle", "run the exhaustive self-test oracles")
-    oracle.add_argument("--scope", choices=["lemmas", "covers", "all"], default="all")
-    oracle.add_argument("--out", help="write the summary as JSON here")
-    oracle.set_defaults(func=cmd_oracle)
     return parser
 
 

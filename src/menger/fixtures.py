@@ -1,17 +1,16 @@
 """Small bundled sample spaces, coordinates, and actions.
 
-These back the cover oracle sweep, the command line demos, and the test
-suite.  Everything is plain data: chord metrics are computed in floats, the
-declared dimension comes from an explicit simplicial structure.
+These build the input files of the README's library example and of the
+command line demos, and back the test suite.  Everything is plain data:
+chord metrics are computed in floats, the declared dimension comes from an
+explicit simplicial structure.  No command imports this module.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import NamedTuple
 
-from .covers import BACKEND_BRICKS, BACKEND_CELLS, Coords, build_cover, verify_cover
+from .covers import Coords
 from .space import FiniteSpace, Perm
 
 
@@ -100,53 +99,3 @@ def grid_coords(width: int, height: int, spacing: float = 1.0) -> Coords:
     pts = [[i * spacing, j * spacing] for j in range(height) for i in range(width)]
     return Coords.create(2, pts)
 
-
-def oracle_cover_fixtures() -> tuple[tuple[str, FiniteSpace, Coords], ...]:
-    """The bundled (name, space, coords) triples swept by the cover oracle."""
-    return (
-        ("circle9", circle_space(9), circle_coords(9)),
-        ("circle12", circle_space(12), circle_coords(12)),
-        ("path8", path_space(8), path_coords(8)),
-        ("grid4x3", grid_space(4, 3), grid_coords(4, 3)),
-    )
-
-
-class CoverSweepResult(NamedTuple):
-    builds: int
-    violations: int
-    details: tuple[str, ...]
-
-
-def run_cover_oracle(runs_per_backend: int = 50, base_seed: int = 1000) -> CoverSweepResult:
-    """Seeded randomized cover builds over the bundled fixtures, re-verified.
-
-    Every build draws a point subset, a family count m, a multiplicity mu,
-    and a diameter bound from a per-run seed, builds the cover with both
-    backends (mu is lowered for bricks so the per-axis loss bound leaves it
-    reachable), and re-checks the result from scratch.  Returns the number
-    of builds and the verification violations, which must be zero.
-    """
-    fixtures = oracle_cover_fixtures()
-    builds = 0
-    details: list[str] = []
-    for backend in (BACKEND_CELLS, BACKEND_BRICKS):
-        for i in range(runs_per_backend):
-            rng = random.Random(base_seed + i)
-            name, space, coords = fixtures[i % len(fixtures)]
-            n = space.n_points
-            size = rng.randint(1, n)
-            points = sorted(rng.sample(range(n), size))
-            m = rng.randint(1, 6)
-            mu = rng.randint(1, m)
-            if backend == BACKEND_BRICKS:
-                if m - coords.dim < 1:
-                    m = coords.dim + 1
-                mu = min(mu, m - coords.dim)
-            diam = space.diameter(range(n))
-            eps = diam * (0.2 + 0.6 * rng.random())
-            cover = build_cover(space, points, m, mu, eps, backend, coords)
-            builds += 1
-            report = verify_cover(cover, space)
-            for issue in report.violations:
-                details.append(f"{backend}/{name} run {i}: {issue}")
-    return CoverSweepResult(builds, len(details), tuple(details))

@@ -254,6 +254,27 @@ def _numbers(rows: Any, name: str) -> None:
             raise InputError(f"{name} must be a matrix of numbers: {name}[{i}][{j}] is {v!r}")
 
 
+def _ragged(rows: Any) -> None:
+    """Refuse a list of rows that is not a grid: name its first row that is not
+    a list of n entries, n the number of rows.
+
+    Rows that are all lists of one length, or none a list, or a value that
+    is not a list at all, are left to the shape checks of
+    ``FiniteSpace.create``.
+    """
+    if not isinstance(rows, list) or len({len(r) if isinstance(r, list) else -1 for r in rows}) < 2:
+        return
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            problem = f"expected a list of {n} entries, got {type(row).__name__}"
+        elif len(row) != n:
+            problem = f"expected {n} entries, got {len(row)}"
+        else:
+            continue
+        raise InputError(f"metric must be a matrix of numbers: metric[{i}]: {problem}")
+
+
 def _packed(metric: Any) -> np.ndarray | None:
     """``metric`` as a read-only n x n float64 array, packed row by row in C.
 
@@ -319,8 +340,9 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
 
     A clean matrix is packed in one pass (``_packed``) and its entries'
     types are read only where a bool can hide.  Any other matrix takes the
-    walk of ``_numbers`` first, which names its first bad entry, and then
-    the checks in the same order as for a clean one.
+    walk of ``_numbers`` first, which names its first bad entry, then
+    ``_ragged``, which names its first misshapen row, and then the checks in
+    the same order as for a clean one.
     """
     metric = _require(doc, "metric")
     packed = _packed(metric)
@@ -334,6 +356,7 @@ def _space_from_doc(doc: Any) -> FiniteSpace:
             if not space.axiom_issues() and not _hides_bool(metric, packed):
                 return space
     _numbers(metric, "metric")
+    _ragged(metric)
     if space is None:
         space = FiniteSpace.create(metric, *_dimension_data(doc))
     issues = space.axiom_issues()

@@ -10,9 +10,8 @@ coordinate where two orbit tuples differ.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError
 
@@ -190,66 +189,3 @@ def check_separation(
         raise InternalCheckError(f"separating element {w!r} fails re-verification")
     return SeparationProof(w, left, right, wit)
 
-
-def _surjections(n_from: int, n_to: int) -> Iterator[tuple[int, ...]]:
-    for fmap in itertools.product(range(n_to), repeat=n_from):
-        if len(set(fmap)) == n_to:
-            yield fmap
-
-
-def enumerate_instances(
-    max_w: int, max_v1: int, max_v2: int
-) -> Iterator[BipartiteInstance]:
-    """Every instance with |W| <= max_w, |V1| <= max_v1, |V2| <= max_v2."""
-    for nw in range(1, max_w + 1):
-        w = tuple(range(nw))
-        for nv1 in range(1, min(max_v1, nw) + 1):
-            v1 = tuple(range(nv1))
-            for nv2 in range(1, min(max_v2, nv1, nw) + 1):
-                v2 = tuple(range(nv2))
-                stars1 = [
-                    frozenset(c)
-                    for size in range(nv1 // 2 + 1, nv1 + 1)
-                    for c in itertools.combinations(v1, size)
-                ]
-                stars2 = [
-                    frozenset(c)
-                    for size in range(nv2 // 2 + 1, nv2 + 1)
-                    for c in itertools.combinations(v2, size)
-                ]
-                for f1 in _surjections(nw, nv1):
-                    f1_map = {s: f1[s] for s in w}
-                    for f2 in _surjections(nw, nv2):
-                        f2_map = {s: f2[s] for s in w}
-                        for s1 in stars1:
-                            for s2 in stars2:
-                                yield BipartiteInstance.create(
-                                    w, v1, v2, f1_map, f2_map, s1, s2
-                                )
-
-
-class OracleSummary(NamedTuple):
-    instances: int
-    a_witnesses: int
-    b_witnesses: int
-    failures: tuple[str, ...]
-
-
-def run_witness_oracle(max_w: int = 4, max_v1: int = 3, max_v2: int = 3) -> OracleSummary:
-    """Exhaustively exercise find_witness over the bounded instance space."""
-    count = 0
-    a_count = 0
-    b_count = 0
-    failures: list[str] = []
-    for inst in enumerate_instances(max_w, max_v1, max_v2):
-        count += 1
-        try:
-            wit = find_witness(inst)
-            _verify_witness(inst, wit)
-            if wit.kind == "A":
-                a_count += 1
-            else:
-                b_count += 1
-        except Exception as exc:  # collect, do not stop the sweep
-            failures.append(f"instance {count}: {exc}")
-    return OracleSummary(count, a_count, b_count, tuple(failures))

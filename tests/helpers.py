@@ -39,6 +39,7 @@ from menger.space import (
     orbit,
     periodic_set,
 )
+from menger.witness import BipartiteInstance
 
 
 # Five points that break the triangle inequality: 2 and 4 lie 0.01 from 1
@@ -400,6 +401,48 @@ def reference_action_report(action: GroupAction, r: int, plan: list[Stage]) -> H
             for c in reference_family_report(fam, r).checks:
                 checks.append(replace(c, label=f"{c.label} (stage {k})"))
     return HypothesisReport(r, tuple(checks), all(c.passed for c in checks))
+
+
+def _surjections(n_from: int, n_to: int):
+    for fmap in itertools.product(range(n_to), repeat=n_from):
+        if len(set(fmap)) == n_to:
+            yield fmap
+
+
+def bipartite_instances(max_w: int, max_v1: int, max_v2: int):
+    """Every witness instance with |W| <= max_w, |V1| <= max_v1, |V2| <= max_v2."""
+    for nw in range(1, max_w + 1):
+        w = tuple(range(nw))
+        for nv1 in range(1, min(max_v1, nw) + 1):
+            v1 = tuple(range(nv1))
+            for nv2 in range(1, min(max_v2, nv1, nw) + 1):
+                v2 = tuple(range(nv2))
+                stars1 = [c for size in range(nv1 // 2 + 1, nv1 + 1)
+                          for c in itertools.combinations(v1, size)]
+                stars2 = [c for size in range(nv2 // 2 + 1, nv2 + 1)
+                          for c in itertools.combinations(v2, size)]
+                for f1 in map(dict, map(enumerate, _surjections(nw, nv1))):
+                    for f2 in map(dict, map(enumerate, _surjections(nw, nv2))):
+                        for s1, s2 in itertools.product(stars1, stars2):
+                            yield BipartiteInstance.create(w, v1, v2, f1, f2, s1, s2)
+
+
+def _surj_count(n_from: int, n_to: int) -> int:
+    return sum((-1) ** k * math.comb(n_to, k) * (n_to - k) ** n_from for k in range(n_to + 1))
+
+
+def _majority_count(n: int) -> int:
+    return sum(math.comb(n, s) for s in range(n // 2 + 1, n + 1))
+
+
+def instance_count(max_w: int, max_v1: int, max_v2: int) -> int:
+    """How many instances ``bipartite_instances`` yields, in closed form."""
+    return sum(
+        _surj_count(nw, nv1) * _surj_count(nw, nv2) * _majority_count(nv1) * _majority_count(nv2)
+        for nw in range(1, max_w + 1)
+        for nv1 in range(1, min(max_v1, nw) + 1)
+        for nv2 in range(1, min(max_v2, nv1, nw) + 1)
+    )
 
 
 def naive_sup_distance(f: Observable, g: Observable) -> Fraction:

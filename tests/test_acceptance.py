@@ -7,15 +7,17 @@ with a monotonic clock.
 """
 
 import json
-import math
 import random
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    bipartite_instances,
+    instance_count,
     naive_compatible,
     naive_doubled_blocks,
     naive_induced_blocks,
@@ -25,12 +27,16 @@ from helpers import (
 )
 
 from menger.cli import main
+from menger.covers import BACKEND_BRICKS, BACKEND_CELLS, build_cover, verify_cover
 from menger.fixtures import (
     antipodal_perm,
+    circle_coords,
     circle_space,
+    grid_coords,
+    grid_space,
+    path_coords,
     path_space,
     rotation_perm,
-    run_cover_oracle,
 )
 from menger.io import (
     save_action,
@@ -55,7 +61,7 @@ from menger.pipeline import (
     margin,
 )
 from menger.space import GroupAction, MapFamily
-from menger.witness import run_witness_oracle
+from menger.witness import find_witness
 
 
 def _report(capsys, num: int, desc: str, passed: bool) -> None:
@@ -73,27 +79,6 @@ def criterion(capsys, num: int, desc: str):
         _report(capsys, num, desc, False)
         raise
     _report(capsys, num, desc, True)
-
-
-def _surj_count(n_from: int, n_to: int) -> int:
-    return sum(
-        (-1) ** k * math.comb(n_to, k) * (n_to - k) ** n_from
-        for k in range(n_to + 1)
-    )
-
-
-def _majority_count(n: int) -> int:
-    return sum(math.comb(n, s) for s in range(n // 2 + 1, n + 1))
-
-
-def _instance_count(max_w: int, max_v1: int, max_v2: int) -> int:
-    return sum(
-        _surj_count(nw, nv1) * _surj_count(nw, nv2)
-        * _majority_count(nv1) * _majority_count(nv2)
-        for nw in range(1, max_w + 1)
-        for nv1 in range(1, min(max_v1, nw) + 1)
-        for nv2 in range(1, min(max_v2, nv1, nw) + 1)
-    )
 
 
 def _rotation_family(n: int = 9) -> MapFamily:
@@ -144,22 +129,47 @@ def test_acceptance_1_witness_oracle(capsys):
     desc = "exhaustive witness search over all small instances"
     with criterion(capsys, 1, desc):
         start = time.monotonic()
-        summary = run_witness_oracle(4, 3, 3)
+        # find_witness re-verifies each witness it returns, and raises if one fails
+        kinds = Counter(find_witness(inst).kind for inst in bipartite_instances(4, 3, 3))
         elapsed = time.monotonic() - start
-        assert summary.failures == ()
-        assert summary.instances == _instance_count(4, 3, 3)
-        assert summary.a_witnesses + summary.b_witnesses == summary.instances
+        assert kinds.total() == instance_count(4, 3, 3) == 23902
+        assert kinds == {"A": 23254, "B": 648}
         assert elapsed < 30
 
 
 def test_acceptance_2_cover_oracle(capsys):
+    """Seeded cover builds over four bundled spaces, each re-checked from
+    scratch: per run, a point subset, a family count m, a multiplicity mu
+    (lowered for bricks, so the per-axis loss leaves it reachable) and a
+    diameter bound."""
     desc = "randomized cover builds verify cleanly on both backends"
     with criterion(capsys, 2, desc):
         start = time.monotonic()
-        result = run_cover_oracle(runs_per_backend=50)
+        spaces = [
+            (circle_space(9), circle_coords(9)),
+            (circle_space(12), circle_coords(12)),
+            (path_space(8), path_coords(8)),
+            (grid_space(4, 3), grid_coords(4, 3)),
+        ]
+        builds = 0
+        for backend in (BACKEND_CELLS, BACKEND_BRICKS):
+            for i in range(50):
+                rng = random.Random(1000 + i)
+                space, coords = spaces[i % len(spaces)]
+                n = space.n_points
+                points = sorted(rng.sample(range(n), rng.randint(1, n)))
+                m = rng.randint(1, 6)
+                mu = rng.randint(1, m)
+                if backend == BACKEND_BRICKS:
+                    m = max(m, coords.dim + 1)
+                    mu = min(mu, m - coords.dim)
+                eps = space.diameter(range(n)) * (0.2 + 0.6 * rng.random())
+                cover = build_cover(space, points, m, mu, eps, backend, coords)
+                violations = verify_cover(cover, space).violations
+                assert violations == (), f"{backend} run {i}: {violations}"
+                builds += 1
         elapsed = time.monotonic() - start
-        assert result.builds == 100
-        assert result.violations == 0, result.details
+        assert builds == 100
         assert elapsed < 10
 
 

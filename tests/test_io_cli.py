@@ -69,8 +69,7 @@ _PACKAGE_EXPORTS = {
     "pipeline": "BlockLog EmbeddingCertificate StageRecord embed_equivariant embed_family margin "
                 "separate_on_block",
     "space": "FiniteSpace GroupAction MapFamily orbit periodic_set restricted_space validate_space",
-    "witness": "BipartiteInstance SeparationProof Witness check_separation find_witness "
-               "run_witness_oracle",
+    "witness": "BipartiteInstance SeparationProof Witness check_separation find_witness",
 }
 
 
@@ -95,6 +94,15 @@ def test_importing_the_verifier_loads_no_construction_module():
     loaded = set(ast.literal_eval(out))
     assert "menger.io" in loaded
     assert not loaded & {"menger.pipeline", "menger.witness", "menger.fixtures", "menger.cli"}
+
+
+def test_importing_the_cli_loads_no_fixtures():
+    out = _fresh_python(
+        "import sys, menger.cli; print(sorted(m for m in sys.modules if m.startswith('menger')))"
+    )
+    loaded = set(ast.literal_eval(out))
+    assert "menger.pipeline" in loaded
+    assert "menger.fixtures" not in loaded
 
 
 def test_every_package_export_resolves_to_its_module():
@@ -1830,8 +1838,10 @@ def test_cli_certificate_config_holds_only_the_caps(tmp_path, capsys, monkeypatc
         (["embed", "--space", "s.json", "--action", "a.json", "--r", "1", "--eps", "1/20",
           "--backend", "nope"],
          "menger embed: error: argument --backend: invalid choice: 'nope'"),
+        # the exhaustive sweeps are tests, not a command
+        (["oracle"], "menger: error: argument command: invalid choice: 'oracle'"),
     ],
-    ids=["missing-r", "action-and-family", "nmax", "unknown-backend"],
+    ids=["missing-r", "action-and-family", "nmax", "unknown-backend", "oracle"],
 )
 def test_cli_argument_error_is_one_line(capsys, argv, line):
     """An argument error is one stderr line, with no usage block, and exits 1."""
@@ -1864,7 +1874,6 @@ _PARITY_ARGV = {
     "check-help": ["check", "-h"],
     "embed-help": ["embed", "--help"],
     "verify-help": ["verify", "-h"],
-    "oracle-help": ["oracle", "-h"],
     "missing-required": ["embed", *_INPUTS, "--r", "1"],
     "no-arguments": ["verify"],
     "bad-backend": ["embed", *_INPUTS, "--r", "1", "--eps", "1/20", "--backend", "nope"],
@@ -1891,7 +1900,6 @@ def test_main_parses_arguments_as_the_full_parser_does(capsys, argv):
     ["embed", "--space", "s.json", "--family", "f.json", "--r", "1", "--eps", "1/20",
      "--seed", "3", "--backend", "bricks", "--coords", "c.json"],
     ["verify", "--cert", "c.json", "--space", "s.json", "--action", "a.json"],
-    ["oracle", "--scope", "covers"],
 ])
 def test_a_named_command_parses_to_the_full_parsers_namespace(argv):
     assert vars(cli_module._parse(argv)) == vars(cli_module.build_parser().parse_args(argv))
@@ -2224,16 +2232,6 @@ def test_cli_missing_file_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "no such file" in err
-
-
-def test_cli_oracle_covers(tmp_path, capsys):
-    out = str(tmp_path / "oracle.json")
-    code = main(["oracle", "--scope", "covers", "--out", out])
-    text = capsys.readouterr().out
-    assert code == 0
-    assert "cover oracle: 0 violations / 100 builds" in text
-    summary = json.loads(open(out).read())
-    assert summary["covers"]["violations"] == 0
 
 
 def _unusable_path_cases(tmp_path):

@@ -484,14 +484,35 @@ def test_numbers_refuses_as_the_per_row_scan_does(rows):
     assert outcomes[0] == outcomes[1]
 
 
+_NOT_A_NUMBER = "metric must be a matrix of numbers: "
+
+
+def _reference_ragged(rows):
+    """The first row of a list of rows, some a list and not all of one
+    length, that is not a list of len(rows) entries."""
+    lists = [row for row in rows if isinstance(row, list)]
+    if not lists or (len(lists) == len(rows) and len({len(row) for row in lists}) == 1):
+        return
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise InputError(f"{_NOT_A_NUMBER}metric[{i}]: expected a list of {len(rows)} "
+                             f"entries, got {type(row).__name__}")
+        if len(row) != len(rows):
+            raise InputError(f"{_NOT_A_NUMBER}metric[{i}]: expected {len(rows)} entries, "
+                             f"got {len(row)}")
+
+
 # A metric that packs is read without its per-entry walk.  The reference is
-# the loader before packing: the walk over every entry, the faces, the rows
-# through np.array, then the axioms.  Both must give the same matrix, bit for
-# bit, or the same exception with the same text.
+# the loader before packing: the walk over every entry, the walk over the
+# rows of a ragged matrix, the faces, the rows through np.array, then the
+# axioms.  Both must give the same matrix, bit for bit, or the same
+# exception with the same text.
 
 def _reference_space(doc):
     metric = io_module._require(doc, "metric")
     _reference_numbers(metric, "metric")
+    if isinstance(metric, list):
+        _reference_ragged(metric)
     space = FiniteSpace.create(metric, *io_module._dimension_data(doc))
     issues = axiom_issues(space.metric)
     if issues:
@@ -585,9 +606,6 @@ def test_packed_metric_loads_as_the_walk_then_array_did(tmp_path, doc):
     _assert_loaders_match_the_reference(tmp_path, doc, json.dumps(doc))
 
 
-_NOT_A_NUMBER = "metric must be a matrix of numbers: "
-
-
 @pytest.mark.parametrize("metric, message", [
     # a false off the diagonal of a matrix whose diagonal is also bad
     ("[[5, 1, false], [1, 0, 1], [false, 1, 0]]", _NOT_A_NUMBER + "metric[0][2] is False"),
@@ -627,6 +645,45 @@ def test_hard_metrics_load_as_the_walk_then_array_did(tmp_path, metric, message)
     except InputError:
         return      # refused before any loader sees it
     _assert_loaders_match_the_reference(tmp_path, doc, text)
+
+
+_RAGGED_ROW = st.lists(st.integers(0, 3), max_size=5) | st.sampled_from([5, 1.5, True, "ab", None, {}])
+
+
+@st.composite
+def _ragged_metrics(draw):
+    """A square matrix of numbers with one row cut, lengthened or swapped for
+    a value that is not a list.  One point cannot be made ragged so: its one
+    row, changed, is all the rows."""
+    n = draw(st.integers(2, 5))
+    rows = [[int(i != j) for j in range(n)] for i in range(n)]
+    i = draw(st.integers(0, n - 1))
+    rows[i] = draw(_RAGGED_ROW.filter(lambda row: not isinstance(row, list) or len(row) != n))
+    return rows, i
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_ragged_metrics(), as_source=st.booleans())
+def test_a_ragged_metric_is_refused_in_one_line_naming_its_row(tmp_path, capsys, drawn, as_source):
+    """A space file or a family's source whose metric rows are not all lists
+    of one length exits 1 with one line naming its first misshapen row, in
+    the program's words rather than numpy's."""
+    rows, i = drawn
+    space_path = tmp_path / "space.json"
+    family_path = tmp_path / "family.json"
+    if as_source:
+        save_space(circle_space(N), str(space_path))
+        family_path.write_text(json.dumps({"maps": [list(range(len(rows)))], "source": {"metric": rows}}))
+    else:
+        space_path.write_text(json.dumps({"metric": rows}))
+        family_path.write_text(json.dumps({"maps": [list(range(len(rows)))]}))
+    code = main(["check", "--space", str(space_path), "--family", str(family_path), "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert f": {_NOT_A_NUMBER}metric[{i}]: expected " in line
+    assert "inhomogeneous" not in line and "setting an array element" not in line
 
 
 def test_a_clean_matrix_is_never_walked(tmp_path, capsys):

@@ -1,15 +1,10 @@
-import math
+from collections import Counter
 
 import pytest
+from helpers import bipartite_instances, instance_count
 
 from menger.errors import InputError
-from menger.witness import (
-    BipartiteInstance,
-    check_separation,
-    enumerate_instances,
-    find_witness,
-    run_witness_oracle,
-)
+from menger.witness import BipartiteInstance, check_separation, find_witness
 
 
 def _inst_a():
@@ -129,49 +124,19 @@ def test_check_separation_preconditions():
         check_separation(inst_a, {"a": 9, "b": 8}, {"c": 9})
 
 
-def _surj_count(n_from: int, n_to: int) -> int:
-    return sum(
-        (-1) ** k * math.comb(n_to, k) * (n_to - k) ** n_from
-        for k in range(n_to + 1)
-    )
-
-
-def _majority_count(n: int) -> int:
-    return sum(math.comb(n, s) for s in range(n // 2 + 1, n + 1))
-
-
-def _independent_instance_count(max_w: int, max_v1: int, max_v2: int) -> int:
-    total = 0
-    for nw in range(1, max_w + 1):
-        for nv1 in range(1, min(max_v1, nw) + 1):
-            for nv2 in range(1, min(max_v2, nv1, nw) + 1):
-                total += (
-                    _surj_count(nw, nv1)
-                    * _surj_count(nw, nv2)
-                    * _majority_count(nv1)
-                    * _majority_count(nv2)
-                )
-    return total
-
-
 def test_enumerate_instances_matches_closed_form_count():
-    got = sum(1 for _ in enumerate_instances(3, 2, 2))
-    assert got == _independent_instance_count(3, 2, 2)
+    got = sum(1 for _ in bipartite_instances(3, 2, 2))
+    assert got == instance_count(3, 2, 2)
 
 
 def test_witness_oracle_small_sweep_is_all_a():
     # with |V2| <= 2 a strict majority is the whole side, so the A scan
-    # cannot miss; the sweep doubles as a cleanliness check
-    summary = run_witness_oracle(3, 2, 2)
-    assert summary.failures == ()
-    assert summary.instances == _independent_instance_count(3, 2, 2)
-    assert summary.a_witnesses == summary.instances
-    assert summary.b_witnesses == 0
+    # cannot miss; find_witness re-verifies each witness it returns
+    kinds = Counter(find_witness(inst).kind for inst in bipartite_instances(3, 2, 2))
+    assert kinds == {"A": instance_count(3, 2, 2)}
 
 
 def test_witness_oracle_full_sweep_reaches_both_branches():
-    summary = run_witness_oracle(4, 3, 3)
-    assert summary.failures == ()
-    assert summary.instances == _independent_instance_count(4, 3, 3)
-    assert summary.a_witnesses + summary.b_witnesses == summary.instances
-    assert summary.b_witnesses > 0      # needs |W| >= 4 and |V2| >= 3
+    kinds = Counter(find_witness(inst).kind for inst in bipartite_instances(4, 3, 3))
+    assert kinds.keys() == {"A", "B"}   # B needs |W| >= 4 and |V2| >= 3
+    assert kinds.total() == instance_count(4, 3, 3)
