@@ -1874,6 +1874,8 @@ _PARITY_ARGV = {
     "check-help": ["check", "-h"],
     "embed-help": ["embed", "--help"],
     "verify-help": ["verify", "-h"],
+    # a removed command's help is the full parser's refusal, not a help page
+    "oracle-help": ["oracle", "-h"],
     "missing-required": ["embed", *_INPUTS, "--r", "1"],
     "no-arguments": ["verify"],
     "bad-backend": ["embed", *_INPUTS, "--r", "1", "--eps", "1/20", "--backend", "nope"],
@@ -1900,6 +1902,8 @@ def test_main_parses_arguments_as_the_full_parser_does(capsys, argv):
     ["embed", "--space", "s.json", "--family", "f.json", "--r", "1", "--eps", "1/20",
      "--seed", "3", "--backend", "bricks", "--coords", "c.json"],
     ["verify", "--cert", "c.json", "--space", "s.json", "--action", "a.json"],
+    # every option left at its default
+    ["embed", *_INPUTS, "--r", "1", "--eps", "1/20"],
 ])
 def test_a_named_command_parses_to_the_full_parsers_namespace(argv):
     assert vars(cli_module._parse(argv)) == vars(cli_module.build_parser().parse_args(argv))
